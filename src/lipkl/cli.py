@@ -162,7 +162,7 @@ def cmd_compute(args) -> int:
         "what": args.what,
         "inputs_digest": _digest(inputs),
         "inputs": inputs,
-        "config": {"tol": args.tol, "max_iter": args.max_iter, "seed": args.seed},
+        "config": {"tol": args.tol, "max_iter": args.max_iter},
         "results": results,
         "certificates": certificates,
     }
@@ -227,8 +227,7 @@ def cmd_derivative(args) -> int:
         "command": "derivative",
         "inputs_digest": _digest(inputs),
         "inputs": inputs,
-        "config": {"tol": args.tol, "max_iter": args.max_iter,
-                   "seed": args.seed, "epsilon": args.epsilon},
+        "config": {"tol": args.tol, "max_iter": args.max_iter, "epsilon": args.epsilon},
         "results": {
             "analytic": rep.analytic,
             "finite_diff": rep.finite_diff,
@@ -266,7 +265,7 @@ def cmd_markov(args) -> int:
         report = {
             "command": "markov gaussian",
             "inputs_digest": _digest({"alpha": args.alpha, "sigma": args.sigma}),
-            "config": {"seed": args.seed},
+            "config": {},
             "results": results,
             "certificates": {"golden_section_error": abs(peak.search_k - peak.k_star)},
         }
@@ -282,7 +281,7 @@ def cmd_markov(args) -> int:
         report = {
             "command": "markov membership",
             "inputs_digest": _digest(inputs),
-            "config": {"tol": args.tol, "seed": args.seed},
+            "config": {"tol": args.tol},
             "results": {
                 "g": inv.g.tolist(),
                 "a": inv.a,
@@ -304,7 +303,7 @@ def cmd_markov(args) -> int:
     report = {
         "command": "markov bound",
         "inputs_digest": _digest(inputs),
-        "config": {"tol": args.tol, "seed": args.seed},
+        "config": {"tol": args.tol},
         "results": {
             "growth_rate": rep.growth_rate,
             "holds": rep.holds,
@@ -343,7 +342,7 @@ def cmd_verify(args) -> int:
     report = {
         "command": "verify",
         "inputs_digest": saved.get("inputs_digest"),
-        "config": {"tol": args.tol, "seed": args.seed},
+        "config": {"tol": args.tol},
         "results": {
             "optimal": rep.optimal,
             "feasible": rep.feasible,
@@ -363,7 +362,7 @@ def cmd_benchmark(args) -> int:
     report = {
         "command": "benchmark",
         "inputs_digest": _digest({"scale": br.scale, "grid": br.grid_size}),
-        "config": {"tol": args.tol, "seed": args.seed},
+        "config": {"tol": args.tol},
         "results": {
             "value": br.value,
             "closed_form": br.closed_form,
@@ -400,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="duality-gap tolerance (default 1e-8)")
     common.add_argument("--max-iter", type=int, default=100_000,
                         help="iteration budget (default 100000)")
-    common.add_argument("--seed", type=int, default=42,
-                        help="seed echoed into reports for randomized drivers (default 42)")
     common.add_argument("--timing", action="store_true",
                         help="include wall-clock seconds (breaks bit-identical output)")
     common.add_argument("--output", help="write the JSON report here instead of stdout")

@@ -62,6 +62,7 @@ from .measures import (
     LipschitzFunction,
     ValidationError,
     lipschitz_violation,
+    _potential_values,
     _require_same_point_set,
 )
 
@@ -350,8 +351,7 @@ def divergence(
 
     consider(np.zeros(K))
     if initial_potential is not None:
-        g0 = initial_potential.values if isinstance(initial_potential, LipschitzFunction) \
-            else np.asarray(initial_potential, dtype=float)
+        g0 = _potential_values(initial_potential)
         if g0.shape == (mu.point_set.n,):
             g0 = g0[ws.cols]
         if g0.shape != (K,):
@@ -448,7 +448,7 @@ def dual_objective(g, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     (weak duality), with equality at the optimal potential.
     """
     _require_same_point_set(mu, nu)
-    values = g.values if isinstance(g, LipschitzFunction) else np.asarray(g, dtype=float)
+    values = _potential_values(g)
     supp = nu.support
     lse = float(logsumexp(values[supp] + np.log(nu.weights[supp])))
     return float(mu.weights @ values) - lse
@@ -491,8 +491,7 @@ def verify_optimizers(
     """
     _require_same_point_set(mu, nu)
     _require_same_point_set(candidate_measure, nu)
-    values = candidate_potential.values if isinstance(candidate_potential, LipschitzFunction) \
-        else np.asarray(candidate_potential, dtype=float)
+    values = _potential_values(candidate_potential)
     if values.shape != (mu.point_set.n,):
         raise ValidationError("potential length does not match the point set")
     if not candidate_measure.is_absolutely_continuous_wrt(nu):
@@ -568,7 +567,7 @@ def cumulant_duality_check(
     certified upper bracket of the divergence, so probe values can never
     spuriously exceed the log moment generating function.
     """
-    values = g.values if isinstance(g, LipschitzFunction) else np.asarray(g, dtype=float)
+    values = _potential_values(g)
     values = LipschitzFunction(values, cost).values  # rejects infeasible input
     supp = nu.support
     lse = float(logsumexp(values[supp] + np.log(nu.weights[supp])))

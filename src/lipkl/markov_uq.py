@@ -20,6 +20,11 @@ g pinned at the first state; its Jacobian at zero is [(P - I), 1], which
 has full rank exactly when the chain has a single recurrent class (the
 Fredholm alternative applied to P - I).
 
+Stationary measures are exact: each recurrent class is solved by GTH
+elimination (Grassmann, Taksar & Heyman 1985), which censors one state at a
+time without subtractions and so stays accurate on nearly decomposable
+chains, where iterative methods stall or stop early.
+
 The Gaussian AR(1) example p(x, .) = N(alpha x, sigma^2) with quadratic
 potentials admits closed forms: a potential -(b x^2 + c x + d) produces the
 cost b(1 - alpha^2/(1 - 2 b sigma^2)) x^2 + c(1 - alpha/(1 - 2 b sigma^2)) x + a,
@@ -31,8 +36,6 @@ maximum (1 - alpha)^2 / (2 sigma^2).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +53,7 @@ from .measures import (
     lipschitz_violation,
     load_cost,
     _load_json,
+    _potential_values,
 )
 
 __all__ = [
@@ -72,18 +76,9 @@ __all__ = [
     "ar1_max_quadratic_rate",
     "ar1_quadratic_representable",
     "load_kernel",
-    "worker_count",
 ]
 
 ROW_ATOL = 1e-12
-
-
-def worker_count() -> int:
-    """Worker cap for per-state parallel work; GAMMA_DIV_THREADS overrides."""
-    env = os.environ.get("GAMMA_DIV_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -170,8 +165,7 @@ def performance_bound(g, mu: DiscreteMeasure, nu: DiscreteMeasure,
     potential. The divergence enters through its certified upper bracket,
     so the reported inequality always holds.
     """
-    values = g.values if isinstance(g, LipschitzFunction) else np.asarray(g, dtype=float)
-    values = LipschitzFunction(values, cost).values
+    values = LipschitzFunction(_potential_values(g), cost).values
     supp = nu.support
     log_mgf = float(logsumexp(values[supp] + np.log(nu.weights[supp])))
     sol = divergence(mu, nu, cost, tol=tol)
@@ -187,23 +181,24 @@ def performance_bound(g, mu: DiscreteMeasure, nu: DiscreteMeasure,
 # Risk-sensitive Poisson equation
 
 
+def _log_kernel(kernel: FiniteKernel) -> np.ndarray:
+    """log p, with -inf exactly on the forbidden transitions."""
+    p = kernel.matrix
+    return np.where(p > 0, np.log(np.maximum(p, 1e-300)), -np.inf)
+
+
 def risk_map(kernel: FiniteKernel, g, a: float) -> np.ndarray:
     """Risk-sensitive image f(x) = -log sum_y e^{-g(y)} p(x, y) - g(x) + a."""
     g = np.asarray(g, dtype=float)
     if g.shape != (kernel.n,):
         raise ValidationError("potential length does not match the state set")
-    with np.errstate(divide="ignore"):
-        log_p = np.where(kernel.matrix > 0, np.log(np.maximum(kernel.matrix, 1e-300)), -np.inf)
-    inner = logsumexp(log_p - g[None, :], axis=1)
+    inner = logsumexp(_log_kernel(kernel) - g[None, :], axis=1)
     return -inner - g + float(a)
 
 
 def _tilted_kernel(kernel: FiniteKernel, g: np.ndarray) -> np.ndarray:
     """Rows of p reweighted by e^{-g} and renormalized (log-space stable)."""
-    with np.errstate(divide="ignore"):
-        log_p = np.where(kernel.matrix > 0,
-                         np.log(np.maximum(kernel.matrix, 1e-300)), -np.inf)
-    z = log_p - g[None, :]
+    z = _log_kernel(kernel) - g[None, :]
     z -= logsumexp(z, axis=1, keepdims=True)
     return np.exp(z)
 
@@ -325,32 +320,33 @@ def recurrent_classes(matrix: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def stationary_distribution(matrix: np.ndarray, tol: float = 1e-12,
-                            max_iter: int = 2_000_000) -> np.ndarray:
-    """Stationary row vector by power iteration to the requested residual.
+def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
+    """The stationary row vector of a chain with one recurrent class.
 
-    Iterates the lazy chain (P + I)/2, which shares stationary vectors with
-    P and is aperiodic, so periodic chains converge too. The residual
-    ||pi P - pi||_1 is measured against the original matrix.
+    GTH elimination on the recurrent block: state k is censored out by
+    folding its paths into the states before it, with the exit mass
+    sum_{j<k} a_kj in place of 1 - a_kk, so no subtraction can cancel and
+    no diagonal entry is read. Back substitution then gives pi up to scale.
+    Transient states get zero mass. Raises ValidationError unless there is
+    exactly one recurrent class, since otherwise pi is not unique.
     """
     p = np.asarray(matrix, dtype=float)
-    n = p.shape[0]
-    pi = np.full(n, 1.0 / n)
-    lazy = 0.5 * (p + np.eye(n))
-    for _ in range(max_iter):
-        pi = pi @ lazy
-        pi = pi / pi.sum()
-        if float(np.abs(pi @ p - pi).sum()) <= tol:
-            return pi
-    raise RuntimeError("power iteration did not converge; is the chain reducible?")
-
-
-def _class_stationary(matrix: np.ndarray, states: np.ndarray, tol: float) -> np.ndarray:
-    sub = matrix[np.ix_(states, states)]
-    sub = sub / sub.sum(axis=1, keepdims=True)
-    pi_sub = stationary_distribution(sub, tol=tol)
-    pi = np.zeros(matrix.shape[0])
-    pi[states] = pi_sub
+    classes = recurrent_classes(p)
+    if len(classes) != 1:
+        raise ValidationError(
+            f"the chain has {len(classes)} recurrent classes; a unique "
+            "stationary distribution needs exactly one"
+        )
+    states = classes[0]
+    a = p[np.ix_(states, states)]
+    for k in range(len(states) - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    x = np.ones(len(states))
+    for k in range(1, len(states)):
+        x[k] = x[:k] @ a[:k, k]
+    pi = np.zeros(p.shape[0])
+    pi[states] = x / x.sum()
     return pi
 
 
@@ -396,7 +392,6 @@ class ErgodicBoundReport:
 
 
 def ergodic_bound(p_kernel: FiniteKernel, q_kernel: FiniteKernel, f,
-                  stationary_tol: float = 1e-12,
                   divergence_tol: float = 1e-10) -> ErgodicBoundReport:
     """Certify the stationary-average bound for a representable cost f.
 
@@ -417,20 +412,15 @@ def ergodic_bound(p_kernel: FiniteKernel, q_kernel: FiniteKernel, f,
                f"potential violates the Lipschitz class by {inverse.lipschitz_excess:g}")
         )
     f = np.asarray(f, dtype=float)
-    cost = p_kernel.cost
-
-    def state_divergence(x: int) -> float:
-        return divergence(q_kernel.row(x), p_kernel.row(x), cost,
-                          tol=divergence_tol).value
-
+    q = q_kernel.matrix
     bounds = []
-    for states in recurrent_classes(q_kernel.matrix):
-        pi = _class_stationary(q_kernel.matrix, states, stationary_tol)
+    for states in recurrent_classes(q):
+        pi = np.zeros(p_kernel.n)
+        pi[states] = stationary_distribution(q[np.ix_(states, states)])
         values = np.zeros(p_kernel.n)
-        active = [int(x) for x in states if pi[x] > 0]
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            for x, val in zip(active, pool.map(state_divergence, active)):
-                values[x] = val
+        for x in states:
+            values[x] = divergence(q_kernel.row(x), p_kernel.row(x), p_kernel.cost,
+                                   tol=divergence_tol).value
         bounds.append(ClassBound(
             states=tuple(int(x) for x in states),
             stationary=pi,

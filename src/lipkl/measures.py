@@ -422,6 +422,11 @@ class LipschitzFunction:
         return LipschitzFunction(self.values + constant, self.cost)
 
 
+def _potential_values(g) -> np.ndarray:
+    """Values of a potential given as a LipschitzFunction or as an array."""
+    return g.values if isinstance(g, LipschitzFunction) else np.asarray(g, dtype=float)
+
+
 def project_lipschitz(values, cost: CostMatrix, reference=None) -> LipschitzFunction:
     """Largest Lipschitz function dominated by ``values`` on the reference set.
 

@@ -2,13 +2,16 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lipkl
 from lipkl import risk_map
 from lipkl.cli import EXIT_IO, EXIT_OK, EXIT_UNCERTIFIED, EXIT_VALIDATION, main
 from lipkl.markov_uq import load_kernel
@@ -261,9 +264,14 @@ def test_invalid_cost_exits_3(fixtures, tmp_path):
 
 
 def test_console_entry_point(fixtures):
+    # the child must import the same lipkl as this process, which may come
+    # from pytest's pythonpath setting rather than an installed package
+    package_root = str(Path(lipkl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "lipkl.cli", "markov", "gaussian",
          "--alpha", "0.5", "--sigma", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["k_star"] == 0.125

@@ -177,6 +177,26 @@ def test_stationary_periodic_chain():
     np.testing.assert_allclose(pi, [0.5, 0.5], atol=1e-12)
 
 
+@pytest.mark.parametrize("a", [1e-13, 1e-7])
+def test_stationary_nearly_decomposable_chain(a):
+    # the states trade mass only at rate a; stopping on the residual
+    # ||pi P - pi|| accepts almost any vector here, so only an exact solve
+    # recovers (2/3, 1/3)
+    p = np.array([[1.0 - a, a], [2.0 * a, 1.0 - 2.0 * a]])
+    pi = stationary_distribution(p)
+    np.testing.assert_allclose(pi, [2.0 / 3.0, 1.0 / 3.0], rtol=0, atol=1e-14)
+
+
+def test_stationary_rejects_two_recurrent_classes():
+    with pytest.raises(ValidationError, match="2 recurrent classes"):
+        stationary_distribution(np.eye(2))
+
+
+def test_stationary_leading_transient_state():
+    pi = stationary_distribution(np.array([[0.5, 0.5], [0.0, 1.0]]))
+    assert pi.tolist() == [0.0, 1.0]
+
+
 def test_recurrent_classes_identity():
     classes = recurrent_classes(np.eye(3))
     assert len(classes) == 3
@@ -375,12 +395,3 @@ def test_gaussian_model_validation():
         GaussianAR1(1.0, 1.0)
     with pytest.raises(ValidationError):
         GaussianAR1(0.5, 0.0)
-
-
-def test_worker_count_env_override(monkeypatch):
-    from lipkl.markov_uq import worker_count
-
-    monkeypatch.setenv("GAMMA_DIV_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.delenv("GAMMA_DIV_THREADS")
-    assert worker_count() >= 1
