@@ -69,7 +69,7 @@ def _emit(report: dict, args, started: float) -> None:
     if args.timing:
         report["timing_s"] = time.perf_counter() - started
     text = json.dumps(report, sort_keys=True, indent=2)
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -196,8 +196,7 @@ def cmd_sweep(args) -> int:
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(x)) for x in row])
-    if not getattr(args, "quiet", False):
-        print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
 
@@ -227,7 +226,7 @@ def cmd_derivative(args) -> int:
         "command": "derivative",
         "inputs_digest": _digest(inputs),
         "inputs": inputs,
-        "config": {"tol": args.tol, "max_iter": args.max_iter, "epsilon": args.epsilon},
+        "config": {"epsilon": args.epsilon},
         "results": {
             "analytic": rep.analytic,
             "finite_diff": rep.finite_diff,
@@ -281,7 +280,7 @@ def cmd_markov(args) -> int:
         report = {
             "command": "markov membership",
             "inputs_digest": _digest(inputs),
-            "config": {"tol": args.tol},
+            "config": {},
             "results": {
                 "g": inv.g.tolist(),
                 "a": inv.a,
@@ -303,7 +302,7 @@ def cmd_markov(args) -> int:
     report = {
         "command": "markov bound",
         "inputs_digest": _digest(inputs),
-        "config": {"tol": args.tol},
+        "config": {},
         "results": {
             "growth_rate": rep.growth_rate,
             "holds": rep.holds,
@@ -394,14 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "certificates, limits, and Markov-chain robustness bounds.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-8,
-                        help="duality-gap tolerance (default 1e-8)")
-    common.add_argument("--max-iter", type=int, default=100_000,
-                        help="iteration budget (default 100000)")
-    common.add_argument("--timing", action="store_true",
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=1e-8,
+                     help="duality-gap tolerance (default 1e-8)")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--timing", action="store_true",
                         help="include wall-clock seconds (breaks bit-identical output)")
-    common.add_argument("--output", help="write the JSON report here instead of stdout")
+    report.add_argument("--output", help="write the JSON report here instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -413,8 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     io.add_argument("--scale-b", type=float, default=None,
                     help="Lipschitz class scale multiplier")
 
-    p = sub.add_parser("compute", parents=[common, io],
+    p = sub.add_parser("compute", parents=[tol, report, io],
                        help="divergence / entropy / transport values with certificates")
+    p.add_argument("--max-iter", type=int, default=100_000,
+                   help="iteration budget (default 100000)")
     p.add_argument("--what", choices=["gamma", "entropy", "transport", "all"],
                    default="gamma")
     p.add_argument("--allow-uncertified", action="store_true")
@@ -422,31 +422,31 @@ def build_parser() -> argparse.ArgumentParser:
                    help="embed the transport plan (quadratic in the point count)")
     p.set_defaults(fn=cmd_compute)
 
-    p = sub.add_parser("sweep", parents=[common, io], help="scale sweeps to CSV")
+    p = sub.add_parser("sweep", parents=[tol, io], help="scale sweeps to CSV")
     p.add_argument("--mode", choices=["entropy", "transport", "expansion"], required=True)
     p.add_argument("--scales", required=True, help="comma-separated scale list")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("derivative", parents=[common, io],
+    p = sub.add_parser("derivative", parents=[report, io],
                        help="directional derivative with finite-difference check")
     p.add_argument("--rho", required=True, help="zero-mass perturbation (JSON file)")
     p.add_argument("--epsilon", type=float, default=1e-4)
     p.set_defaults(fn=cmd_derivative)
 
-    p = sub.add_parser("markov", parents=[common],
+    p = sub.add_parser("markov",
                        help="Markov-chain bounds and the Gaussian AR(1) example")
     msub = p.add_subparsers(dest="markov_what", required=True)
-    mb = msub.add_parser("bound", parents=[common])
+    mb = msub.add_parser("bound", parents=[report])
     mb.add_argument("--p", required=True, help="nominal kernel (JSON file)")
     mb.add_argument("--q", required=True, help="alternative kernel (JSON file)")
     mb.add_argument("--f", required=True, help="cost vector (JSON file)")
     mb.set_defaults(fn=cmd_markov)
-    mm = msub.add_parser("membership", parents=[common])
+    mm = msub.add_parser("membership", parents=[report])
     mm.add_argument("--p", required=True)
     mm.add_argument("--f", required=True)
     mm.set_defaults(fn=cmd_markov)
-    mg = msub.add_parser("gaussian", parents=[common])
+    mg = msub.add_parser("gaussian", parents=[report])
     mg.add_argument("--alpha", type=float, required=True)
     mg.add_argument("--sigma", type=float, required=True)
     mg.add_argument("--quad", type=float, default=None,
@@ -455,12 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
     mg.add_argument("--growth", type=float, default=0.0)
     mg.set_defaults(fn=cmd_markov)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[tol, report],
                        help="re-check a saved compute report via the optimality conditions")
     p.add_argument("--report", required=True)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("benchmark", parents=[common],
+    p = sub.add_parser("benchmark", parents=[tol, report],
                        help="point mass vs uniform grid against the closed form")
     p.add_argument("--scale-b", type=float, default=10.0)
     p.add_argument("--grid", type=int, default=1000)

@@ -157,18 +157,14 @@ class _Workspace:
         gamma = np.exp(gc + self.logw - lse)
         gamma = gamma / gamma.sum()
 
+        # Columns can underflow to exact zero at extreme scales; price the
+        # transport on the positive block only.
         pos = gamma > 0
-        if pos.all():
-            flow, _, _, _ = transport_simplex(self.a, gamma, self.C_rc)
-            wass = float((self.C_rc * flow).sum())
-        else:
-            # Columns can underflow to exact zero at extreme scales; price
-            # the transport on the positive block only.
-            sub = self.C_rc[:, pos]
-            f_sub, _, _, _ = transport_simplex(self.a, gamma[pos], sub)
-            wass = float((sub * f_sub).sum())
-            flow = np.zeros_like(self.C_rc)
-            flow[:, pos] = f_sub
+        sub = self.C_rc[:, pos]
+        f_sub, _, _ = transport_simplex(self.a, gamma[pos], sub)
+        wass = float((sub * f_sub).sum())
+        flow = np.zeros_like(self.C_rc)
+        flow[:, pos] = f_sub
         # gamma @ (gc - lse) evaluates R(gamma || nu), nonnegative by Gibbs'
         # inequality; clamp the one-ulp fp undershoot at coincidence.
         rel_ent = max(float(gamma @ (gc - lse)), 0.0)
@@ -320,6 +316,10 @@ def divergence(
             best = cand
         return cand
 
+    # Closure outputs already priced in this solve: pricing one again
+    # cannot change best or best_dual.
+    closed: set[bytes] = set()
+
     def closure_ladder(flow: np.ndarray) -> None:
         """Try support guesses at every threshold; distinct structures only."""
         peak = float(flow.max())
@@ -329,7 +329,11 @@ def divergence(
             if key in tried:
                 continue
             tried.add(key)
-            consider(ws.structure_closure(flow, rel * peak))
+            g = ws.structure_closure(flow, rel * peak)
+            if g.tobytes() in closed:
+                continue
+            closed.add(g.tobytes())
+            consider(g)
             if best.gap <= tol:
                 return
 

@@ -3,9 +3,12 @@
 The transport LP is solved by a network simplex on the bipartite transport
 graph (a transportation simplex): north-west-corner initial basis, Bland's
 rule for the entering cell, lowest-index tie break for the leaving cell.
-This is exact up to floating-point arithmetic and produces a dual
-certificate: at the returned plan and potential, complementary slackness
-holds and the dual objective equals the primal value.
+Each pivot roots the basis tree in one walk that yields parent pointers,
+depths and dual potentials, and reads the pivot cycle off the parent
+pointers (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11). This is
+exact up to floating-point arithmetic and produces a dual certificate: at
+the returned plan and potential, complementary slackness holds and the dual
+objective equals the primal value.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ def transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, cost: CostMatrix
     cols = gamma.support
     scaled = cost.scaled
     sub = scaled[np.ix_(rows, cols)]
-    flow, _, v, _ = transport_simplex(mu.weights[rows], gamma.weights[cols], sub)
+    flow, _, v = transport_simplex(mu.weights[rows], gamma.weights[cols], sub)
 
     plan = np.zeros((n, n))
     plan[np.ix_(rows, cols)] = flow
@@ -100,11 +103,11 @@ def transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, cost: CostMatrix
 # Transportation simplex
 
 
-def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray, max_pivots: int | None = None):
+def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     """Solve min <C, X> over X >= 0 with row sums a and column sums b.
 
     ``a`` and ``b`` must be strictly positive with equal totals. Returns
-    ``(X, u, v, basis)`` where (u, v) are optimal dual potentials with
+    ``(X, u, v)`` where (u, v) are optimal dual potentials with
     u_i + v_j <= C_ij everywhere and equality on the spanning-tree basis.
     """
     a = np.asarray(a, dtype=float)
@@ -115,38 +118,56 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray, max_pivots: i
         raise ValidationError("marginal shapes do not match the cost matrix")
     if abs(a.sum() - b.sum()) > 1e-9 * (1.0 + a.sum()):
         raise ValidationError("marginals must have equal total mass")
-    if max_pivots is None:
-        max_pivots = 40 * (m + n) ** 2 + 1000
 
     X, basis = _northwest_corner(a, b)
+    # Basis tree on nodes 0..m-1 (rows) and m..m+n-1 (columns).
+    tree: list[set[int]] = [set() for _ in range(m + n)]
     in_basis = np.zeros((m, n), dtype=bool)
     for i, j in basis:
+        tree[i].add(m + j)
+        tree[m + j].add(i)
         in_basis[i, j] = True
+    cost = C.tolist()
 
     eps = 1e-11 * (1.0 + float(np.abs(C).max(initial=0.0)))
-    for _ in range(max_pivots):
-        u, v = _potentials(basis, C, m, n)
+    for _ in range(40 * (m + n) ** 2 + 1000):
+        parent, depth, pot = _rooted_walk(tree, cost, m)
+        u = np.array(pot[:m])
+        v = np.array(pot[m:])
         reduced = C - u[:, None] - v[None, :]
         reduced[in_basis] = 0.0
         # Bland's rule: first cell in row-major order with negative reduced cost.
-        neg = np.argwhere(reduced < -eps)
-        if neg.size == 0:
-            return X, u, v, basis
-        ei, ej = int(neg[0, 0]), int(neg[0, 1])
-        cycle = _basis_cycle(basis, ei, ej, m, n)
-        minus = cycle[1::2]
-        theta = min(X[i, j] for i, j in minus)
+        neg = (reduced < -eps).ravel()
+        first = int(neg.argmax())
+        if not neg[first]:
+            return X, u, v
+        ei, ej = divmod(first, n)
+        # The entering cell closes one cycle: walk its row and column up to
+        # their common ancestor. Signs alternate from the entering cell, so
+        # the first, third, ... tree cell from either end loses flow.
+        sides = ([], [])
+        ends = [ei, m + ej]
+        while ends[0] != ends[1]:
+            s = 0 if depth[ends[0]] >= depth[ends[1]] else 1
+            node, up = ends[s], parent[ends[s]]
+            sides[s].append((node, up - m) if node < m else (up, node - m))
+            ends[s] = up
+        minus = sides[0][0::2] + sides[1][0::2]
+        plus = sides[0][1::2] + sides[1][1::2] + [(ei, ej)]
+        theta = min(X[cell] for cell in minus)
         # Leaving cell: smallest (i, j) among the minus cells attaining theta.
-        leave = min((i, j) for i, j in minus if X[i, j] <= theta)
-        for k, (i, j) in enumerate(cycle):
-            if k % 2 == 0:
-                X[i, j] += theta
-            else:
-                X[i, j] -= theta
+        leave = min(cell for cell in minus if X[cell] <= theta)
+        for cell in plus:
+            X[cell] += theta
+        for cell in minus:
+            X[cell] -= theta
         X[leave] = 0.0
-        basis.remove(leave)
+        li, lj = leave
+        tree[li].remove(m + lj)
+        tree[m + lj].remove(li)
         in_basis[leave] = False
-        basis.append((ei, ej))
+        tree[ei].add(m + ej)
+        tree[m + ej].add(ei)
         in_basis[ei, ej] = True
     raise RuntimeError("transport simplex failed to terminate (pivot limit reached)")
 
@@ -177,60 +198,28 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
     return X, basis
 
 
-def _potentials(basis, C, m, n):
-    """Dual potentials from the basis tree: u_i + v_j = C_ij on basic cells."""
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(m + n)]
-    for i, j in basis:
-        adj[i].append((m + j, i, j))
-        adj[m + j].append((i, i, j))
-    u = np.zeros(m)
-    v = np.zeros(n)
-    seen = np.zeros(m + n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        node = stack.pop()
-        for other, i, j in adj[node]:
-            if seen[other]:
-                continue
-            seen[other] = True
-            if other >= m:
-                v[other - m] = C[i, j] - u[i]
-            else:
-                u[other] = C[i, j] - v[j]
-            stack.append(other)
-    if not seen.all():
-        raise RuntimeError("transport basis is not spanning; numerical breakdown")
-    return u, v
-
-
-def _basis_cycle(basis, ei, ej, m, n):
-    """Alternating cycle created by adding cell (ei, ej) to the basis tree.
-
-    Returns cells starting with the entering cell; even positions gain flow,
-    odd positions lose it.
+def _rooted_walk(tree, cost, m):
+    """Root the basis tree at row 0 (nodes below ``m`` are rows, the rest
+    columns): parent, depth and potential of each node, with u_0 = 0 and
+    u_i + v_j = C_ij on every tree edge, each fixed by its unique root path.
     """
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for i, j in basis:
-        adj.setdefault(i, []).append((m + j, (i, j)))
-        adj.setdefault(m + j, []).append((i, (i, j)))
-    start, goal = m + ej, ei
-    parent: dict[int, tuple[int, tuple[int, int]]] = {start: (-1, (-1, -1))}
-    stack = [start]
+    size = len(tree)
+    parent = [-1] * size
+    depth = [-1] * size
+    pot = [0.0] * size
+    depth[0] = 0
+    stack = [0]
     while stack:
         node = stack.pop()
-        if node == goal:
-            break
-        for other, cell in adj.get(node, ()):
-            if other not in parent:
-                parent[other] = (node, cell)
-                stack.append(other)
-    if goal not in parent:
-        raise RuntimeError("entering cell closes no cycle; basis corrupted")
-    cells = [(ei, ej)]
-    node = goal
-    while node != start:
-        prev, cell = parent[node]
-        cells.append(cell)
-        node = prev
-    return cells
+        for other in tree[node]:
+            if depth[other] >= 0:
+                continue
+            parent[other] = node
+            depth[other] = depth[node] + 1
+            edge = cost[node][other - m] if other >= m else cost[other][node - m]
+            pot[other] = edge - pot[node]
+            stack.append(other)
+    if min(depth) < 0:
+        raise RuntimeError("transport basis is not spanning; numerical breakdown")
+    return parent, depth, pot
+

@@ -97,13 +97,9 @@ def grid_divergence(
     logw = np.log(w)
     for gamma in grid:
         pos = gamma > 0
-        if pos.all():
-            flow, _, _, _ = transport_simplex(a, gamma, C)
-            wass = float((C * flow).sum())
-        else:
-            sub = C[:, pos]
-            flow, _, _, _ = transport_simplex(a, gamma[pos], sub)
-            wass = float((sub * flow).sum())
+        sub = C[:, pos]
+        flow, _, _ = transport_simplex(a, gamma[pos], sub)
+        wass = float((sub * flow).sum())
         g = gamma[pos]
         rel_ent = float(g @ (np.log(g) - logw[pos]))
         val = wass + rel_ent

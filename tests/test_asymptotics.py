@@ -189,7 +189,7 @@ def test_expansion_target_minimizes_entropy_over_transport_minimizers(rng):
             for j in range(steps + 1 - i):
                 g = np.array([i, j, steps - i - j]) / steps
                 pos = g > 0
-                flow, _, _, _ = transport_simplex(a, g[pos], C[:, pos])
+                flow, _, _ = transport_simplex(a, g[pos], C[:, pos])
                 w = float((C[:, pos] * flow).sum())
                 assert w >= w_min - 1e-12
                 if w <= w_min + 1e-9:

@@ -13,7 +13,7 @@ import pytest
 
 import lipkl
 from lipkl import risk_map
-from lipkl.cli import EXIT_IO, EXIT_OK, EXIT_UNCERTIFIED, EXIT_VALIDATION, main
+from lipkl.cli import EXIT_IO, EXIT_OK, EXIT_UNCERTIFIED, EXIT_VALIDATION, build_parser, main
 from lipkl.markov_uq import load_kernel
 
 
@@ -186,7 +186,9 @@ def test_derivative_command(fixtures):
                          "--nu", fixtures["nu.json"], "--rho", fixtures["rho.json"],
                          "--cost", "euclidean", "--scale-b", "0.5"])
     assert code == EXIT_OK
-    res = json.loads(out)["results"]
+    report = json.loads(out)
+    assert report["config"] == {"epsilon": 1e-4}
+    res = report["results"]
     assert abs(res["analytic"] - res["finite_diff"]) <= 1e-2 * max(1, abs(res["analytic"]))
 
 
@@ -213,7 +215,9 @@ def test_markov_bound_identical_kernels(fixtures):
     code, out = run_cli(["markov", "bound", "--p", fixtures["pkernel.json"],
                          "--q", fixtures["pkernel.json"], "--f", fixtures["f.json"]])
     assert code == EXIT_OK
-    res = json.loads(out)["results"]
+    report = json.loads(out)
+    assert report["config"] == {}
+    res = report["results"]
     assert res["holds"]
     cls = res["classes"][0]
     assert max(abs(v) for v in cls["per_state_divergence"]) <= 1e-10
@@ -247,6 +251,40 @@ def test_markov_gaussian(fixtures):
     assert res["b_star"] == 0.25 and res["k_star"] == 0.125
     assert res["risk_quadratic"]["quadratic"] == pytest.approx(0.06875, abs=1e-15)
     assert res["representable"]
+
+
+def test_markov_flags_go_after_the_subcommand(fixtures):
+    gaussian = ["gaussian", "--alpha", "0.5", "--sigma", "1"]
+    code, out = run_cli(["markov"] + gaussian + ["--timing"])
+    assert code == EXIT_OK
+    assert "timing_s" in json.loads(out)
+    # Given before the subcommand, the flag used to be overwritten by the
+    # subcommand's default without a word.
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["markov", "--timing"] + gaussian)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--mode", "entropy", "--scales", "1", "--out", "o.csv"], ["--max-iter", "5"]),
+    (["sweep", "--mode", "entropy", "--scales", "1", "--out", "o.csv"], ["--timing"]),
+    (["sweep", "--mode", "entropy", "--scales", "1", "--out", "o.csv"], ["--output", "r.json"]),
+    (["derivative", "--rho", "r.json"], ["--tol", "1e-3"]),
+    (["derivative", "--rho", "r.json"], ["--max-iter", "5"]),
+    (["markov", "bound", "--p", "p.json", "--q", "q.json", "--f", "f.json"], ["--tol", "1e-3"]),
+    (["markov", "membership", "--p", "p.json", "--f", "f.json"], ["--tol", "1e-3"]),
+    (["markov", "gaussian", "--alpha", "0.5", "--sigma", "1"], ["--max-iter", "5"]),
+    (["verify", "--report", "r.json"], ["--max-iter", "5"]),
+    (["benchmark"], ["--max-iter", "5"]),
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, flag):
+    if argv[0] in ("sweep", "derivative"):
+        argv = argv + ["--mu", "mu.json", "--nu", "nu.json", "--cost", "euclidean"]
+    parser = build_parser()
+    parser.parse_args(argv)
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv + flag)
+    assert exc.value.code == 2
 
 
 def test_missing_file_exits_2(fixtures):

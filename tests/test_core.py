@@ -259,6 +259,26 @@ def test_matches_oracle_on_small_supports(rng):
         assert abs(sol.value - orc.value) <= orc.error_bound + 1e-9
 
 
+def test_solve_never_prices_a_measure_twice(rng, monkeypatch):
+    # Structure closures at different thresholds, and in different rounds,
+    # often land on the same potential; pricing it again buys nothing.
+    import lipkl.core
+
+    priced = []
+    simplex = lipkl.core.transport_simplex
+
+    def recording(a, b, C):
+        priced.append(np.asarray(b).tobytes())
+        return simplex(a, b, C)
+
+    monkeypatch.setattr(lipkl.core, "transport_simplex", recording)
+    for b in (1.0, 10.0, 100.0):
+        mu, nu, cost = random_instance(rng, 12, d=2, scale=b)
+        priced.clear()
+        assert divergence(mu, nu, cost).certified
+        assert len(set(priced)) == len(priced)
+
+
 def test_uncertifiable_request_is_flagged(rng):
     mu, nu, cost = random_instance(rng, 6)
     sol = divergence(mu, nu, cost, tol=1e-300, max_iter=50)

@@ -13,6 +13,7 @@ from lipkl import (
     relative_entropy,
     transport_cost,
 )
+from lipkl.divergences import transport_simplex
 
 from conftest import random_instance, random_measure, random_point_set
 
@@ -160,3 +161,51 @@ def test_certificates(rng):
         assert pairing == pytest.approx(sol.value, abs=1e-9)
         assert sol.complementary_slackness_residual(cost) <= 1e-8
         assert sol.potential.values[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Transportation simplex: its own certificate, no LP library involved
+
+
+def assert_simplex_certificate(a, b, C):
+    X, u, v = transport_simplex(a, b, C)
+    assert X.shape == C.shape
+    assert (X >= 0).all()
+    assert np.abs(X.sum(axis=1) - a).max() <= 1e-12
+    assert np.abs(X.sum(axis=0) - b).max() <= 1e-12
+    slack = C - u[:, None] - v[None, :]
+    assert slack.min() >= -1e-12
+    assert np.abs(slack[X > 0]).max(initial=0.0) <= 1e-12
+    assert u @ a + v @ b == pytest.approx((C * X).sum(), abs=1e-12)
+
+
+def test_simplex_certificate_random(rng):
+    for _ in range(40):
+        m, n = (int(k) for k in rng.integers(1, 9, size=2))
+        a = rng.dirichlet(np.ones(m))
+        b = rng.dirichlet(np.ones(n))
+        assert_simplex_certificate(a, b, rng.uniform(0.0, 3.0, (m, n)))
+
+
+def test_simplex_certificate_degenerate(rng):
+    # Equal partial sums make the north-west corner exhaust a row and a
+    # column at once, which puts zero-flow cells in the initial basis.
+    cases = [
+        ([0.25, 0.25, 0.5], [0.5, 0.25, 0.25]),
+        ([0.25] * 4, [0.25] * 4),
+        ([0.5, 0.5], [0.125, 0.375, 0.25, 0.25]),
+        ([0.125, 0.375, 0.25, 0.25], [0.5, 0.5]),
+    ]
+    for a, b in cases:
+        a, b = np.array(a), np.array(b)
+        for _ in range(10):
+            assert_simplex_certificate(a, b, rng.uniform(0.0, 3.0, (a.size, b.size)))
+        # Equal costs tie every reduced cost at zero.
+        assert_simplex_certificate(a, b, np.ones((a.size, b.size)))
+
+
+def test_simplex_certificate_thin(rng):
+    for k in (1, 2, 7):
+        w = rng.dirichlet(np.ones(k))
+        assert_simplex_certificate(np.ones(1), w, rng.uniform(0.0, 3.0, (1, k)))
+        assert_simplex_certificate(w, np.ones(1), rng.uniform(0.0, 3.0, (k, 1)))
