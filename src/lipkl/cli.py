@@ -24,6 +24,7 @@ from .asymptotics import (
     entropy_limit_sweep,
     large_scale_expansion,
     point_vs_uniform_benchmark,
+    sweep_rows,
     transport_limit_sweep,
 )
 from .core import divergence, verify_optimizers
@@ -32,12 +33,14 @@ from .measures import (
     CostMatrix,
     DiscreteMeasure,
     PointSet,
+    SignedMeasure,
     ValidationError,
     load_cost,
     load_measure,
     merge_supports,
     metric_cost,
     validate_cost,
+    _number,
 )
 from .markov_uq import (
     GaussianAR1,
@@ -174,12 +177,11 @@ def cmd_compute(args) -> int:
 
 def cmd_sweep(args) -> int:
     _, mu, nu, cost = _load_inputs(args)
-    scales = [float(s) for s in args.scales.split(",") if s.strip()]
+    scales = [_number(s, "scale") for s in args.scales.split(",") if s.strip()]
     if not scales:
         raise ValidationError("no scales given")
     if args.mode == "entropy":
-        sweep = entropy_limit_sweep(mu, nu, cost, scales, tol=args.tol)
-        rows = [(s, v, sweep.reference) for s, v in zip(sweep.scales, sweep.values)]
+        rows = sweep_rows(entropy_limit_sweep(mu, nu, cost, scales, tol=args.tol))
         header = ["scale", "value", "reference"]
     elif args.mode == "transport":
         sweep = transport_limit_sweep(mu, nu, cost, scales, tol=args.tol)
@@ -202,17 +204,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_derivative(args) -> int:
     started = time.perf_counter()
-    mu = load_measure(args.mu)
-    nu = load_measure(args.nu)
-    ps, mu, nu = merge_supports(mu, nu)
+    ps, mu, nu, cost = _load_inputs(args)
     rho_raw = load_measure(args.rho, signed=True)
     weights = np.zeros(ps.n)
     for p, w in zip(rho_raw.point_set.points, rho_raw.weights):
         weights[ps.index(p)] += w
-    from .measures import SignedMeasure
-
     rho = SignedMeasure(ps, weights)
-    cost = _resolve_cost(args.cost, args.scale_b, ps)
     rep = directional_derivative(mu, nu, cost, rho, epsilon=args.epsilon)
     inputs = {
         "points": _points_list(ps),
@@ -357,7 +354,7 @@ def cmd_verify(args) -> int:
 
 def cmd_benchmark(args) -> int:
     started = time.perf_counter()
-    br = point_vs_uniform_benchmark(args.scale_b or 10.0, args.grid, tol=args.tol)
+    br = point_vs_uniform_benchmark(args.scale_b, args.grid, tol=args.tol)
     report = {
         "command": "benchmark",
         "inputs_digest": _digest({"scale": br.scale, "grid": br.grid_size}),

@@ -43,7 +43,14 @@ guess matches an optimal structure this lands the exact optimizer in one
 step, which is what lets the solver certify gaps near machine precision.
 Guesses are drawn from both the certificate LP's plan and the mirror
 iterate's own coupling (the latter tracks exponentially small masses at the
-correct order, which the log(gamma/nu) candidate cannot).
+correct order, which the log(gamma/nu) candidate cannot). The support
+forest is rooted by the same walk that roots the transport simplex's basis
+tree (``divergences._rooted_walk``), and every component's constant comes
+from one bincount pass over component labels.
+
+Certificate rounds run at mirror iterations 1, 2, 4, 8, ...: early rounds
+catch solves whose structure is visible at once, and doubling keeps the
+pricing cost within a constant factor of the descent steps on slow solves.
 """
 
 from __future__ import annotations
@@ -52,9 +59,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .divergences import relative_entropy, transport_cost, transport_simplex
+from .divergences import _rooted_walk, relative_entropy, transport_cost, transport_simplex
 from .measures import (
     WEIGHT_CLAMP,
     CostMatrix,
@@ -62,6 +68,7 @@ from .measures import (
     LipschitzFunction,
     ValidationError,
     lipschitz_violation,
+    _log_mgf,
     _potential_values,
     _require_same_point_set,
 )
@@ -78,7 +85,6 @@ __all__ = [
 
 _TINY = 1e-300          # floor before taking logs of the running marginal
 _MAX_STEP = 4.0
-_CERT_PERIOD = 50       # mirror iterations between certificate rounds
 
 
 @dataclass(frozen=True)
@@ -152,7 +158,7 @@ class _Workspace:
         """
         g_full = (g_cols[None, :] + self.C_xc).min(axis=1)
         gc = g_full[self.cols]
-        lse = float(logsumexp(gc + self.logw))
+        lse = float(np.logaddexp.reduce(gc + self.logw))
         dual = float(self.mu.weights @ g_full) - lse
         gamma = np.exp(gc + self.logw - lse)
         gamma = gamma / gamma.sum()
@@ -198,65 +204,45 @@ class _Workspace:
         m, k = flow.shape
         keep = flow > threshold
         keep[np.arange(m), flow.argmax(axis=1)] = True
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(m + k)]
-        for i, j in np.argwhere(keep):
-            c = self.C_rc[i, j]
-            adj[i].append((m + j, c))
-            adj[m + j].append((i, c))
+        forest = ([(m + np.flatnonzero(row)).tolist() for row in keep]
+                  + [np.flatnonzero(col).tolist() for col in keep.T])
+        # Rows come first among the roots, so every component with a row is
+        # rooted at one (potential 0); the rest are single loose columns.
+        parent, _, pot = _rooted_walk(forest, self.C_rc.tolist(), m, range(m + k))
+        val_rows = np.array(pot[:m])
+        val_cols = -np.array(pot[m:])
 
-        # Discover components and propagate relative profiles.
-        comp_cols: list[np.ndarray] = []
-        comp_val_cols: list[np.ndarray] = []
-        comp_mass: list[float] = []
-        comp_of_row = np.full(m, -1)
-        val_rows = np.zeros(m)
-        loose: list[int] = []
-        seen = np.zeros(m + k, dtype=bool)
-        for start in range(m + k):
-            if seen[start]:
-                continue
-            rows_q: list[int] = []
-            cols_q: list[int] = []
-            val = np.zeros(m + k)
-            stack = [start]
-            seen[start] = True
-            while stack:
-                node = stack.pop()
-                (rows_q if node < m else cols_q).append(node)
-                for other, c in adj[node]:
-                    if seen[other]:
-                        continue
-                    seen[other] = True
-                    val[other] = val[node] - c if other >= m else val[node] + c
-                    stack.append(other)
-            if not rows_q:
-                loose.extend(x - m for x in cols_q)
-                continue
-            q = len(comp_cols)
-            comp_of_row[rows_q] = q
-            val_rows[rows_q] = val[rows_q]
-            comp_cols.append(np.array([x - m for x in cols_q], dtype=int))
-            comp_val_cols.append(val[cols_q])
-            comp_mass.append(float(self.a[rows_q].sum()))
-
-        p = len(comp_cols)
-        masses = np.asarray(comp_mass)
-        norms = np.array([logsumexp(v + self.logw[c])
-                          for v, c in zip(comp_val_cols, comp_cols)])
+        # Label every node by its root (pointer doubling), then number the
+        # components that hold rows 0..p-1; each also holds a column (its
+        # rows' argmax), so every label occurs in both bincounts below.
+        root = np.array(parent)
+        top = root < 0
+        root[top] = np.flatnonzero(top)
+        while not np.array_equal(root[root], root):
+            root = root[root]
+        attached = keep.any(axis=0)
+        ids, comp_of_row = np.unique(root[:m], return_inverse=True)
+        comp_of_col = np.searchsorted(ids, root[m:][attached])
+        p = ids.size
+        masses = np.bincount(comp_of_row, weights=self.a)
+        z = val_cols[attached] + self.logw[attached]
+        peak = np.full(p, -np.inf)
+        np.maximum.at(peak, comp_of_col, z)
+        norms = peak + np.log(np.bincount(comp_of_col, weights=np.exp(z - peak[comp_of_col])))
         shifts = np.log(masses) - norms
         g = np.empty(k)
-        if loose:
+        loose = np.flatnonzero(~attached)
+        if loose.size:
             # A loose column's Gibbs weight rides on the component of the row
             # that prices it, so deduct it from that component's mass budget;
             # the deduction feeds back into the row potentials, hence the
             # small fixed-point loop (contraction rate ~ loose mass).
-            loose_idx = np.asarray(loose, dtype=int)
-            reach = val_rows[:, None] - self.C_rc[:, loose_idx]
+            reach = val_rows[:, None] - self.C_rc[:, loose]
             for _ in range(100):
                 priced = reach + shifts[comp_of_row][:, None]
                 g_loose = priced.max(axis=0)
                 source = comp_of_row[priced.argmax(axis=0)]
-                spent = np.bincount(source, weights=np.exp(g_loose + self.logw[loose_idx]),
+                spent = np.bincount(source, weights=np.exp(g_loose + self.logw[loose]),
                                     minlength=p)
                 remaining = masses - spent
                 if np.any(remaining <= 0):
@@ -266,9 +252,8 @@ class _Workspace:
                 shifts = new_shifts
                 if done:
                     break
-            g[loose_idx] = (reach + shifts[comp_of_row][:, None]).max(axis=0)
-        for q in range(p):
-            g[comp_cols[q]] = comp_val_cols[q] + shifts[q]
+            g[loose] = (reach + shifts[comp_of_row][:, None]).max(axis=0)
+        g[attached] = val_cols[attached] + shifts[comp_of_col]
         return g
 
 
@@ -376,7 +361,6 @@ def divergence(
         return val, gamma
 
     f_cur, gamma_cur = objective(log_pi)
-    cert_spacing = _CERT_PERIOD
     while best.gap > tol and iterations < max_iter:
         grad = ws.C_rc + (np.log(np.maximum(gamma_cur, _TINY)) - ws.logw + 1.0)[None, :]
         grad -= grad.min(axis=1, keepdims=True)
@@ -384,7 +368,7 @@ def divergence(
         trial_eta = min(eta * 2.0, _MAX_STEP)
         while trial_eta > 1e-12:
             trial = log_pi - trial_eta * grad
-            trial -= logsumexp(trial, axis=1, keepdims=True) - np.log(ws.a)[:, None]
+            trial -= np.logaddexp.reduce(trial, axis=1, keepdims=True) - np.log(ws.a)[:, None]
             f_new, gamma_new = objective(trial)
             if f_new <= f_cur + 1e-12 * (1.0 + abs(f_cur)):
                 accepted = True
@@ -396,18 +380,9 @@ def divergence(
             break
         log_pi, f_cur, gamma_cur, eta = trial, f_new, gamma_new, trial_eta
         iterations += 1
-        if iterations >= next_cert:
-            before = best.gap
+        if iterations == next_cert:
             certificate_round(gamma_cur, np.exp(log_pi))
-            # Back off when a round buys little: structure identification
-            # needs a more converged iterate, and descent steps are much
-            # cheaper than pricing rounds on wide supports.
-            if best.gap > 0.75 * before:
-                cert_spacing = min(cert_spacing * 2, 40 * _CERT_PERIOD)
-            else:
-                cert_spacing = _CERT_PERIOD
-            next_cert = iterations * 2 if iterations < _CERT_PERIOD \
-                else iterations + cert_spacing
+            next_cert *= 2
 
     if best.gap > tol:
         certificate_round(gamma_cur, np.exp(log_pi))
@@ -418,7 +393,7 @@ def divergence(
 def _assemble(ws: _Workspace, cand: _Candidate, best_dual: float,
               iterations: int, tol: float) -> DivergenceSolution:
     n = ws.mu.point_set.n
-    shift = float(logsumexp(cand.g_full[ws.cols] + ws.logw))
+    shift = _log_mgf(cand.g_full, ws.nu)
     g_norm = cand.g_full - shift
     gamma_full = np.zeros(n)
     gamma_full[ws.cols] = cand.gamma
@@ -453,9 +428,7 @@ def dual_objective(g, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """
     _require_same_point_set(mu, nu)
     values = _potential_values(g)
-    supp = nu.support
-    lse = float(logsumexp(values[supp] + np.log(nu.weights[supp])))
-    return float(mu.weights @ values) - lse
+    return float(mu.weights @ values) - _log_mgf(values, nu)
 
 
 @dataclass(frozen=True)
@@ -506,7 +479,7 @@ def verify_optimizers(
     feasible = excess <= scale
 
     supp = nu.support
-    lse = float(logsumexp(values[supp] + np.log(nu.weights[supp])))
+    lse = _log_mgf(values, nu)
     gamma = candidate_measure.weights[supp]
     predicted = values[supp] - lse + np.log(nu.weights[supp])  # log Gibbs weight
     pos = gamma > 0
@@ -574,7 +547,7 @@ def cumulant_duality_check(
     values = _potential_values(g)
     values = LipschitzFunction(values, cost).values  # rejects infeasible input
     supp = nu.support
-    lse = float(logsumexp(values[supp] + np.log(nu.weights[supp])))
+    lse = _log_mgf(values, nu)
 
     tilt_w = np.zeros(nu.point_set.n)
     tilt_w[supp] = np.exp(values[supp] + np.log(nu.weights[supp]) - lse)

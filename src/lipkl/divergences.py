@@ -198,28 +198,32 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
     return X, basis
 
 
-def _rooted_walk(tree, cost, m):
-    """Root the basis tree at row 0 (nodes below ``m`` are rows, the rest
-    columns): parent, depth and potential of each node, with u_0 = 0 and
+def _rooted_walk(tree, cost, m, roots=(0,)):
+    """Root every component of a bipartite forest (nodes below ``m`` are
+    rows, the rest columns) at the first of ``roots`` it contains: parent,
+    depth and potential of each node, with potential 0 at a root and
     u_i + v_j = C_ij on every tree edge, each fixed by its unique root path.
+    Raises if a node is left unreached.
     """
     size = len(tree)
     parent = [-1] * size
     depth = [-1] * size
     pot = [0.0] * size
-    depth[0] = 0
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for other in tree[node]:
-            if depth[other] >= 0:
-                continue
-            parent[other] = node
-            depth[other] = depth[node] + 1
-            edge = cost[node][other - m] if other >= m else cost[other][node - m]
-            pot[other] = edge - pot[node]
-            stack.append(other)
+    for root in roots:
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            for other in tree[node]:
+                if depth[other] >= 0:
+                    continue
+                parent[other] = node
+                depth[other] = depth[node] + 1
+                edge = cost[node][other - m] if other >= m else cost[other][node - m]
+                pot[other] = edge - pot[node]
+                stack.append(other)
     if min(depth) < 0:
         raise RuntimeError("transport basis is not spanning; numerical breakdown")
     return parent, depth, pot
-

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.special import logsumexp
 
 from .core import divergence
 from .measures import (
@@ -53,6 +52,7 @@ from .measures import (
     lipschitz_violation,
     load_cost,
     _load_json,
+    _log_mgf,
     _potential_values,
 )
 
@@ -94,6 +94,8 @@ class FiniteKernel:
         n = self.states.n
         if p.shape != (n, n):
             raise ValidationError(f"transition matrix shape {p.shape} != ({n}, {n})")
+        if not np.all(np.isfinite(p)):
+            raise ValidationError("transition matrix has non-finite entries")
         if np.any(p < 0):
             i, j = np.unravel_index(int(np.argmin(p)), p.shape)
             raise ValidationError(f"negative transition probability at ({i}, {j})")
@@ -166,8 +168,7 @@ def performance_bound(g, mu: DiscreteMeasure, nu: DiscreteMeasure,
     so the reported inequality always holds.
     """
     values = LipschitzFunction(_potential_values(g), cost).values
-    supp = nu.support
-    log_mgf = float(logsumexp(values[supp] + np.log(nu.weights[supp])))
+    log_mgf = _log_mgf(values, nu)
     sol = divergence(mu, nu, cost, tol=tol)
     return PerformanceBound(
         lhs=float(values @ mu.weights),
@@ -192,14 +193,14 @@ def risk_map(kernel: FiniteKernel, g, a: float) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != (kernel.n,):
         raise ValidationError("potential length does not match the state set")
-    inner = logsumexp(_log_kernel(kernel) - g[None, :], axis=1)
+    inner = np.logaddexp.reduce(_log_kernel(kernel) - g[None, :], axis=1)
     return -inner - g + float(a)
 
 
 def _tilted_kernel(kernel: FiniteKernel, g: np.ndarray) -> np.ndarray:
     """Rows of p reweighted by e^{-g} and renormalized (log-space stable)."""
     z = _log_kernel(kernel) - g[None, :]
-    z -= logsumexp(z, axis=1, keepdims=True)
+    z -= np.logaddexp.reduce(z, axis=1, keepdims=True)
     return np.exp(z)
 
 

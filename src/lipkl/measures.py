@@ -204,19 +204,27 @@ class SignedMeasure:
         return abs(self.total_mass) <= WEIGHT_ATOL
 
 
+def _number(value, what: str) -> float:
+    """``float(value)`` for a number read from a file or the command line."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a number, got {value!r}") from None
+
+
 def _collapse_duplicates(points, weights):
     canonical = [_as_point(p) for p in points]
-    weights = list(weights)
+    weights = [_number(w, "weight") for w in weights]
     if len(canonical) != len(weights):
         raise ValidationError("points and weights must have equal length")
     out_pts, out_w, where = [], [], {}
     for p, w in zip(canonical, weights):
         if p in where:
-            out_w[where[p]] += float(w)
+            out_w[where[p]] += w
         else:
             where[p] = len(out_pts)
             out_pts.append(p)
-            out_w.append(float(w))
+            out_w.append(w)
     return out_pts, out_w
 
 
@@ -374,8 +382,8 @@ def metric_cost(point_set: PointSet, metric: str = "euclidean", scale_b: float =
         c = np.abs(diff).sum(axis=2)
     else:
         raise ValidationError(f"unknown metric {metric!r}")
-    c = 0.5 * (c + c.T)
-    np.fill_diagonal(c, 0.0)
+    # x_i - x_j == -(x_j - x_i) exactly in IEEE arithmetic, so c is already
+    # exactly symmetric with a zero diagonal.
     return CostMatrix(c, scale_b)
 
 
@@ -407,6 +415,8 @@ class LipschitzFunction:
             raise ValidationError(
                 f"values shape {g.shape} does not match cost matrix of size {self.cost.n}"
             )
+        if not np.all(np.isfinite(g)):
+            raise ValidationError("function values must be finite")
         worst, pair = lipschitz_violation(g, self.cost)
         if worst > LIP_ATOL * (1.0 + float(np.abs(g).max(initial=0.0))):
             raise ValidationError(
@@ -425,6 +435,12 @@ class LipschitzFunction:
 def _potential_values(g) -> np.ndarray:
     """Values of a potential given as a LipschitzFunction or as an array."""
     return g.values if isinstance(g, LipschitzFunction) else np.asarray(g, dtype=float)
+
+
+def _log_mgf(values: np.ndarray, nu: DiscreteMeasure) -> float:
+    """log sum e^g dnu for potential values g over nu's point set."""
+    supp = nu.support
+    return float(np.logaddexp.reduce(values[supp] + np.log(nu.weights[supp])))
 
 
 def project_lipschitz(values, cost: CostMatrix, reference=None) -> LipschitzFunction:
@@ -528,7 +544,7 @@ def load_cost(source, point_set: PointSet) -> CostMatrix:
     obj = _load_json(source)
     if not isinstance(obj, dict):
         raise ValidationError("cost specification must be a JSON object")
-    scale = float(obj.get("scale_b", 1.0))
+    scale = _number(obj.get("scale_b", 1.0), "scale_b")
     if "metric" in obj:
         return metric_cost(point_set, obj["metric"], scale)
     if "matrix" in obj:

@@ -301,15 +301,48 @@ def test_invalid_cost_exits_3(fixtures, tmp_path):
     assert code == EXIT_VALIDATION
 
 
-def test_console_entry_point(fixtures):
+@pytest.mark.parametrize("argv", [
+    ["compute", "--mu", "@bad_weight", "--nu", "@nu.json", "--cost", "euclidean"],
+    ["compute", "--mu", "@mu.json", "--nu", "@nu.json", "--cost", "@bad_scale"],
+    ["sweep", "--mu", "@mu2.json", "--nu", "@nu.json", "--cost", "euclidean",
+     "--mode", "entropy", "--scales", "1,x", "--out", "@out"],
+    ["benchmark", "--scale-b", "0", "--grid", "100"],
+])
+def test_malformed_numbers_exit_3(fixtures, tmp_path, argv):
+    # These used to escape main as a ValueError (exit 1, a traceback), or,
+    # for --scale-b 0, run at b = 10.
+    bad_weight = tmp_path / "bad_weight.json"
+    bad_weight.write_text(json.dumps({"points": [[0.0]], "weights": ["x"]}))
+    bad_scale = tmp_path / "bad_scale.json"
+    bad_scale.write_text(json.dumps({"metric": "euclidean", "scale_b": "x"}))
+    paths = {**fixtures, "bad_weight": str(bad_weight), "bad_scale": str(bad_scale),
+             "out": str(tmp_path / "sweep.csv")}
+    code, _ = run_cli([paths[arg[1:]] if arg.startswith("@") else arg for arg in argv])
+    assert code == EXIT_VALIDATION
+
+
+def child_env():
     # the child must import the same lipkl as this process, which may come
     # from pytest's pythonpath setting rather than an installed package
     package_root = str(Path(lipkl.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_entry_point(fixtures):
     proc = subprocess.run(
         [sys.executable, "-m", "lipkl.cli", "markov", "gaussian",
          "--alpha", "0.5", "--sigma", "1"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["k_star"] == 0.125
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # np.logaddexp.reduce serves every log-sum-exp; scipy.special's per-call
+    # dispatch cost more than the small sums the solver takes.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lipkl; print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"

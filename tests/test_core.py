@@ -279,6 +279,24 @@ def test_solve_never_prices_a_measure_twice(rng, monkeypatch):
         assert len(set(priced)) == len(priced)
 
 
+def test_structure_closure_over_two_components_and_a_loose_column():
+    # Two far-apart clusters, and a nu atom between them whose optimal inflow
+    # (~e^{-b c}) sits below the threshold: the guessed support has the
+    # components {row 0, col 0} and {row 1, col 1}, and col 2 is loose.
+    from lipkl.core import _Workspace
+
+    ps = PointSet((0.0, 10.0, 0.1, 10.1, 5.0))
+    cost = metric_cost(ps, "euclidean", 2.0)
+    mu = DiscreteMeasure(ps, [0.5, 0.5, 0.0, 0.0, 0.0])
+    nu = DiscreteMeasure(ps, [0.0, 0.0, 0.3, 0.6, 0.1])
+    ws = _Workspace(mu, nu, cost)
+    flow = np.array([[0.5, 0.0, 1e-9], [0.0, 0.5, 0.0]])
+    cand = ws.evaluate(ws.structure_closure(flow, 1e-6))
+    assert cand.flow[0, 2] > 0.0
+    assert cand.gap <= 1e-14
+    assert cand.primal == pytest.approx(divergence(mu, nu, cost, tol=1e-12).value, abs=1e-12)
+
+
 def test_uncertifiable_request_is_flagged(rng):
     mu, nu, cost = random_instance(rng, 6)
     sol = divergence(mu, nu, cost, tol=1e-300, max_iter=50)

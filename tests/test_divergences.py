@@ -13,7 +13,7 @@ from lipkl import (
     relative_entropy,
     transport_cost,
 )
-from lipkl.divergences import transport_simplex
+from lipkl.divergences import _rooted_walk, transport_simplex
 
 from conftest import random_instance, random_measure, random_point_set
 
@@ -209,3 +209,38 @@ def test_simplex_certificate_thin(rng):
         w = rng.dirichlet(np.ones(k))
         assert_simplex_certificate(np.ones(1), w, rng.uniform(0.0, 3.0, (1, k)))
         assert_simplex_certificate(w, np.ones(1), rng.uniform(0.0, 3.0, (k, 1)))
+
+
+def test_rooted_walk_roots_each_component_at_its_first_listed_root(rng):
+    # Rows 0-2, columns 3-6; components {0, 1, 3, 4}, {2, 5} and {6}.
+    C = rng.uniform(0.0, 3.0, (3, 4))
+    edges = [(0, 0), (1, 0), (1, 1), (2, 2)]
+    tree = [[] for _ in range(7)]
+    for i, j in edges:
+        tree[i].append(3 + j)
+        tree[3 + j].append(i)
+    parent, depth, pot = _rooted_walk(tree, C.tolist(), 3, roots=[4, 1, 2, 0, 6, 5])
+    expected = {0: 4, 1: 4, 3: 4, 4: 4, 2: 2, 5: 2, 6: 6}
+    for node, root in expected.items():
+        while parent[node] >= 0:
+            assert depth[parent[node]] == depth[node] - 1
+            node = parent[node]
+        assert node == root and depth[node] == 0 and pot[node] == 0.0
+    for i, j in edges:
+        assert pot[i] + pot[3 + j] == pytest.approx(C[i, j], abs=1e-15)
+    with pytest.raises(RuntimeError, match="not spanning"):
+        _rooted_walk(tree, C.tolist(), 3)
+
+
+def test_simplex_raises_on_a_basis_that_does_not_span(monkeypatch):
+    import lipkl.divergences
+
+    corner = lipkl.divergences._northwest_corner
+
+    def short_basis(a, b):
+        X, basis = corner(a, b)
+        return X, basis[:-1]
+
+    monkeypatch.setattr(lipkl.divergences, "_northwest_corner", short_basis)
+    with pytest.raises(RuntimeError, match="not spanning"):
+        transport_simplex(np.full(2, 0.5), np.full(2, 0.5), np.ones((2, 2)))

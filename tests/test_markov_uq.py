@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lipkl import (
+    DiscreteMeasure,
     FiniteKernel,
     GaussianAR1,
     PointSet,
@@ -58,6 +59,9 @@ def test_kernel_validation():
         FiniteKernel(ps, np.array([[0.5, 0.4], [0.5, 0.5]]), cost)
     with pytest.raises(ValidationError, match="negative"):
         FiniteKernel(ps, np.array([[1.5, -0.5], [0.5, 0.5]]), cost)
+    # A NaN passed the row-sum check and then read as a forbidden move.
+    with pytest.raises(ValidationError, match="finite"):
+        FiniteKernel(ps, np.array([[np.nan, 1.0], [0.5, 0.5]]), cost)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +310,15 @@ def test_performance_bound_zero_function(rng):
     assert pb.lhs == 0.0
     assert pb.rhs >= 0.0
     assert pb.log_mgf == pytest.approx(0.0, abs=1e-12)
+
+
+def test_performance_bound_rejects_nan_potential():
+    # A NaN potential passed the Lipschitz check and gave lhs = rhs = nan.
+    ps = PointSet((0.0, 1.0))
+    cost = metric_cost(ps, "euclidean", 1.0)
+    mu = DiscreteMeasure(ps, [0.5, 0.5])
+    with pytest.raises(ValidationError, match="finite"):
+        performance_bound([np.nan, 0.0], mu, mu, cost)
 
 
 def test_performance_bound_tight_at_optimal_potential(rng):
