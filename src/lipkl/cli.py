@@ -40,7 +40,7 @@ from .measures import (
     merge_supports,
     metric_cost,
     validate_cost,
-    _number,
+    _as_float,
 )
 from .markov_uq import (
     GaussianAR1,
@@ -96,6 +96,18 @@ def _load_inputs(args):
     return ps, mu, nu, cost
 
 
+def _inputs_record(ps: PointSet, mu: DiscreteMeasure, nu: DiscreteMeasure,
+                   cost: CostMatrix) -> dict:
+    """The resolved inputs a report embeds and digests."""
+    return {
+        "points": _points_list(ps),
+        "mu": [float(w) for w in mu.weights],
+        "nu": [float(w) for w in nu.weights],
+        "cost": cost.entries.tolist(),
+        "scale_b": cost.scale_b,
+    }
+
+
 def _solution_payload(sol, include_plan: bool) -> dict:
     out = {
         "value": sol.value,
@@ -114,13 +126,7 @@ def _solution_payload(sol, include_plan: bool) -> dict:
 def cmd_compute(args) -> int:
     started = time.perf_counter()
     ps, mu, nu, cost = _load_inputs(args)
-    inputs = {
-        "points": _points_list(ps),
-        "mu": [float(w) for w in mu.weights],
-        "nu": [float(w) for w in nu.weights],
-        "cost": cost.entries.tolist(),
-        "scale_b": cost.scale_b,
-    }
+    inputs = _inputs_record(ps, mu, nu, cost)
     results: dict = {}
     certificates: dict = {}
     certified = True
@@ -177,7 +183,7 @@ def cmd_compute(args) -> int:
 
 def cmd_sweep(args) -> int:
     _, mu, nu, cost = _load_inputs(args)
-    scales = [_number(s, "scale") for s in args.scales.split(",") if s.strip()]
+    scales = [_as_float(s, "scale") for s in args.scales.split(",") if s.strip()]
     if not scales:
         raise ValidationError("no scales given")
     if args.mode == "entropy":
@@ -211,14 +217,8 @@ def cmd_derivative(args) -> int:
         weights[ps.index(p)] += w
     rho = SignedMeasure(ps, weights)
     rep = directional_derivative(mu, nu, cost, rho, epsilon=args.epsilon)
-    inputs = {
-        "points": _points_list(ps),
-        "mu": [float(w) for w in mu.weights],
-        "nu": [float(w) for w in nu.weights],
-        "rho": [float(w) for w in rho.weights],
-        "cost": cost.entries.tolist(),
-        "scale_b": cost.scale_b,
-    }
+    inputs = {**_inputs_record(ps, mu, nu, cost),
+              "rho": [float(w) for w in rho.weights]}
     report = {
         "command": "derivative",
         "inputs_digest": _digest(inputs),
@@ -328,12 +328,13 @@ def cmd_verify(args) -> int:
     inputs = saved["inputs"]
     ps = PointSet(tuple(tuple(p) if isinstance(p, list) else p
                         for p in inputs["points"]))
-    mu = DiscreteMeasure(ps, np.asarray(inputs["mu"]))
-    nu = DiscreteMeasure(ps, np.asarray(inputs["nu"]))
-    cost = validate_cost(np.asarray(inputs["cost"]), inputs.get("scale_b", 1.0))
+    mu = DiscreteMeasure(ps, _as_float(inputs["mu"], "mu", 1))
+    nu = DiscreteMeasure(ps, _as_float(inputs["nu"], "nu", 1))
+    cost = validate_cost(_as_float(inputs["cost"], "cost", 2),
+                         _as_float(inputs.get("scale_b", 1.0), "scale_b"))
     payload = saved["results"]["gamma"]
-    gamma = DiscreteMeasure(ps, np.asarray(payload["gamma_star"]))
-    g = np.asarray(payload["g_star"])
+    gamma = DiscreteMeasure(ps, _as_float(payload["gamma_star"], "gamma_star", 1))
+    g = _as_float(payload["g_star"], "g_star", 1)
     rep = verify_optimizers(gamma, g, mu, nu, cost, tol=args.tol)
     report = {
         "command": "verify",
@@ -377,7 +378,7 @@ def _load_vector(source, n: int) -> np.ndarray:
         obj = json.load(fh)
     if isinstance(obj, dict):
         obj = obj.get("values", obj.get("f"))
-    vec = np.asarray(obj, dtype=float)
+    vec = _as_float(obj, "vector", 1)
     if vec.shape != (n,):
         raise ValidationError(f"vector length {vec.shape} does not match {n} states")
     return vec

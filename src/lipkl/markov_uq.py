@@ -16,9 +16,10 @@ this needs no row-wise absolute continuity of q w.r.t. p, which is the
 point: support-shifted perturbations get finite bounds.
 
 The inverse map (recovering g and a from f) is solved by damped Newton with
-g pinned at the first state; its Jacobian at zero is [(P - I), 1], which
-has full rank exactly when the chain has a single recurrent class (the
-Fredholm alternative applied to P - I).
+g pinned at the first state. Its Jacobian at zero, [(P - I)[:, 1:], 1], has
+rank n + 1 - #classes (its left null space is spanned by differences of the
+classes' stationary measures), so the solve needs one recurrent class; the
+classes come from one reachability closure of P > 0.
 
 Stationary measures are exact: each recurrent class is solved by GTH
 elimination (Grassmann, Taksar & Heyman 1985), which censors one state at a
@@ -39,8 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .core import divergence
 from .measures import (
@@ -51,6 +50,7 @@ from .measures import (
     ValidationError,
     lipschitz_violation,
     load_cost,
+    _as_float,
     _load_json,
     _log_mgf,
     _potential_values,
@@ -243,11 +243,8 @@ def invert_risk_map(kernel: FiniteKernel, f, tol: float = 1e-10,
         raise ValidationError("cost vector length does not match the state set")
 
     classes = recurrent_classes(kernel.matrix)
-    jac0 = np.empty((n, n))
-    jac0[:, : n - 1] = (kernel.matrix - np.eye(n))[:, 1:]
-    jac0[:, n - 1] = 1.0
-    rank = int(np.linalg.matrix_rank(jac0))
-    if len(classes) > 1 or rank < n:
+    rank = n + 1 - len(classes)
+    if len(classes) > 1:
         return RiskInverse(
             g=np.zeros(n), a=float(f.mean()), residual=math.inf, converged=False,
             iterations=0, lipschitz_excess=math.inf, lipschitz_feasible=False,
@@ -308,17 +305,19 @@ def invert_risk_map(kernel: FiniteKernel, f, tol: float = 1e-10,
 
 
 def recurrent_classes(matrix: np.ndarray) -> list[np.ndarray]:
-    """Recurrent classes: strongly connected components without exits."""
+    """Recurrent classes, as sorted index arrays ordered by first index.
+
+    Squares the reachability matrix of P > 0 (reflexive) to a fixed point. A
+    state is recurrent when all it reaches reaches it back; its class is
+    the set it reaches.
+    """
     p = np.asarray(matrix, dtype=float)
-    n_comp, labels = connected_components(csr_matrix(p > 0), connection="strong")
-    out = []
-    for comp in range(n_comp):
-        inside = np.flatnonzero(labels == comp)
-        leak = p[np.ix_(inside, np.flatnonzero(labels != comp))]
-        if leak.size == 0 or leak.sum() == 0:
-            out.append(inside)
-    out.sort(key=lambda idx: int(idx[0]))
-    return out
+    reach, last = (p > 0) | np.eye(len(p), dtype=bool), None
+    while not np.array_equal(reach, last):
+        last, reach = reach, reach.astype(float) @ reach > 0
+    recurrent = ~np.any(reach & ~reach.T, axis=1)
+    return [np.flatnonzero(row) for i, row in enumerate(reach)
+            if recurrent[i] and row.argmax() == i]
 
 
 def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
@@ -537,4 +536,4 @@ def load_kernel(source) -> FiniteKernel:
             raise ValidationError(f'kernel file must contain "{key}"')
     states = PointSet(tuple(obj["states"]))
     cost = load_cost(obj["cost"], states)
-    return FiniteKernel(states=states, matrix=np.asarray(obj["P"], dtype=float), cost=cost)
+    return FiniteKernel(states, _as_float(obj["P"], "transition matrix", 2), cost)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -119,7 +120,11 @@ class PointSet:
         return np.asarray(self.points, dtype=float)
 
     def index(self, point) -> int:
-        return self.points.index(_as_point(point))
+        p = _as_point(point)
+        try:
+            return self.points.index(p)
+        except ValueError:
+            raise ValidationError(f"point {p!r} is not in the point set") from None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -204,17 +209,22 @@ class SignedMeasure:
         return abs(self.total_mass) <= WEIGHT_ATOL
 
 
-def _number(value, what: str) -> float:
-    """``float(value)`` for a number read from a file or the command line."""
+def _as_float(value, what: str, ndim: int = 0):
+    """Numbers read from a file or the command line, as a float (``ndim=0``)
+    or a float array with ``ndim`` axes; anything else is a ValidationError."""
     try:
-        return float(value)
+        out = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be a number, got {value!r}") from None
+        out = None
+    if out is None or out.ndim != ndim:
+        kind = ("a number", "a list of numbers", "a matrix of numbers")[ndim]
+        raise ValidationError(f"{what} must be {kind}, got {reprlib.repr(value)}")
+    return float(out) if ndim == 0 else out
 
 
 def _collapse_duplicates(points, weights):
     canonical = [_as_point(p) for p in points]
-    weights = [_number(w, "weight") for w in weights]
+    weights = _as_float(weights, "weights", 1)
     if len(canonical) != len(weights):
         raise ValidationError("points and weights must have equal length")
     out_pts, out_w, where = [], [], {}
@@ -544,11 +554,11 @@ def load_cost(source, point_set: PointSet) -> CostMatrix:
     obj = _load_json(source)
     if not isinstance(obj, dict):
         raise ValidationError("cost specification must be a JSON object")
-    scale = _number(obj.get("scale_b", 1.0), "scale_b")
+    scale = _as_float(obj.get("scale_b", 1.0), "scale_b")
     if "metric" in obj:
         return metric_cost(point_set, obj["metric"], scale)
     if "matrix" in obj:
-        m = np.asarray(obj["matrix"], dtype=float)
+        m = _as_float(obj["matrix"], "cost matrix", 2)
         if m.shape != (point_set.n, point_set.n):
             raise ValidationError(
                 f"cost matrix shape {m.shape} does not match point set of size {point_set.n}"

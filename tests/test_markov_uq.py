@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from lipkl import (
     DiscreteMeasure,
@@ -41,6 +43,36 @@ def make_kernel(rng, n, scale=1.0, sparsity=0.0):
         k = FiniteKernel(ps, p, cost)
         if len(recurrent_classes(p)) == 1:
             return k
+
+
+def multiclass_chains(count=300, seed=5):
+    """Kernels with 1-4 closed classes and 0-4 transient states, shuffled."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        sizes = rng.integers(1, 5, int(rng.integers(1, 5)))
+        closed = int(sizes.sum())
+        n = closed + int(rng.integers(0, 5))
+        p = np.zeros((n, n))
+        start = 0
+        for size in sizes:
+            idx = np.arange(start, start + size)
+            block = rng.uniform(0.05, 1.0, (size, size)) * (rng.random((size, size)) < 0.5)
+            p[np.ix_(idx, idx)] = block
+            p[idx, np.roll(idx, 1)] = rng.uniform(0.05, 1.0, size)  # a cycle: irreducible
+            start += size
+        for t in range(closed, n):
+            p[t] = rng.uniform(0.05, 1.0, n) * (rng.random(n) < 0.4)
+            p[t, rng.integers(0, closed)] = rng.uniform(0.05, 1.0)  # an exit: transient
+        p /= p.sum(axis=1, keepdims=True)
+        order = rng.permutation(n)
+        yield p[np.ix_(order, order)]
+
+
+def scipy_recurrent_classes(p):
+    """Reference: strongly connected components with no edge leaving them."""
+    n_comp, labels = connected_components(csr_matrix(p > 0), connection="strong")
+    return [np.flatnonzero(labels == c) for c in range(n_comp)
+            if not np.any(p[labels == c][:, labels != c] > 0)]
 
 
 def feasible_potential(rng, kernel, amplitude=0.5):
@@ -140,8 +172,31 @@ def test_rank_deficiency_detected_for_two_recurrent_classes():
     k = FiniteKernel(ps, p, cost)
     inv = invert_risk_map(k, np.zeros(4))
     assert not inv.converged
-    assert inv.jacobian_rank < 4
+    assert inv.jacobian_rank == 3
     assert "recurrent" in inv.diagnosis
+
+
+def test_jacobian_rank_matches_numerical_rank():
+    for p in multiclass_chains():
+        n = len(p)
+        ps = PointSet(tuple(float(i) for i in range(n)))
+        k = FiniteKernel(ps, p, metric_cost(ps, "euclidean", 1.0))
+        jac0 = np.column_stack([(p - np.eye(n))[:, 1:], np.ones(n)])
+        inv = invert_risk_map(k, np.zeros(n))
+        assert inv.jacobian_rank == np.linalg.matrix_rank(jac0)
+        assert inv.converged == (inv.jacobian_rank == n)
+
+
+def test_inverse_on_a_nearly_decomposable_chain():
+    # 1 - a rounds to 1, so an SVD rank of [(P - I)[:, 1:], 1] reads 1,
+    # yet the chain has one recurrent class and the solve is regular.
+    a = 1e-17
+    ps = PointSet((0.0, 1.0))
+    p = np.array([[1.0 - a, a], [2.0 * a, 1.0 - 2.0 * a]])
+    inv = invert_risk_map(FiniteKernel(ps, p, metric_cost(ps, "euclidean", 1.0)),
+                          np.zeros(2))
+    assert inv.converged
+    assert inv.jacobian_rank == 2
 
 
 def test_full_rank_on_random_single_class_chains(rng):
@@ -210,6 +265,13 @@ def test_recurrent_classes_with_transient():
     p = np.array([[1.0, 0.0, 0.0], [0.0, 0.4, 0.6], [0.0, 0.5, 0.5]])
     classes = recurrent_classes(p)
     assert [list(c) for c in classes] == [[0], [1, 2]]
+
+
+def test_recurrent_classes_match_strong_components():
+    for p in multiclass_chains():
+        want = scipy_recurrent_classes(p)
+        got = recurrent_classes(p)
+        assert [c.tolist() for c in got] == sorted(c.tolist() for c in want)
 
 
 # ---------------------------------------------------------------------------
