@@ -41,6 +41,7 @@ from .measures import (
     metric_cost,
     validate_cost,
     _as_float,
+    _finite_vector,
 )
 from .markov_uq import (
     GaussianAR1,
@@ -326,8 +327,9 @@ def cmd_verify(args) -> int:
     with open(args.report) as fh:
         saved = json.load(fh)
     inputs = saved["inputs"]
-    ps = PointSet(tuple(tuple(p) if isinstance(p, list) else p
-                        for p in inputs["points"]))
+    if not isinstance(inputs, dict):
+        raise ValidationError('report "inputs" must be a JSON object')
+    ps = PointSet(inputs["points"])
     mu = DiscreteMeasure(ps, _as_float(inputs["mu"], "mu", 1))
     nu = DiscreteMeasure(ps, _as_float(inputs["nu"], "nu", 1))
     cost = validate_cost(_as_float(inputs["cost"], "cost", 2),
@@ -378,10 +380,7 @@ def _load_vector(source, n: int) -> np.ndarray:
         obj = json.load(fh)
     if isinstance(obj, dict):
         obj = obj.get("values", obj.get("f"))
-    vec = _as_float(obj, "vector", 1)
-    if vec.shape != (n,):
-        raise ValidationError(f"vector length {vec.shape} does not match {n} states")
-    return vec
+    return _finite_vector(obj, n, "vector")
 
 
 def build_parser() -> argparse.ArgumentParser:

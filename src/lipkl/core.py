@@ -68,6 +68,7 @@ from .measures import (
     LipschitzFunction,
     ValidationError,
     lipschitz_violation,
+    _lipschitz_tol,
     _log_mgf,
     _potential_values,
     _require_same_point_set,
@@ -475,8 +476,7 @@ def verify_optimizers(
         raise ValidationError("candidate measure is not absolutely continuous w.r.t. nu")
 
     excess, pair = lipschitz_violation(values, cost)
-    scale = 1e-9 * (1.0 + float(np.abs(values).max(initial=0.0)))
-    feasible = excess <= scale
+    feasible = excess <= _lipschitz_tol(values)
 
     supp = nu.support
     lse = _log_mgf(values, nu)
@@ -534,7 +534,6 @@ def cumulant_duality_check(
     nu: DiscreteMeasure,
     cost: CostMatrix,
     mu_candidates=None,
-    tol: float = 1e-8,
     solver_tol: float = 1e-10,
 ) -> CumulantDualityReport:
     """Evaluate both sides of the cumulant duality for a feasible potential.

@@ -51,6 +51,8 @@ from .measures import (
     lipschitz_violation,
     load_cost,
     _as_float,
+    _finite_vector,
+    _lipschitz_tol,
     _load_json,
     _log_mgf,
     _potential_values,
@@ -237,10 +239,8 @@ def invert_risk_map(kernel: FiniteKernel, f, tol: float = 1e-10,
     precisely when the chain has one recurrent class. Rank deficiency is
     reported with the recurrent-class diagnosis instead of a solution.
     """
-    f = np.asarray(f, dtype=float)
     n = kernel.n
-    if f.shape != (n,):
-        raise ValidationError("cost vector length does not match the state set")
+    f = _finite_vector(f, n, "cost vector")
 
     classes = recurrent_classes(kernel.matrix)
     rank = n + 1 - len(classes)
@@ -291,7 +291,7 @@ def invert_risk_map(kernel: FiniteKernel, f, tol: float = 1e-10,
         iterations += 1
 
     excess, _ = lipschitz_violation(g, kernel.cost)
-    feasible = excess <= 1e-9 * (1.0 + float(np.abs(g).max(initial=0.0)))
+    feasible = excess <= _lipschitz_tol(g)
     return RiskInverse(
         g=g, a=a, residual=norm, converged=norm <= tol, iterations=iterations,
         lipschitz_excess=max(excess, 0.0), lipschitz_feasible=bool(feasible),
@@ -532,8 +532,8 @@ def load_kernel(source) -> FiniteKernel:
     """Load a kernel from JSON: {"states": [...], "P": [[...]], "cost": {...}}."""
     obj = _load_json(source)
     for key in ("states", "P", "cost"):
-        if key not in obj:
+        if not isinstance(obj, dict) or key not in obj:
             raise ValidationError(f'kernel file must contain "{key}"')
-    states = PointSet(tuple(obj["states"]))
+    states = PointSet(obj["states"])
     cost = load_cost(obj["cost"], states)
     return FiniteKernel(states, _as_float(obj["P"], "transition matrix", 2), cost)

@@ -5,11 +5,15 @@ ordered collection of pairwise-distinct points. Points are either coordinate
 tuples in R^d (which enables the built-in euclidean / manhattan ground costs)
 or opaque labels (in which case the cost matrix must be supplied explicitly).
 
-Ground costs are symmetric matrices with zero diagonal, strictly positive
-off-diagonal entries, and the triangle inequality. The triangle inequality is
-what makes the c-transform in :func:`project_lipschitz` a genuine projection
-onto the Lipschitz class, and strict positivity off the diagonal makes that
-class separate any two distinct probability vectors on the point set.
+Ground costs are metrics. :class:`CostMatrix` and :func:`cost_violations`
+share one structural rule: finite entries; symmetry, a zero diagonal and no
+entry below zero, each within ``COST_RTOL * (1 + max c)``; strictly positive
+off-diagonal entries. :func:`validate_cost` adds the triangle inequality within
+``TRIANGLE_RTOL * (1 + max c)``, which makes the c-transform in
+:func:`project_lipschitz` a genuine projection onto the Lipschitz class; strict
+positivity off the diagonal makes that class separate any two distinct
+probability vectors. Every Lipschitz-feasibility verdict allows an excess of
+``LIP_ATOL * (1 + max |g|)``.
 
 All types are immutable after construction (arrays are frozen), so instances
 can be shared freely across threads.
@@ -50,6 +54,9 @@ __all__ = [
 WEIGHT_ATOL = 1e-12    # tolerance on total mass
 WEIGHT_CLAMP = 1e-15   # weights below this are snapped to exact zero
 LIP_ATOL = 1e-9        # slack allowed when certifying Lipschitz feasibility
+COST_RTOL = 1e-12      # symmetry, diagonal and sign of a cost, relative to 1 + max c
+TRIANGLE_RTOL = 1e-9   # triangle inequality of a cost, relative to 1 + max c
+MAX_REPORTS = 50       # witnesses listed per kind of cost violation
 
 
 class ValidationError(ValueError):
@@ -72,6 +79,16 @@ def _as_point(p):
     return p  # opaque label
 
 
+def _as_points(points) -> tuple:
+    """Canonical points; a non-sequence or an unhashable point is a ValidationError."""
+    try:
+        pts = tuple(_as_point(p) for p in points)
+        hash(pts)
+    except TypeError:
+        raise ValidationError(f"points must be a list of points: {reprlib.repr(points)}") from None
+    return pts
+
+
 @dataclass(frozen=True)
 class PointSet:
     """Ordered, pairwise-distinct support points.
@@ -85,7 +102,7 @@ class PointSet:
     points: tuple
 
     def __post_init__(self):
-        pts = tuple(_as_point(p) for p in self.points)
+        pts = _as_points(self.points)
         if len(pts) == 0:
             raise ValidationError("point set must be nonempty")
         if len(set(pts)) != len(pts):
@@ -130,17 +147,6 @@ class PointSet:
         return len(self.points)
 
 
-def _check_weights_shape(point_set: PointSet, weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (point_set.n,):
-        raise ValidationError(
-            f"weights shape {w.shape} does not match point set of size {point_set.n}"
-        )
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("weights must be finite")
-    return w
-
-
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Probability vector over a :class:`PointSet`.
@@ -154,7 +160,7 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _check_weights_shape(self.point_set, self.weights)
+        w = _finite_vector(self.weights, self.point_set.n, "weights")
         if np.any(w < -WEIGHT_ATOL):
             i = int(np.argmin(w))
             raise ValidationError(f"negative weight {w[i]:g} at index {i}")
@@ -197,7 +203,7 @@ class SignedMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _check_weights_shape(self.point_set, self.weights)
+        w = _finite_vector(self.weights, self.point_set.n, "weights")
         object.__setattr__(self, "weights", _freeze(w.copy()))
 
     @property
@@ -222,8 +228,18 @@ def _as_float(value, what: str, ndim: int = 0):
     return float(out) if ndim == 0 else out
 
 
+def _finite_vector(values, n: int, what: str) -> np.ndarray:
+    """``values`` as a finite float vector of length ``n``, else a ValidationError."""
+    v = _as_float(values, what, 1)
+    if v.shape != (n,):
+        raise ValidationError(f"{what} has {v.size} entries, expected {n}")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{what} must be finite")
+    return v
+
+
 def _collapse_duplicates(points, weights):
-    canonical = [_as_point(p) for p in points]
+    canonical = _as_points(points)
     weights = _as_float(weights, "weights", 1)
     if len(canonical) != len(weights):
         raise ValidationError("points and weights must have equal length")
@@ -260,47 +276,62 @@ class CostValidationError(ValidationError):
         super().__init__(f"cost matrix is not a valid ground metric: {lines}{extra}")
 
 
+def _structure_violations(c: np.ndarray) -> list[CostViolation]:
+    """Violations of the structural rule (module docstring). One reduction
+    decides each check; witnesses are gathered only for a failed check."""
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        return [CostViolation("shape", c.shape, "matrix is not square")]
+    n, diag = c.shape[0], np.diagonal(c)
+    # Past its first entry the flat matrix splits into rows of n + 1 that each
+    # end on a diagonal entry; the other n columns hold the off-diagonal ones.
+    off_min = c.reshape(-1)[1:].reshape(max(n - 1, 0), n + 1)[:, :n].min(initial=np.inf)
+    hi, lo = float(c.max(initial=0.0)), float(np.minimum(off_min, diag.min(initial=0.0)))
+    if not (np.isfinite(hi) and np.isfinite(lo)):  # max and min propagate NaN
+        i, j = map(int, np.argwhere(~np.isfinite(c))[0])
+        return [CostViolation("not_finite", (i, j), f"entry is {c[i, j]!r}")]
+    tol = COST_RTOL * (1.0 + hi)
+    out: list[CostViolation] = []
+    # c - c^T is exactly antisymmetric, so its largest entry is max |c - c^T|.
+    if (c - c.T).max(initial=0.0) > tol:
+        for i, j in np.argwhere(np.triu(np.abs(c - c.T), 1) > tol)[:MAX_REPORTS]:
+            out.append(CostViolation("asymmetry", (int(i), int(j)),
+                                     f"c[i][j]={c[i, j]:g} vs c[j][i]={c[j, i]:g}"))
+    if np.abs(diag).max(initial=0.0) > tol:
+        for (i,) in np.argwhere(np.abs(diag) > tol)[:MAX_REPORTS]:
+            out.append(CostViolation("nonzero_diagonal", (int(i),), f"c[i][i]={c[i, i]:g}"))
+    if lo < -tol:
+        for i, j in np.argwhere(c < -tol)[:MAX_REPORTS]:
+            out.append(CostViolation("negative", (int(i), int(j)), f"c[i][j]={c[i, j]:g}"))
+    if off_min <= 0:
+        bad = np.argwhere(c <= 0)
+        for i, j in bad[bad[:, 0] != bad[:, 1]][:MAX_REPORTS]:
+            out.append(CostViolation("zero_off_diagonal", (int(i), int(j)),
+                                     "off-diagonal entries must be strictly positive"))
+    return out
+
+
 @dataclass(frozen=True)
 class CostMatrix:
     """Pairwise ground cost c(x, y) with a positive scale multiplier.
 
     ``entries`` is the unit-scale cost; the effective cost used by every
     solver is ``scale_b * entries`` (see :attr:`scaled`). The constructor
-    checks shape, finiteness, symmetry, zero diagonal and strictly positive
-    off-diagonal entries. The O(n^3) triangle-inequality check is performed
-    by :func:`validate_cost`; the euclidean/manhattan builders satisfy it by
-    construction.
+    applies the structural rule of the module docstring, raising
+    :class:`CostValidationError`. The O(n^3) triangle-inequality check is
+    performed by :func:`validate_cost`; the euclidean/manhattan builders
+    satisfy it by construction.
     """
 
     entries: np.ndarray
     scale_b: float = 1.0
 
     def __post_init__(self):
-        c = np.asarray(self.entries, dtype=float)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValidationError(f"cost matrix must be square, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValidationError("cost matrix has non-finite entries")
         scale = float(self.scale_b)
         if not (scale > 0 and np.isfinite(scale)):
             raise ValidationError(f"scale_b must be a positive real, got {scale!r}")
-        cmax = float(c.max(initial=0.0))
-        tol = 1e-12 * (1.0 + cmax)
-        asym = np.abs(c - c.T).max(initial=0.0)
-        if asym > tol:
-            raise ValidationError(f"cost matrix asymmetric (max |c - c^T| = {asym:g})")
-        if np.abs(np.diag(c)).max(initial=0.0) > tol:
-            raise ValidationError("cost matrix has nonzero diagonal")
-        if c.min(initial=0.0) < -tol:
-            raise ValidationError("cost matrix has negative entries")
-        n = c.shape[0]
-        if n > 1:
-            off = c + np.eye(n) * (cmax + 1.0)
-            if off.min() <= 0:
-                i, j = np.unravel_index(int(np.argmin(off)), c.shape)
-                raise ValidationError(
-                    f"off-diagonal cost c[{i}][{j}] must be strictly positive"
-                )
+        c = np.asarray(self.entries, dtype=float)
+        if violations := _structure_violations(c):
+            raise CostValidationError(violations)
         c = np.maximum(c, 0.0)
         np.fill_diagonal(c, 0.0)
         object.__setattr__(self, "entries", _freeze(c))
@@ -319,61 +350,40 @@ class CostMatrix:
         return CostMatrix(self.entries, scale_b)
 
 
-def cost_violations(entries, *, atol: float = 1e-9, max_reports: int = 50) -> list[CostViolation]:
+def cost_violations(entries) -> list[CostViolation]:
     """Collect every metric-property violation of a candidate cost matrix.
 
-    Each violation carries the offending indices: asymmetry and negativity
-    report (i, j), nonzero diagonal reports (i,), and a triangle violation
-    c[i][k] > c[i][j] + c[j][k] reports (i, j, k).
+    First the structural rule of :class:`CostMatrix`: finite entries;
+    symmetry, zero diagonal and no negative entry within
+    ``COST_RTOL * (1 + max c)``; strictly positive off-diagonal entries. On a
+    matrix that passes, the triangle inequality c[i][k] <= c[i][j] + c[j][k]
+    within ``TRIANGLE_RTOL * (1 + max c)``. Witnesses: (i, j) for pairs, (i,)
+    for the diagonal, (i, j, k) for triangles; at most ``MAX_REPORTS`` a kind.
     """
     c = np.asarray(entries, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        return [CostViolation("shape", c.shape, "matrix is not square")]
-    if not np.all(np.isfinite(c)):
-        i, j = map(int, np.argwhere(~np.isfinite(c))[0])
-        return [CostViolation("not_finite", (i, j), f"entry is {c[i, j]!r}")]
-    n = c.shape[0]
-    cmax = float(np.abs(c).max(initial=0.0))
-    tol = atol * (1.0 + cmax)
-    out: list[CostViolation] = []
-
-    bad = np.argwhere(np.triu(np.abs(c - c.T), 1) > tol)
-    for i, j in bad[:max_reports]:
-        out.append(CostViolation("asymmetry", (int(i), int(j)),
-                                 f"c[i][j]={c[i, j]:g} vs c[j][i]={c[j, i]:g}"))
-    for (i,) in np.argwhere(np.abs(np.diag(c)) > tol)[:max_reports]:
-        out.append(CostViolation("nonzero_diagonal", (int(i),), f"c[i][i]={c[i, i]:g}"))
-    for i, j in np.argwhere(c < -tol)[:max_reports]:
-        out.append(CostViolation("negative", (int(i), int(j)), f"c[i][j]={c[i, j]:g}"))
-    offdiag = c + np.eye(n) * (cmax + 1.0)
-    for i, j in np.argwhere(offdiag <= tol)[:max_reports]:
-        out.append(CostViolation("zero_off_diagonal", (int(i), int(j)),
-                                 "off-diagonal entries must be strictly positive"))
-    if not out:
-        # Triangle check only once the matrix is a symmetric pre-metric,
-        # otherwise the witnesses are redundant noise.
-        reported = 0
-        for j in range(n):
-            slack = c - (c[:, j][:, None] + c[j, :][None, :])
-            if slack.max() > tol:
-                for i, k in np.argwhere(slack > tol):
-                    out.append(CostViolation(
-                        "triangle", (int(i), int(j), int(k)),
-                        f"c[i][k]={c[i, k]:g} > c[i][j]+c[j][k]={c[i, j] + c[j, k]:g}"))
-                    reported += 1
-                    if reported >= max_reports:
-                        return out
+    if out := _structure_violations(c):
+        return out  # triangle witnesses on a non-pre-metric are redundant noise
+    tol = TRIANGLE_RTOL * (1.0 + float(c.max(initial=0.0)))
+    for j in range(c.shape[0]):
+        slack = c - (c[:, j][:, None] + c[j, :][None, :])
+        if slack.max() > tol:
+            out += [CostViolation("triangle", (int(i), j, int(k)),
+                                  f"c[i][k]={c[i, k]:g} > c[i][j]+c[j][k]={c[i, j] + c[j, k]:g}")
+                    for i, k in np.argwhere(slack > tol)[:MAX_REPORTS - len(out)]]
+            if len(out) >= MAX_REPORTS:
+                return out
     return out
 
 
-def validate_cost(entries, scale_b: float = 1.0, *, atol: float = 1e-9) -> CostMatrix:
+def validate_cost(entries, scale_b: float = 1.0) -> CostMatrix:
     """Validate a candidate ground cost and wrap it in a :class:`CostMatrix`.
 
-    Raises :class:`CostValidationError` carrying the full violation list
-    (with witness indices) when any metric property fails.
+    Accepts a matrix with no :func:`cost_violations`: the structural rule at
+    ``COST_RTOL`` and the triangle inequality at ``TRIANGLE_RTOL``, both
+    relative to ``1 + max c``. Otherwise raises :class:`CostValidationError`
+    carrying the violation list with witness indices.
     """
-    violations = cost_violations(entries, atol=atol)
-    if violations:
+    if violations := cost_violations(entries):
         raise CostValidationError(violations)
     return CostMatrix(entries, scale_b)
 
@@ -412,6 +422,11 @@ def lipschitz_violation(values, cost: CostMatrix) -> tuple[float, tuple[int, int
     return worst, (int(i), int(j))
 
 
+def _lipschitz_tol(values: np.ndarray) -> float:
+    """Largest Lipschitz excess still certified feasible for ``values``."""
+    return LIP_ATOL * (1.0 + float(np.abs(values).max(initial=0.0)))
+
+
 @dataclass(frozen=True)
 class LipschitzFunction:
     """Function on a point set satisfying g(x) - g(y) <= b*c(x,y) for all pairs."""
@@ -420,26 +435,13 @@ class LipschitzFunction:
     cost: CostMatrix
 
     def __post_init__(self):
-        g = np.asarray(self.values, dtype=float)
-        if g.shape != (self.cost.n,):
-            raise ValidationError(
-                f"values shape {g.shape} does not match cost matrix of size {self.cost.n}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise ValidationError("function values must be finite")
+        g = _finite_vector(self.values, self.cost.n, "function values")
         worst, pair = lipschitz_violation(g, self.cost)
-        if worst > LIP_ATOL * (1.0 + float(np.abs(g).max(initial=0.0))):
+        if worst > _lipschitz_tol(g):
             raise ValidationError(
                 f"function violates the Lipschitz constraint at pair {pair}: excess {worst:g}"
             )
         object.__setattr__(self, "values", _freeze(g.copy()))
-
-    @property
-    def max_violation(self) -> float:
-        return lipschitz_violation(self.values, self.cost)[0]
-
-    def shifted(self, constant: float) -> "LipschitzFunction":
-        return LipschitzFunction(self.values + constant, self.cost)
 
 
 def _potential_values(g) -> np.ndarray:

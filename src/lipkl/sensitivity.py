@@ -22,7 +22,6 @@ from .measures import (
     DiscreteMeasure,
     SignedMeasure,
     ValidationError,
-    WEIGHT_ATOL,
     _require_same_point_set,
 )
 
@@ -70,7 +69,7 @@ def directional_derivative(
     """
     _require_same_point_set(mu, nu)
     _require_same_point_set(mu, rho)
-    if abs(rho.total_mass) > WEIGHT_ATOL:
+    if not rho.is_balanced:
         raise ValidationError(
             f"perturbation must have zero total mass, got {rho.total_mass:g}"
         )

@@ -313,11 +313,17 @@ def test_invalid_cost_exits_3(fixtures, tmp_path):
     ["verify", "--report", "@bad_report"],
     ["derivative", "--mu", "@mu.json", "--nu", "@nu.json", "--rho", "@rho_outside",
      "--cost", "euclidean"],
+    ["compute", "--mu", "@scalar_points", "--nu", "@nu.json", "--cost", "euclidean"],
+    ["markov", "membership", "--p", "@scalar_states", "--f", "@f.json"],
+    ["markov", "membership", "--p", "@scalar_kernel", "--f", "@f.json"],
+    ["verify", "--report", "@list_inputs"],
+    ["markov", "membership", "--p", "@pkernel.json", "--f", "@null_f"],
 ])
 def test_malformed_numbers_exit_3(fixtures, tmp_path, argv):
-    # These used to escape main as a ValueError (exit 1, a traceback), or,
-    # for --scale-b 0, run at b = 10. The last one puts a rho point outside
-    # the merged support of mu and nu.
+    # These used to escape main as a ValueError or TypeError (exit 1, a
+    # traceback), or, for --scale-b 0, run at b = 10. rho_outside puts a rho
+    # point outside the merged support of mu and nu; null_f reached Newton
+    # and exited 1 with "Newton did not reach tolerance".
     bad = {
         "bad_weight": {"points": [[0.0]], "weights": ["x"]},
         "bad_scale": {"metric": "euclidean", "scale_b": "x"},
@@ -330,6 +336,12 @@ def test_malformed_numbers_exit_3(fixtures, tmp_path, argv):
                                   "cost": [[0.0]], "scale_b": 1.0},
                        "results": {"gamma": {"gamma_star": [1.0], "g_star": [0.0]}}},
         "rho_outside": {"points": [[0.25], [3.0]], "weights": [0.5, -0.5]},
+        "scalar_points": {"points": 5, "weights": [1.0]},
+        "scalar_states": {"states": 3, "P": [[1.0]], "cost": {"metric": "euclidean"}},
+        "scalar_kernel": 5,
+        "list_inputs": {"inputs": [1, 2],
+                        "results": {"gamma": {"gamma_star": [1.0], "g_star": [0.0]}}},
+        "null_f": {"values": [None, 0.0, 0.0]},
     }
     paths = {**fixtures, "out": str(tmp_path / "sweep.csv")}
     for name, obj in bad.items():

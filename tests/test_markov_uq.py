@@ -160,6 +160,15 @@ def test_oversized_cost_is_not_representable(rng):
     assert inv.lipschitz_excess > 1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_inverse_rejects_non_finite_cost(rng, bad):
+    # A NaN cost used to run Newton to max_iter and report "did not reach
+    # tolerance".
+    k = make_kernel(rng, 3)
+    with pytest.raises(ValidationError, match="finite"):
+        invert_risk_map(k, [bad, 0.0, 0.0])
+
+
 def test_rank_deficiency_detected_for_two_recurrent_classes():
     ps = PointSet((0.0, 1.0, 2.0, 3.0))
     cost = metric_cost(ps, "euclidean", 1.0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipkl import (
+    CostMatrix,
     CostValidationError,
     DiscreteMeasure,
     LipschitzFunction,
@@ -116,6 +117,85 @@ def test_squared_euclidean_rejected():
 )
 def test_violation_kinds(entries, kind):
     assert any(v.kind == kind for v in cost_violations(np.asarray(entries, dtype=float)))
+    with pytest.raises(CostValidationError) as err:
+        CostMatrix(np.asarray(entries, dtype=float))
+    assert any(v.kind == kind for v in err.value.violations)
+
+
+def test_validate_cost_applies_the_constructor_rule():
+    # An asymmetry of 1e-10 is inside the triangle tolerance but outside the
+    # structural one, so it is reported as a violation with its witness.
+    with pytest.raises(CostValidationError) as err:
+        validate_cost([[0.0, 1.0, 1.0], [1.0 + 1e-10, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    assert [(v.kind, v.indices) for v in err.value.violations] == [("asymmetry", (0, 1))]
+    # Any strictly positive off-diagonal entry is allowed, as in CostMatrix.
+    assert validate_cost([[0.0, 1e-10], [1e-10, 0.0]]).n == 2
+
+
+def reference_cost_rule(entries):
+    """The structural rule written out one check per pass: the canonical
+    entries, or None when the matrix is rejected."""
+    c = np.asarray(entries, dtype=float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or not np.all(np.isfinite(c)):
+        return None
+    cmax = float(c.max(initial=0.0))
+    tol = 1e-12 * (1.0 + cmax)
+    n = c.shape[0]
+    if (np.abs(c - c.T).max(initial=0.0) > tol
+            or np.abs(np.diag(c)).max(initial=0.0) > tol
+            or c.min(initial=0.0) < -tol
+            or (n > 1 and (c + np.eye(n) * (cmax + 1.0)).min() <= 0)):
+        return None
+    c = np.maximum(c, 0.0)
+    np.fill_diagonal(c, 0.0)
+    return c
+
+
+def perturbed_cost(rng):
+    """A random metric, rescaled, with a few entries perturbed at 1e-14..1e-6
+    of its scale or replaced by a non-finite value."""
+    n = int(rng.integers(1, 7))
+    x = rng.random((n, 2))
+    c = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+    c *= 10.0 ** rng.uniform(-3, 3)
+    if rng.random() < 0.03:
+        return c[:, : max(n - 1, 1)]
+    scale = 1.0 + c.max()
+    for _ in range(int(rng.integers(0, 3))):
+        i, j = (int(k) for k in rng.integers(0, n, 2))
+        eps = 10.0 ** rng.uniform(-14, -6) * scale
+        kind = rng.integers(0, 6)
+        if kind == 0:    # one side of a pair
+            c[i, j] += rng.choice([-1.0, 1.0]) * eps
+        elif kind == 1:  # diagonal
+            c[i, i] = rng.choice([-1.0, 1.0]) * eps
+        elif kind == 2:  # sign, both sides
+            c[i, j] = c[j, i] = -eps
+        elif kind == 3:  # off-diagonal zero, or signed zero
+            c[i, j] = c[j, i] = rng.choice([0.0, -0.0])
+        elif kind == 4:  # tiny positive off-diagonal pair
+            c[i, j] = c[j, i] = eps
+        elif rng.random() < 0.5:
+            c[i, j] = rng.choice([np.nan, np.inf, -np.inf])
+    return c
+
+
+def test_cost_matrix_matches_the_reference_rule():
+    rng = np.random.default_rng(2024)
+    rejected = 0
+    for _ in range(3000):
+        c = perturbed_cost(rng)
+        expected = reference_cost_rule(c)
+        try:
+            entries = CostMatrix(c).entries
+        except CostValidationError as err:
+            assert expected is None, c
+            assert err.violations and cost_violations(c) == err.violations
+            rejected += 1
+            continue
+        assert expected is not None, c
+        assert entries.tobytes() == expected.tobytes()
+    assert 300 < rejected < 2700
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
