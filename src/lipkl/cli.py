@@ -42,6 +42,7 @@ from .measures import (
     validate_cost,
     _as_float,
     _finite_vector,
+    _points_list,
 )
 from .markov_uq import (
     GaussianAR1,
@@ -59,10 +60,6 @@ EXIT_OK = 0
 EXIT_UNCERTIFIED = 1
 EXIT_IO = 2
 EXIT_VALIDATION = 3
-
-
-def _points_list(ps: PointSet) -> list:
-    return [list(p) if isinstance(p, tuple) else p for p in ps.points]
 
 
 def _digest(obj) -> str:
@@ -322,19 +319,24 @@ def cmd_markov(args) -> int:
     return EXIT_OK if rep.holds else EXIT_UNCERTIFIED
 
 
+def _json_object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    return obj
+
+
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     with open(args.report) as fh:
-        saved = json.load(fh)
-    inputs = saved["inputs"]
-    if not isinstance(inputs, dict):
-        raise ValidationError('report "inputs" must be a JSON object')
+        saved = _json_object(json.load(fh), "report")
+    inputs = _json_object(saved["inputs"], 'report "inputs"')
     ps = PointSet(inputs["points"])
     mu = DiscreteMeasure(ps, _as_float(inputs["mu"], "mu", 1))
     nu = DiscreteMeasure(ps, _as_float(inputs["nu"], "nu", 1))
     cost = validate_cost(_as_float(inputs["cost"], "cost", 2),
                          _as_float(inputs.get("scale_b", 1.0), "scale_b"))
-    payload = saved["results"]["gamma"]
+    results = _json_object(saved["results"], 'report "results"')
+    payload = _json_object(results["gamma"], 'report "results"."gamma"')
     gamma = DiscreteMeasure(ps, _as_float(payload["gamma_star"], "gamma_star", 1))
     g = _as_float(payload["g_star"], "g_star", 1)
     rep = verify_optimizers(gamma, g, mu, nu, cost, tol=args.tol)

@@ -48,7 +48,6 @@ __all__ = [
     "load_measure",
     "load_cost",
     "measure_to_dict",
-    "cost_to_dict",
 ]
 
 WEIGHT_ATOL = 1e-12    # tolerance on total mass
@@ -518,13 +517,13 @@ def merge_supports(mu: DiscreteMeasure, nu: DiscreteMeasure):
 # File formats
 
 
+def _points_list(ps: PointSet) -> list:
+    """Points as JSON lists: coordinate tuples become lists, labels stay."""
+    return [list(p) if isinstance(p, tuple) else p for p in ps.points]
+
+
 def measure_to_dict(m: DiscreteMeasure | SignedMeasure) -> dict:
-    pts = [list(p) if isinstance(p, tuple) else p for p in m.point_set.points]
-    return {"points": pts, "weights": [float(w) for w in m.weights]}
-
-
-def cost_to_dict(cost: CostMatrix) -> dict:
-    return {"matrix": cost.entries.tolist(), "scale_b": cost.scale_b}
+    return {"points": _points_list(m.point_set), "weights": [float(w) for w in m.weights]}
 
 
 def _measure_from_dict(obj: dict, signed: bool):

@@ -318,6 +318,9 @@ def test_invalid_cost_exits_3(fixtures, tmp_path):
     ["markov", "membership", "--p", "@scalar_kernel", "--f", "@f.json"],
     ["verify", "--report", "@list_inputs"],
     ["markov", "membership", "--p", "@pkernel.json", "--f", "@null_f"],
+    ["verify", "--report", "@list_report"],
+    ["verify", "--report", "@list_results"],
+    ["verify", "--report", "@list_gamma"],
 ])
 def test_malformed_numbers_exit_3(fixtures, tmp_path, argv):
     # These used to escape main as a ValueError or TypeError (exit 1, a
@@ -341,6 +344,13 @@ def test_malformed_numbers_exit_3(fixtures, tmp_path, argv):
         "scalar_kernel": 5,
         "list_inputs": {"inputs": [1, 2],
                         "results": {"gamma": {"gamma_star": [1.0], "g_star": [0.0]}}},
+        "list_report": [1, 2],
+        "list_results": {"inputs": {"points": [[0.0]], "mu": [1.0], "nu": [1.0],
+                                    "cost": [[0.0]], "scale_b": 1.0},
+                         "results": []},
+        "list_gamma": {"inputs": {"points": [[0.0]], "mu": [1.0], "nu": [1.0],
+                                  "cost": [[0.0]], "scale_b": 1.0},
+                       "results": {"gamma": [1.0, 0.0]}},
         "null_f": {"values": [None, 0.0, 0.0]},
     }
     paths = {**fixtures, "out": str(tmp_path / "sweep.csv")}

@@ -279,6 +279,49 @@ def test_solve_never_prices_a_measure_twice(rng, monkeypatch):
         assert len(set(priced)) == len(priced)
 
 
+def test_solve_never_closes_a_support_mask_twice(rng, monkeypatch):
+    # A closure depends on its mask alone, so a mask closed once in a solve
+    # (by any ladder, in any round) is skipped afterwards.
+    from lipkl.core import _Workspace
+
+    masks = []
+    closure = _Workspace.structure_closure
+
+    def recording(self, keep):
+        masks.append(keep.tobytes())
+        return closure(self, keep)
+
+    monkeypatch.setattr(_Workspace, "structure_closure", recording)
+    for n in (5, 8, 12):
+        for b in (0.1, 1.0, 10.0, 100.0):
+            mu, nu, cost = random_instance(rng, n, d=2, scale=b)
+            masks.clear()
+            divergence(mu, nu, cost)
+            assert len(set(masks)) == len(masks)
+
+
+def test_budget_stop_prices_the_last_iterate_once(monkeypatch):
+    # max_iter = 8 is also a doubling round, so the round on the last iterate
+    # used to run twice and price the iterate's potential again.
+    from lipkl.core import _Workspace
+
+    gen = np.random.default_rng(1)
+    ps = PointSet(tuple(map(tuple, gen.random((10, 2)))))
+    mu = DiscreteMeasure(ps, gen.dirichlet(np.full(10, 5.0)))
+    nu = DiscreteMeasure(ps, gen.dirichlet(np.full(10, 5.0)))
+    priced = []
+    evaluate = _Workspace.evaluate
+
+    def recording(self, g_cols):
+        priced.append(g_cols.tobytes())
+        return evaluate(self, g_cols)
+
+    monkeypatch.setattr(_Workspace, "evaluate", recording)
+    sol = divergence(mu, nu, metric_cost(ps, "euclidean", 1.0), tol=1e-300, max_iter=8)
+    assert not sol.certified and sol.iterations == 8
+    assert len(set(priced)) == len(priced)
+
+
 def test_structure_closure_over_two_components_and_a_loose_column():
     # Two far-apart clusters, and a nu atom between them whose optimal inflow
     # (~e^{-b c}) sits below the threshold: the guessed support has the
@@ -290,8 +333,8 @@ def test_structure_closure_over_two_components_and_a_loose_column():
     mu = DiscreteMeasure(ps, [0.5, 0.5, 0.0, 0.0, 0.0])
     nu = DiscreteMeasure(ps, [0.0, 0.0, 0.3, 0.6, 0.1])
     ws = _Workspace(mu, nu, cost)
-    flow = np.array([[0.5, 0.0, 1e-9], [0.0, 0.5, 0.0]])
-    cand = ws.evaluate(ws.structure_closure(flow, 1e-6))
+    keep = np.array([[True, False, False], [False, True, False]])
+    cand = ws.evaluate(ws.structure_closure(keep))
     assert cand.flow[0, 2] > 0.0
     assert cand.gap <= 1e-14
     assert cand.primal == pytest.approx(divergence(mu, nu, cost, tol=1e-12).value, abs=1e-12)
