@@ -42,6 +42,7 @@ from .measures import (
     validate_cost,
     _as_float,
     _finite_vector,
+    _place,
     _points_list,
 )
 from .markov_uq import (
@@ -210,10 +211,7 @@ def cmd_derivative(args) -> int:
     started = time.perf_counter()
     ps, mu, nu, cost = _load_inputs(args)
     rho_raw = load_measure(args.rho, signed=True)
-    weights = np.zeros(ps.n)
-    for p, w in zip(rho_raw.point_set.points, rho_raw.weights):
-        weights[ps.index(p)] += w
-    rho = SignedMeasure(ps, weights)
+    rho = SignedMeasure(ps, _place(ps, rho_raw.point_set.points, rho_raw.weights))
     rep = directional_derivative(mu, nu, cost, rho, epsilon=args.epsilon)
     inputs = {**_inputs_record(ps, mu, nu, cost),
               "rho": [float(w) for w in rho.weights]}

@@ -148,7 +148,9 @@ class _Workspace:
         self.cols = nu.support
         scaled = cost.scaled
         self.C_rc = scaled[np.ix_(self.rows, self.cols)]
-        self.C_xc = scaled[:, self.cols]
+        # merge_supports puts nu first: a leading block of columns is sliced, not copied.
+        k = self.cols.size
+        self.C_xc = scaled[:, :k] if self.cols[-1] == k - 1 else scaled[:, self.cols]
         self.a = mu.weights[self.rows]
         self.logw = np.log(nu.weights[self.cols])
 
@@ -292,7 +294,6 @@ def divergence(
     if not (tol > 0):
         raise ValidationError("tol must be positive")
     ws = _Workspace(mu, nu, cost)
-    K = ws.cols.size
 
     best: _Candidate | None = None
     best_dual = -math.inf
@@ -344,14 +345,12 @@ def divergence(
         closure_ladder(cand.flow)
         closure_ladder(best.flow)
 
-    consider(np.zeros(K))
+    consider(np.zeros(ws.cols.size))
     if initial_potential is not None:
         g0 = _potential_values(initial_potential)
-        if g0.shape == (mu.point_set.n,):
-            g0 = g0[ws.cols]
-        if g0.shape != (K,):
+        if g0.shape != (mu.point_set.n,):
             raise ValidationError("initial potential has the wrong length")
-        consider(g0)
+        consider(g0[ws.cols])
 
     # Primal state in log space, seeded from the best candidate's tilt.
     log_pi = np.log(ws.a)[:, None] + np.log(np.maximum(best.gamma, _TINY))[None, :]
@@ -409,7 +408,7 @@ def _assemble(ws: _Workspace, cand: _Candidate, best_dual: float,
     # still a valid lower bound).
     return DivergenceSolution(
         value=cand.primal,
-        dual_value=min(max(best_dual, cand.dual), cand.primal),
+        dual_value=min(best_dual, cand.primal),
         duality_gap=gap,
         measure=DiscreteMeasure(ws.mu.point_set, gamma_full),
         potential=LipschitzFunction(g_norm, ws.cost),

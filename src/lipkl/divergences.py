@@ -23,6 +23,7 @@ from .measures import (
     DiscreteMeasure,
     LipschitzFunction,
     ValidationError,
+    _c_transform,
     _require_same_point_set,
 )
 
@@ -82,8 +83,7 @@ def transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, cost: CostMatrix
         raise ValidationError("cost matrix size does not match the point set")
     rows = mu.support
     cols = gamma.support
-    scaled = cost.scaled
-    sub = scaled[np.ix_(rows, cols)]
+    sub = cost.scaled[np.ix_(rows, cols)]
     flow, _, v = transport_simplex(mu.weights[rows], gamma.weights[cols], sub)
 
     plan = np.zeros((n, n))
@@ -92,8 +92,7 @@ def transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, cost: CostMatrix
 
     # Column potential -v extends to the whole set by c-transform; this keeps
     # dual feasibility on all pairs (triangle inequality) and optimality.
-    p_cols = -v
-    full = (p_cols[None, :] + scaled[:, cols]).min(axis=1)
+    full = _c_transform(-v, cost, cols)
     full = full - full[0]
     potential = LipschitzFunction(full, cost)
     return TransportSolution(value=value, plan=plan, potential=potential)

@@ -37,7 +37,7 @@ maximum (1 - alpha)^2 / (2 sigma^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .measures import (
     load_cost,
     _as_float,
     _finite_vector,
+    _freeze,
     _lipschitz_tol,
     _load_json,
     _log_mgf,
@@ -90,6 +91,7 @@ class FiniteKernel:
     states: PointSet
     matrix: np.ndarray
     cost: CostMatrix
+    _log_p: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.matrix, dtype=float)
@@ -107,9 +109,11 @@ class FiniteKernel:
             raise ValidationError(f"row {i} sums to {rows[i]!r}, not 1")
         if self.cost.n != n:
             raise ValidationError("cost matrix size does not match the state set")
-        p = p.copy()
-        p.flags.writeable = False
+        p = _freeze(p.copy())
         object.__setattr__(self, "matrix", p)
+        # log p, with -inf exactly on the forbidden transitions.
+        log_p = np.where(p > 0, np.log(np.maximum(p, 1e-300)), -np.inf)
+        object.__setattr__(self, "_log_p", _freeze(log_p))
 
     @property
     def n(self) -> int:
@@ -184,24 +188,18 @@ def performance_bound(g, mu: DiscreteMeasure, nu: DiscreteMeasure,
 # Risk-sensitive Poisson equation
 
 
-def _log_kernel(kernel: FiniteKernel) -> np.ndarray:
-    """log p, with -inf exactly on the forbidden transitions."""
-    p = kernel.matrix
-    return np.where(p > 0, np.log(np.maximum(p, 1e-300)), -np.inf)
-
-
 def risk_map(kernel: FiniteKernel, g, a: float) -> np.ndarray:
     """Risk-sensitive image f(x) = -log sum_y e^{-g(y)} p(x, y) - g(x) + a."""
     g = np.asarray(g, dtype=float)
     if g.shape != (kernel.n,):
         raise ValidationError("potential length does not match the state set")
-    inner = np.logaddexp.reduce(_log_kernel(kernel) - g[None, :], axis=1)
+    inner = np.logaddexp.reduce(kernel._log_p - g[None, :], axis=1)
     return -inner - g + float(a)
 
 
 def _tilted_kernel(kernel: FiniteKernel, g: np.ndarray) -> np.ndarray:
     """Rows of p reweighted by e^{-g} and renormalized (log-space stable)."""
-    z = _log_kernel(kernel) - g[None, :]
+    z = kernel._log_p - g[None, :]
     z -= np.logaddexp.reduce(z, axis=1, keepdims=True)
     return np.exp(z)
 

@@ -15,6 +15,12 @@ positivity off the diagonal makes that class separate any two distinct
 probability vectors. Every Lipschitz-feasibility verdict allows an excess of
 ``LIP_ATOL * (1 + max |g|)``.
 
+Each type derives its data once, in its constructor: a :class:`PointSet`
+holds the position of every point, and a :class:`CostMatrix` holds its scaled
+cost ``scale_b * entries``. Every weight vector read from points and weights
+(duplicate points in a file, merged supports, a perturbation direction) is
+placed by ``_place``, which sums weights onto a point set in the given order.
+
 All types are immutable after construction (arrays are frozen), so instances
 can be shared freely across threads.
 """
@@ -24,7 +30,7 @@ from __future__ import annotations
 import json
 import numbers
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -99,18 +105,18 @@ class PointSet:
     """
 
     points: tuple
+    _pos: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = _as_points(self.points)
         if len(pts) == 0:
             raise ValidationError("point set must be nonempty")
-        if len(set(pts)) != len(pts):
-            seen = set()
-            for i, p in enumerate(pts):
-                if p in seen:
-                    raise ValidationError(f"duplicate point at index {i}: {p!r}")
-                seen.add(p)
+        pos: dict = {}
+        for i, p in enumerate(pts):
+            if pos.setdefault(p, i) != i:
+                raise ValidationError(f"duplicate point at index {i}: {p!r}")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_pos", pos)
 
     @property
     def n(self) -> int:
@@ -136,11 +142,7 @@ class PointSet:
         return np.asarray(self.points, dtype=float)
 
     def index(self, point) -> int:
-        p = _as_point(point)
-        try:
-            return self.points.index(p)
-        except ValueError:
-            raise ValidationError(f"point {p!r} is not in the point set") from None
+        return _position(self, _as_point(point))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -177,8 +179,7 @@ class DiscreteMeasure:
 
         Duplicate coordinates are merged into one point with summed weight.
         """
-        pts, w = _collapse_duplicates(points, weights)
-        return cls(PointSet(tuple(pts)), np.asarray(w))
+        return cls(*_distinct_placed(points, weights))
 
     @property
     def support(self) -> np.ndarray:
@@ -237,20 +238,29 @@ def _finite_vector(values, n: int, what: str) -> np.ndarray:
     return v
 
 
-def _collapse_duplicates(points, weights):
+def _position(ps: PointSet, p) -> int:
+    """Index of the canonical point ``p`` in ``ps``, else a ValidationError."""
+    try:
+        return ps._pos[p]
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        raise ValidationError(f"point {p!r} is not in the point set") from None
+
+
+def _place(ps: PointSet, points, weights) -> np.ndarray:
+    """Weights of the canonical ``points`` summed onto ``ps``, in the given order."""
+    w = np.zeros(ps.n)
+    np.add.at(w, [_position(ps, p) for p in points], weights)
+    return w
+
+
+def _distinct_placed(points, weights) -> tuple[PointSet, np.ndarray]:
+    """The distinct points in first-seen order, with duplicate weights summed."""
     canonical = _as_points(points)
     weights = _as_float(weights, "weights", 1)
     if len(canonical) != len(weights):
         raise ValidationError("points and weights must have equal length")
-    out_pts, out_w, where = [], [], {}
-    for p, w in zip(canonical, weights):
-        if p in where:
-            out_w[where[p]] += w
-        else:
-            where[p] = len(out_pts)
-            out_pts.append(p)
-            out_w.append(w)
-    return out_pts, out_w
+    ps = PointSet(tuple(dict.fromkeys(canonical)))
+    return ps, _place(ps, canonical, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +324,7 @@ class CostMatrix:
     """Pairwise ground cost c(x, y) with a positive scale multiplier.
 
     ``entries`` is the unit-scale cost; the effective cost used by every
-    solver is ``scale_b * entries`` (see :attr:`scaled`). The constructor
+    solver is ``scaled = scale_b * entries``, computed once here. The constructor
     applies the structural rule of the module docstring, raising
     :class:`CostValidationError`. The O(n^3) triangle-inequality check is
     performed by :func:`validate_cost`; the euclidean/manhattan builders
@@ -323,6 +333,7 @@ class CostMatrix:
 
     entries: np.ndarray
     scale_b: float = 1.0
+    scaled: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scale = float(self.scale_b)
@@ -335,15 +346,11 @@ class CostMatrix:
         np.fill_diagonal(c, 0.0)
         object.__setattr__(self, "entries", _freeze(c))
         object.__setattr__(self, "scale_b", scale)
+        object.__setattr__(self, "scaled", _freeze(scale * c))
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def scaled(self) -> np.ndarray:
-        """Effective cost ``scale_b * entries``."""
-        return self.scale_b * self.entries
 
     def with_scale(self, scale_b: float) -> "CostMatrix":
         return CostMatrix(self.entries, scale_b)
@@ -394,13 +401,14 @@ def metric_cost(point_set: PointSet, metric: str = "euclidean", scale_b: float =
     triangle inequality exactly, so only the cheap structural checks run.
     """
     x = point_set.coords
-    diff = x[:, None, :] - x[None, :, :]
     if metric == "euclidean":
-        c = np.sqrt((diff ** 2).sum(axis=2))
+        c = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
     elif metric == "manhattan":
-        c = np.abs(diff).sum(axis=2)
+        c = abs(x[:, None, :] - x[None, :, :]).sum(axis=2)
     else:
         raise ValidationError(f"unknown metric {metric!r}")
+    # The differences stay a temporary, which numpy squares in place: no
+    # further n x n array is alive while CostMatrix derives its two.
     # x_i - x_j == -(x_j - x_i) exactly in IEEE arithmetic, so c is already
     # exactly symmetric with a zero diagonal.
     return CostMatrix(c, scale_b)
@@ -478,8 +486,15 @@ def project_lipschitz(values, cost: CostMatrix, reference=None) -> LipschitzFunc
         ref = np.asarray(reference, dtype=int)
         if ref.size == 0:
             raise ValidationError("reference subset must be nonempty")
-    out = (g[ref][None, :] + cost.scaled[:, ref]).min(axis=1)
-    return LipschitzFunction(out, cost)
+    return LipschitzFunction(_c_transform(g[ref], cost, ref), cost)
+
+
+def _c_transform(values_ref: np.ndarray, cost: CostMatrix, ref) -> np.ndarray:
+    """min over r in ``ref`` of values(r) + b*c(x, r), at every point x; the
+    fancy index copies, so adding in place holds one n x |ref| array."""
+    c = cost.scaled[:, ref]
+    c += values_ref
+    return c.min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -495,22 +510,9 @@ def merge_supports(mu: DiscreteMeasure, nu: DiscreteMeasure):
 
     Returns ``(point_set, mu_merged, nu_merged)``.
     """
-    nu_pts = list(nu.point_set.points)
-    nu_index = {p: i for i, p in enumerate(nu_pts)}
-    merged = list(nu_pts)
-    for p in mu.point_set.points:
-        if p not in nu_index:
-            merged.append(p)
-    ps = PointSet(tuple(merged))
-    pos = {p: i for i, p in enumerate(ps.points)}
-
-    def reindex(m: DiscreteMeasure) -> DiscreteMeasure:
-        w = np.zeros(ps.n)
-        for p, wt in zip(m.point_set.points, m.weights):
-            w[pos[p]] += wt
-        return DiscreteMeasure(ps, w)
-
-    return ps, reindex(mu), reindex(nu)
+    ps = PointSet(tuple(dict.fromkeys(nu.point_set.points + mu.point_set.points)))
+    return ps, *(DiscreteMeasure(ps, _place(ps, m.point_set.points, m.weights))
+                 for m in (mu, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +531,8 @@ def measure_to_dict(m: DiscreteMeasure | SignedMeasure) -> dict:
 def _measure_from_dict(obj: dict, signed: bool):
     if not isinstance(obj, dict) or "points" not in obj or "weights" not in obj:
         raise ValidationError('measure file must contain "points" and "weights"')
-    if signed:
-        pts, w = _collapse_duplicates(obj["points"], obj["weights"])
-        return SignedMeasure(PointSet(tuple(pts)), np.asarray(w))
-    return DiscreteMeasure.from_points(obj["points"], obj["weights"])
+    return (SignedMeasure if signed else DiscreteMeasure)(
+        *_distinct_placed(obj["points"], obj["weights"]))
 
 
 def load_measure(source, signed: bool = False):

@@ -204,6 +204,17 @@ def test_derivative_zero_direction(fixtures, tmp_path):
     assert abs(res["finite_diff"]) <= 1e-9
 
 
+def test_derivative_sums_a_repeated_rho_point(fixtures, tmp_path):
+    rho = tmp_path / "rho_repeated.json"
+    rho.write_text(json.dumps({"points": [[0.0], [0.25], [0.25]],
+                               "weights": [-0.5, 0.25, 0.25]}))
+    code, out = run_cli(["derivative", "--mu", fixtures["mu.json"],
+                         "--nu", fixtures["nu.json"], "--rho", str(rho),
+                         "--cost", "euclidean", "--scale-b", "10"])
+    assert code == EXIT_OK
+    assert json.loads(out)["inputs"]["rho"] == [0.5, 0.0, -0.5]
+
+
 def test_derivative_infeasible_direction_exits_3(fixtures):
     code, _ = run_cli(["derivative", "--mu", fixtures["mu.json"],
                        "--nu", fixtures["nu.json"], "--rho", fixtures["rho.json"],

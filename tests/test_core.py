@@ -354,6 +354,16 @@ def test_tol_must_be_positive(rng):
         divergence(mu, nu, cost, tol=0.0)
 
 
+def test_warm_start_over_nu_support_is_rejected():
+    mu = DiscreteMeasure.from_points([0.0], [1.0])
+    nu = DiscreteMeasure.from_points([0.25, 0.75], [0.5, 0.5])
+    ps, mu, nu = merge_supports(mu, nu)
+    cost = metric_cost(ps, "euclidean", 1.0)
+    assert nu.support.size < ps.n
+    with pytest.raises(ValidationError, match="wrong length"):
+        divergence(mu, nu, cost, initial_potential=np.zeros(nu.support.size))
+
+
 def test_label_points_with_explicit_cost():
     from lipkl import validate_cost
 

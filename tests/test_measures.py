@@ -30,8 +30,8 @@ from conftest import random_point_set
 
 
 def test_point_set_rejects_duplicates():
-    with pytest.raises(ValidationError, match="duplicate"):
-        PointSet(((0.0,), (0.0,)))
+    with pytest.raises(ValidationError, match=r"duplicate point at index 2: \(0\.0,\)"):
+        PointSet(((0.0,), (1.0,), (0.0,)))
 
 
 def test_point_set_scalar_points_become_1d():
@@ -70,6 +70,15 @@ def test_from_points_collapses_duplicates():
     m = DiscreteMeasure.from_points([0.0, 1.0, 0.0], [0.25, 0.5, 0.25])
     assert m.point_set.n == 2
     assert m.weights[0] == pytest.approx(0.5)
+
+
+def test_signed_duplicates_sum_in_file_order():
+    rho = load_measure({"points": [[0], [0], [0], [1]], "weights": [0.1, 0.2, 0.3, -0.6]},
+                       signed=True)
+    assert rho.point_set.points == ((0.0,), (1.0,))
+    assert rho.weights[0] == (0.1 + 0.2) + 0.3
+    assert rho.weights[0] != 0.1 + (0.2 + 0.3)
+    assert rho.weights[1] == -0.6
 
 
 def test_signed_measure_mass():
@@ -206,6 +215,14 @@ def test_random_distance_matrices_validate(metric, d):
         ps = random_point_set(rng, int(rng.integers(2, 12)), d)
         cost = metric_cost(ps, metric)
         validate_cost(cost.entries)  # must not raise
+
+
+def test_scaled_cost_is_computed_once():
+    cost = metric_cost(PointSet((0.0, 0.3, 1.0)), "euclidean", 2.5)
+    assert cost.scaled is cost.scaled
+    assert not cost.scaled.flags.writeable
+    assert cost.scaled.tobytes() == (2.5 * cost.entries).tobytes()
+    assert np.array_equal(cost.with_scale(3.0).scaled, 3.0 * cost.entries)
 
 
 def test_scale_must_be_positive():
