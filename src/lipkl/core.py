@@ -71,6 +71,8 @@ from .measures import (
     LipschitzFunction,
     ValidationError,
     lipschitz_violation,
+    _c_transform,
+    _columns,
     _lipschitz_tol,
     _log_mgf,
     _potential_values,
@@ -146,11 +148,8 @@ class _Workspace:
         self.cost = cost
         self.rows = mu.support
         self.cols = nu.support
-        scaled = cost.scaled
-        self.C_rc = scaled[np.ix_(self.rows, self.cols)]
-        # merge_supports puts nu first: a leading block of columns is sliced, not copied.
-        k = self.cols.size
-        self.C_xc = scaled[:, :k] if self.cols[-1] == k - 1 else scaled[:, self.cols]
+        self.C_rc = cost.scaled[np.ix_(self.rows, self.cols)]
+        self.C_xc = _columns(cost.scaled, self.cols)  # chosen once per solve
         self.a = mu.weights[self.rows]
         self.logw = np.log(nu.weights[self.cols])
 
@@ -161,7 +160,7 @@ class _Workspace:
         Gibbs tilt becomes the primal measure, and the transport part is
         priced exactly by the network simplex. Shift-invariant in g_cols.
         """
-        g_full = (g_cols[None, :] + self.C_xc).min(axis=1)
+        g_full = _c_transform(g_cols, self.C_xc)
         gc = g_full[self.cols]
         lse = float(np.logaddexp.reduce(gc + self.logw))
         dual = float(self.mu.weights @ g_full) - lse

@@ -24,6 +24,7 @@ from .measures import (
     LipschitzFunction,
     ValidationError,
     _c_transform,
+    _columns,
     _require_same_point_set,
 )
 
@@ -92,7 +93,7 @@ def transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, cost: CostMatrix
 
     # Column potential -v extends to the whole set by c-transform; this keeps
     # dual feasibility on all pairs (triangle inequality) and optimality.
-    full = _c_transform(-v, cost, cols)
+    full = _c_transform(-v, _columns(cost.scaled, cols))
     full = full - full[0]
     potential = LipschitzFunction(full, cost)
     return TransportSolution(value=value, plan=plan, potential=potential)

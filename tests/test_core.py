@@ -341,10 +341,12 @@ def test_structure_closure_over_two_components_and_a_loose_column():
 
 
 def test_uncertifiable_request_is_flagged(rng):
-    mu, nu, cost = random_instance(rng, 6)
-    sol = divergence(mu, nu, cost, tol=1e-300, max_iter=50)
+    # One mirror iteration leaves a gap of about 0.04 on this instance.
+    mu, nu, cost = random_instance(rng, 12, d=2, scale=1.0)
+    tol = 1e-12
+    sol = divergence(mu, nu, cost, tol=tol, max_iter=1)
     assert not sol.certified
-    assert sol.duality_gap >= 0.0
+    assert sol.duality_gap > tol
     assert sol.value >= sol.dual_value
 
 

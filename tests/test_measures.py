@@ -225,6 +225,38 @@ def test_scaled_cost_is_computed_once():
     assert np.array_equal(cost.with_scale(3.0).scaled, 3.0 * cost.entries)
 
 
+# Block-crossing cases: 300 points span two full blocks of rows plus a
+# partial one in every streamed pass.
+N_POINTS = 300
+
+
+def grid_cost(n=N_POINTS, scale=1.0):
+    return metric_cost(PointSet(tuple((k + 0.5) / n for k in range(n))), "euclidean", scale)
+
+
+@pytest.mark.parametrize("i, j", [(5, 260), (270, 295)])
+def test_asymmetry_found_across_tiles(i, j):
+    c = grid_cost().entries.copy()
+    c[j, i] += 1e-9
+    with pytest.raises(CostValidationError) as err:
+        CostMatrix(c)
+    assert [(v.kind, v.indices) for v in err.value.violations] == [("asymmetry", (i, j))]
+
+
+@pytest.mark.parametrize("metric, norm", [("euclidean", np.square), ("manhattan", np.abs)])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+def test_metric_cost_matches_the_dense_formula(metric, norm, d):
+    x = np.random.default_rng(d).uniform(0, 1, (N_POINTS, d))
+    dense = norm(x[:, None, :] - x[None, :, :]).sum(axis=2)
+    if metric == "euclidean":
+        dense = np.sqrt(dense)
+    got = metric_cost(PointSet(tuple(map(tuple, x))), metric).entries
+    if d <= 7:
+        assert got.tobytes() == dense.tobytes()
+    else:  # numpy's unrolled sum(axis=2) orders the additions differently
+        np.testing.assert_allclose(got, dense, rtol=1e-15, atol=0)
+
+
 def test_scale_must_be_positive():
     with pytest.raises(ValidationError):
         metric_cost(PointSet((0.0, 1.0)), "euclidean", 0.0)
@@ -306,6 +338,53 @@ def test_projection_requires_nonempty_reference():
     cost = metric_cost(ps, "euclidean")
     with pytest.raises(ValidationError):
         project_lipschitz(np.zeros(2), cost, reference=[])
+
+
+@pytest.mark.parametrize("reference", [[-1], [0.7], [4]])
+def test_projection_reference_must_be_point_indices(reference):
+    cost = metric_cost(PointSet((0.0, 0.2, 0.5, 1.0)), "euclidean")
+    with pytest.raises(ValidationError, match="reference"):
+        project_lipschitz(np.zeros(4), cost, reference=reference)
+
+
+@pytest.mark.parametrize("reference", [None, np.arange(100, 300, 3), [1, 0, 2]])
+def test_projection_matches_the_dense_c_transform(reference):
+    cost = grid_cost(scale=2.0)
+    g = np.random.default_rng(3).normal(0, 1, N_POINTS)
+    ref = np.arange(N_POINTS) if reference is None else np.asarray(reference)
+    dense = (g[ref][None, :] + cost.scaled[:, ref]).min(axis=1)
+    assert project_lipschitz(g, cost, reference).values.tobytes() == dense.tobytes()
+
+
+def dense_violation(g, cost):
+    slack = g[:, None] - g[None, :] - cost.scaled
+    worst = float(slack.max())
+    if worst <= 0:
+        return worst, None
+    i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
+    return worst, (int(i), int(j))
+
+
+def test_lipschitz_violation_matches_the_dense_reference():
+    cost = grid_cost()
+    g = np.random.default_rng(5).normal(0, 1, N_POINTS)
+    assert lipschitz_violation(g, cost) == dense_violation(g, cost)
+
+    nan = g.copy()
+    nan[[200, 250]] = np.nan
+    worst, pair = lipschitz_violation(nan, cost)
+    assert np.isnan(worst) and pair == (0, 200) == dense_violation(nan, cost)[1]
+
+    # Rows 150 and 290 both reach 4 on every column but 150 and 290: the first wins.
+    tie = np.zeros(N_POINTS)
+    tie[[150, 290]] = 5.0
+    c = np.ones((N_POINTS, N_POINTS))
+    np.fill_diagonal(c, 0.0)
+    discrete = CostMatrix(c)
+    assert lipschitz_violation(tie, discrete) == dense_violation(tie, discrete) == (4.0, (150, 0))
+
+    feasible = 0.5 * cost.scaled[:, 0]
+    assert lipschitz_violation(feasible, cost) == dense_violation(feasible, cost) == (0.0, None)
 
 
 def test_lipschitz_function_rejects_infeasible():
