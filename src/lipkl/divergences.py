@@ -68,12 +68,11 @@ class TransportSolution:
 
     def complementary_slackness_residual(self, cost: CostMatrix) -> float:
         """Worst |g_i - g_j - b c_ij| over plan entries above 1e-12."""
-        mask = self.plan > 1e-12
-        if not mask.any():
+        i, j = np.nonzero(self.plan > 1e-12)
+        if i.size == 0:
             return 0.0
         g = self.potential.values
-        gap = g[:, None] - g[None, :] - cost.scaled
-        return float(np.abs(gap[mask]).max())
+        return float(np.abs(g[i] - g[j] - cost.scaled[i, j]).max())
 
 
 def transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, cost: CostMatrix) -> TransportSolution:

@@ -28,7 +28,11 @@ c-transform and :func:`lipschitz_violation`. A block stays in cache while it is 
 no pass makes an n x n temporary beside the matrices it reads and writes.
 
 All types are immutable after construction (arrays are frozen), so instances
-can be shared freely across threads.
+can be shared freely across threads. A :class:`CostMatrix` keeps a read-only
+float64 input that is already canonical (no entry below zero, a +0.0
+diagonal) instead of copying it: :func:`metric_cost` hands over its freshly
+built matrix this way, and :meth:`CostMatrix.with_scale` reuses its entries.
+Such an array must not be written through another handle afterwards.
 """
 
 from __future__ import annotations
@@ -86,6 +90,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _as_point(p):
     """Canonicalize one point: numbers and number sequences become float tuples."""
+    if type(p) is tuple and all(type(x) is float for x in p):
+        return p  # already canonical; skips the slower numbers.Real checks
     if isinstance(p, numbers.Real) and not isinstance(p, bool):
         return (float(p),)
     if isinstance(p, (list, tuple, np.ndarray)):
@@ -345,11 +351,17 @@ class CostMatrix:
     """Pairwise ground cost c(x, y) with a positive scale multiplier.
 
     ``entries`` is the unit-scale cost; the effective cost used by every
-    solver is ``scaled = scale_b * entries``, computed once here. The constructor
-    applies the structural rule of the module docstring, raising
+    solver is ``scaled = scale_b * entries``, computed once here (at
+    ``scale_b == 1`` it is ``entries`` itself). The constructor applies the
+    structural rule of the module docstring, raising
     :class:`CostValidationError`. The O(n^3) triangle-inequality check is
     performed by :func:`validate_cost`; the euclidean/manhattan builders
     satisfy it by construction.
+
+    Ownership: a read-only float64 array with a +0.0 diagonal that passes the
+    rule is kept as ``entries`` without a copy, so the caller must not write
+    to it through another handle (a writeable base or view). Any other input
+    is copied, its diagonal set to +0.0 and its entries clamped at zero.
     """
 
     entries: np.ndarray
@@ -363,11 +375,17 @@ class CostMatrix:
         c = np.asarray(self.entries, dtype=float)
         if violations := _structure_violations(c):
             raise CostValidationError(violations)
-        c = np.maximum(c, 0.0)
-        np.fill_diagonal(c, 0.0)
+        # np.asarray hands back any input that is not float64 as a fresh,
+        # writeable array, and a writeable input may still change: only a
+        # read-only float64 input is kept. An accepted matrix is strictly
+        # positive off the diagonal, so it is already canonical when every
+        # diagonal bit is clear (+0.0).
+        if c.flags.writeable or np.diagonal(c).view(np.uint64).any():
+            c = np.maximum(c, 0.0)
+            np.fill_diagonal(c, 0.0)
         object.__setattr__(self, "entries", _freeze(c))
         object.__setattr__(self, "scale_b", scale)
-        object.__setattr__(self, "scaled", _freeze(scale * c))
+        object.__setattr__(self, "scaled", c if scale == 1.0 else _freeze(scale * c))
 
     @property
     def n(self) -> int:
@@ -437,7 +455,7 @@ def metric_cost(point_set: PointSet, metric: str = "euclidean", scale_b: float =
             rows += norms[metric](term, out=term)
         if metric == "euclidean":
             np.sqrt(rows, out=rows)
-    return CostMatrix(c, scale_b)
+    return CostMatrix(_freeze(c), scale_b)
 
 
 # ---------------------------------------------------------------------------

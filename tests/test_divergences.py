@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lipkl import (
     line_transport_cost,
     merge_supports,
     metric_cost,
+    project_lipschitz,
     relative_entropy,
     transport_cost,
 )
@@ -161,6 +163,30 @@ def test_certificates(rng):
         assert pairing == pytest.approx(sol.value, abs=1e-9)
         assert sol.complementary_slackness_residual(cost) <= 1e-8
         assert sol.potential.values[0] == 0.0
+
+
+def dense_slackness_residual(sol, cost):
+    mask = sol.plan > 1e-12
+    g = sol.potential.values
+    gap = g[:, None] - g[None, :] - cost.scaled
+    return float(np.abs(gap[mask]).max())
+
+
+def test_slackness_residual_matches_the_dense_formula():
+    n = 300
+    rng = np.random.default_rng(11)
+    ps = PointSet(tuple((k + 0.5) / n for k in range(n)))
+    cost = metric_cost(ps, "euclidean", 2.0)
+    mu_w, nu_w = np.zeros(n), np.zeros(n)
+    mu_w[rng.choice(n, 15, replace=False)] = rng.random(15)
+    nu_w[rng.choice(n, 20, replace=False)] = rng.random(20)
+    sol = transport_cost(DiscreteMeasure(ps, mu_w / mu_w.sum()),
+                         DiscreteMeasure(ps, nu_w / nu_w.sum()), cost)
+    # A feasible potential that is not optimal leaves large gaps on the plan.
+    other = replace(sol, potential=project_lipschitz(rng.normal(0, 1, n), cost))
+    for s in (sol, other):
+        assert s.complementary_slackness_residual(cost) == dense_slackness_residual(s, cost)
+    assert other.complementary_slackness_residual(cost) > 0.1
 
 
 # ---------------------------------------------------------------------------

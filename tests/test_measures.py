@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,21 +31,57 @@ from conftest import random_point_set
 
 
 def test_point_set_rejects_duplicates():
-    with pytest.raises(ValidationError, match=r"duplicate point at index 2: \(0\.0,\)"):
-        PointSet(((0.0,), (1.0,), (0.0,)))
+    for zero in [(0.0,), 0.0, 0, np.float64(0.0), [0], np.zeros(1)]:
+        with pytest.raises(ValidationError, match=r"duplicate point at index 2: \(0\.0,\)"):
+            PointSet(((0.0,), (1.0,), zero))
 
 
 def test_point_set_scalar_points_become_1d():
-    ps = PointSet((0.0, 0.5, 1.0))
-    assert ps.dimension == 1
-    assert ps.coords.shape == (3, 1)
+    for points in [
+        (0.0, 0.5, 1.0),
+        (0, 0.5, 1),
+        (np.float64(0.0), np.float64(0.5), np.float64(1.0)),
+        ([0.0], [0.5], [1]),
+        ((0.0,), (0.5,), (1.0,)),
+    ]:
+        ps = PointSet(points)
+        assert ps.dimension == 1
+        assert ps.coords.shape == (3, 1)
+        assert ps.points == ((0.0,), (0.5,), (1.0,))
 
 
 def test_point_set_labels():
-    ps = PointSet(("a", "b"))
-    assert not ps.is_numeric
-    with pytest.raises(ValidationError):
-        _ = ps.coords
+    for labels in [("a", "b"), (True, False), ("a", (True, 1.0))]:
+        ps = PointSet(labels)
+        assert not ps.is_numeric
+        assert ps.points == labels
+        with pytest.raises(ValidationError):
+            _ = ps.coords
+
+
+@pytest.mark.parametrize("point, canonical", [
+    ((0.5, 1.0), (0.5, 1.0)),
+    ((), ()),
+    (2, (2.0,)),
+    ((1, 2.5), (1.0, 2.5)),
+    (np.float64(0.25), (0.25,)),
+    ((np.float64(0.25), 1.0), (0.25, 1.0)),
+    ([0.5, 3], (0.5, 3.0)),
+    (np.array([0.5, 3.0]), (0.5, 3.0)),
+    (True, True),
+    ((True, 1.0), (True, 1.0)),
+    ((1.0, "a"), (1.0, "a")),
+    ("a", "a"),
+])
+def test_points_canonicalize_to_python_floats(point, canonical):
+    ps = PointSet((point,))
+    (got,) = ps.points
+    assert got == canonical and type(got) is type(canonical)
+    if isinstance(got, tuple):
+        assert [type(x) for x in got] == [type(x) for x in canonical]
+    assert ps.index(point) == 0
+    if type(point) is tuple and all(type(x) is float for x in point):
+        assert got is point  # an already canonical point is kept as given
 
 
 def test_measure_weights_validated():
@@ -189,6 +226,12 @@ def perturbed_cost(rng):
     return c
 
 
+def read_only(c, dtype=float):
+    c = np.array(c, dtype=dtype)
+    c.flags.writeable = False
+    return c
+
+
 def test_cost_matrix_matches_the_reference_rule():
     rng = np.random.default_rng(2024)
     rejected = 0
@@ -204,6 +247,8 @@ def test_cost_matrix_matches_the_reference_rule():
             continue
         assert expected is not None, c
         assert entries.tobytes() == expected.tobytes()
+        # A read-only input, kept or copied, reads the same.
+        assert CostMatrix(read_only(c)).entries.tobytes() == expected.tobytes()
     assert 300 < rejected < 2700
 
 
@@ -223,6 +268,70 @@ def test_scaled_cost_is_computed_once():
     assert not cost.scaled.flags.writeable
     assert cost.scaled.tobytes() == (2.5 * cost.entries).tobytes()
     assert np.array_equal(cost.with_scale(3.0).scaled, 3.0 * cost.entries)
+    unit = cost.with_scale(1.0)
+    assert unit.entries is cost.entries  # the checked entries are reused
+    assert unit.scaled is unit.entries
+
+
+BASE_COST = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+
+
+def with_entry(i, j, value):
+    c = np.array(BASE_COST)
+    c[i, j] = value
+    return c
+
+
+def test_writeable_cost_is_copied():
+    c = np.array(BASE_COST)
+    cost = CostMatrix(c)
+    assert not np.shares_memory(cost.entries, c)
+    c[0, 1] = c[1, 0] = 5.0
+    assert cost.entries.tobytes() == reference_cost_rule(BASE_COST).tobytes()
+
+
+# tol = 1e-12 * (1 + max c) = 3e-12: each entry passes the rule but is not canonical.
+@pytest.mark.parametrize("c", [
+    read_only(with_entry(1, 1, -1e-12)),
+    read_only(with_entry(2, 2, -0.0)),
+    read_only(with_entry(0, 0, 1e-14)),
+    read_only(BASE_COST, np.float32),
+], ids=["negative-diagonal", "minus-zero-diagonal", "positive-diagonal", "float32"])
+def test_read_only_cost_off_the_canonical_form_is_copied(c):
+    before = c.tobytes()
+    cost = CostMatrix(c)
+    assert not np.shares_memory(cost.entries, c)
+    assert c.tobytes() == before
+    assert cost.entries.tobytes() == reference_cost_rule(c).tobytes()
+
+
+def test_canonical_read_only_cost_is_kept():
+    c = read_only(BASE_COST)
+    cost = CostMatrix(c, 2.0)
+    expected = reference_cost_rule(c)
+    assert np.shares_memory(cost.entries, c)
+    assert cost.entries.tobytes() == expected.tobytes()
+    assert cost.scaled.tobytes() == (2.0 * expected).tobytes()
+
+
+def test_cost_matrix_memory():
+    # One n x n float64 array is `unit` bytes. A cost at scale != 1 holds two
+    # (entries and scaled); with_scale makes only the new scaled array.
+    n = 1000
+    unit = n * n * 8
+    ps = PointSet(tuple(((k + 0.5) / n,) for k in range(n)))
+    tracemalloc.start()
+    try:
+        cost = metric_cost(ps, "euclidean", 2.0)
+        built_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        cost.with_scale(3.0)
+        rescale_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built_peak < 2.5 * unit
+    assert rescale_peak - held < 1.5 * unit
 
 
 # Block-crossing cases: 300 points span two full blocks of rows plus a
