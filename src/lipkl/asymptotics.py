@@ -162,14 +162,11 @@ def nearest_atom_aggregation(mu: DiscreteMeasure, nu: DiscreteMeasure,
     cols = nu.support
     if cols.size == 0:
         raise ValidationError("nu has empty support")
-    tie = False
+    rows = mu.support
+    dists = cost0.entries[np.ix_(rows, cols)]
+    tie = bool((np.sum(dists == dists.min(axis=1, keepdims=True), axis=1) > 1).any())
     weights = np.zeros(mu.point_set.n)
-    for j in mu.support:
-        dists = cost0.entries[j, cols]
-        best = float(dists.min())
-        if int((dists == best).sum()) > 1:
-            tie = True
-        weights[cols[int(dists.argmin())]] += mu.weights[j]
+    np.add.at(weights, cols[dists.argmin(axis=1)], mu.weights[rows])
     if tie:
         warnings.warn(
             "equidistant nearest atoms; tie broken toward the lowest index "

@@ -44,9 +44,9 @@ step, which is what lets the solver certify gaps near machine precision.
 Guesses are drawn from both the certificate LP's plan and the mirror
 iterate's own coupling (the latter tracks exponentially small masses at the
 correct order, which the log(gamma/nu) candidate cannot). The support
-forest is rooted by the same walk that roots the transport simplex's basis
-tree (``divergences._rooted_walk``), and every component's constant comes
-from one bincount pass over component labels.
+forest is rooted and its components labelled by the same walk that roots
+the transport simplex's basis tree (``divergences._rooted_walk``), and every
+component's constant comes from one bincount pass over those labels.
 
 Certificate rounds run at mirror iterations 1, 2, 4, 8, ... and once on the
 last iterate: early rounds catch solves whose structure is visible at once,
@@ -211,24 +211,19 @@ class _Workspace:
         for i, j in zip(*(ix.tolist() for ix in np.nonzero(keep))):
             forest[i].append(m + j)
             forest[m + j].append(i)
-        # Rows come first among the roots, so every component with a row is
-        # rooted at one (potential 0); the rest are single loose columns.
-        parent, _, pot = _rooted_walk(forest, self.C_rc.tolist(), m, range(m + k))
+        # Rows have the lowest node numbers, so every component with a row is
+        # rooted at one (potential 0) and labelled before the rest, which are
+        # single loose columns: the components that hold rows are 0..p-1.
+        # Each also holds a column (its rows' argmax), so every label occurs
+        # in both bincounts below.
+        _, _, pot, comp = _rooted_walk(forest, self.C_rc.tolist(), m)
         val_rows = np.array(pot[:m])
         val_cols = -np.array(pot[m:])
-
-        # Label every node by its root (pointer doubling), then number the
-        # components that hold rows 0..p-1; each also holds a column (its
-        # rows' argmax), so every label occurs in both bincounts below.
-        root = np.array(parent)
-        top = root < 0
-        root[top] = np.flatnonzero(top)
-        while not np.array_equal(root[root], root):
-            root = root[root]
+        comp = np.array(comp)
         attached = keep.any(axis=0)
-        ids, comp_of_row = np.unique(root[:m], return_inverse=True)
-        comp_of_col = np.searchsorted(ids, root[m:][attached])
-        p = ids.size
+        comp_of_row = comp[:m]
+        comp_of_col = comp[m:][attached]
+        p = int(comp_of_row.max()) + 1
         masses = np.bincount(comp_of_row, weights=self.a)
         z = val_cols[attached] + self.logw[attached]
         peak = np.full(p, -np.inf)

@@ -4,8 +4,10 @@ The transport LP is solved by a network simplex on the bipartite transport
 graph (a transportation simplex): north-west-corner initial basis, Bland's
 rule for the entering cell, lowest-index tie break for the leaving cell.
 Each pivot roots the basis tree in one walk that yields parent pointers,
-depths and dual potentials, and reads the pivot cycle off the parent
-pointers (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11). This is
+depths, dual potentials and component labels, checks that the basis spans
+(one component), and reads the pivot cycle off the parent pointers (Ahuja,
+Magnanti & Orlin, *Network Flows*, 1993, ch. 11). The same walk roots and
+labels the components of the structure closure's support forest. This is
 exact up to floating-point arithmetic and produces a dual certificate: at
 the returned plan and potential, complementary slackness holds and the dual
 objective equals the primal value.
@@ -121,22 +123,21 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     X, basis = _northwest_corner(a, b)
     # Basis tree on nodes 0..m-1 (rows) and m..m+n-1 (columns).
     tree: list[set[int]] = [set() for _ in range(m + n)]
-    in_basis = np.zeros((m, n), dtype=bool)
     for i, j in basis:
         tree[i].add(m + j)
         tree[m + j].add(i)
-        in_basis[i, j] = True
     cost = C.tolist()
 
     eps = 1e-11 * (1.0 + float(np.abs(C).max(initial=0.0)))
     for _ in range(40 * (m + n) ** 2 + 1000):
-        parent, depth, pot = _rooted_walk(tree, cost, m)
+        parent, depth, pot, comp = _rooted_walk(tree, cost, m)
+        if any(comp):
+            raise RuntimeError("transport basis is not spanning; numerical breakdown")
         u = np.array(pot[:m])
         v = np.array(pot[m:])
-        reduced = C - u[:, None] - v[None, :]
-        reduced[in_basis] = 0.0
-        # Bland's rule: first cell in row-major order with negative reduced cost.
-        neg = (reduced < -eps).ravel()
+        # Bland's rule: first cell in row-major order with negative reduced
+        # cost. A basis cell's reduced cost is 0 up to rounding, far inside eps.
+        neg = (C - u[:, None] - v[None, :] < -eps).ravel()
         first = int(neg.argmax())
         if not neg[first]:
             return X, u, v
@@ -164,10 +165,8 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
         li, lj = leave
         tree[li].remove(m + lj)
         tree[m + lj].remove(li)
-        in_basis[leave] = False
         tree[ei].add(m + ej)
         tree[m + ej].add(ei)
-        in_basis[ei, ej] = True
     raise RuntimeError("transport simplex failed to terminate (pivot limit reached)")
 
 
@@ -197,21 +196,24 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
     return X, basis
 
 
-def _rooted_walk(tree, cost, m, roots=(0,)):
+def _rooted_walk(tree, cost, m):
     """Root every component of a bipartite forest (nodes below ``m`` are
-    rows, the rest columns) at the first of ``roots`` it contains: parent,
-    depth and potential of each node, with potential 0 at a root and
-    u_i + v_j = C_ij on every tree edge, each fixed by its unique root path.
-    Raises if a node is left unreached.
+    rows, the rest columns) at its lowest-numbered node: parent, depth,
+    potential and component label of each node, with potential 0 at a root
+    and u_i + v_j = C_ij on every tree edge, each fixed by its unique root
+    path. Components are numbered 0, 1, ... in the order of their roots.
     """
     size = len(tree)
     parent = [-1] * size
     depth = [-1] * size
     pot = [0.0] * size
-    for root in roots:
+    comp = [0] * size
+    label = 0
+    for root in range(size):
         if depth[root] >= 0:
             continue
         depth[root] = 0
+        comp[root] = label
         stack = [root]
         while stack:
             node = stack.pop()
@@ -220,9 +222,9 @@ def _rooted_walk(tree, cost, m, roots=(0,)):
                     continue
                 parent[other] = node
                 depth[other] = depth[node] + 1
+                comp[other] = label
                 edge = cost[node][other - m] if other >= m else cost[other][node - m]
                 pot[other] = edge - pot[node]
                 stack.append(other)
-    if min(depth) < 0:
-        raise RuntimeError("transport basis is not spanning; numerical breakdown")
-    return parent, depth, pot
+        label += 1
+    return parent, depth, pot, comp

@@ -141,9 +141,10 @@ class PointSet:
 
     @property
     def is_numeric(self) -> bool:
-        return all(isinstance(p, tuple) for p in self.points) and len(
-            {len(p) for p in self.points}
-        ) == 1
+        """Every point is a tuple of floats, and all have one length."""
+        return all(
+            isinstance(p, tuple) and all(isinstance(x, float) for x in p) for p in self.points
+        ) and len({len(p) for p in self.points}) == 1
 
     @property
     def dimension(self) -> int:

@@ -9,6 +9,7 @@ pricer, which is itself checked against the closed-form 1-D identity
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,18 +46,15 @@ class OracleValue:
 
 
 def _simplex_grid(k: int, steps: int) -> np.ndarray:
-    """All integer compositions of ``steps`` into ``k`` parts, scaled to 1."""
+    """All integer compositions of ``steps`` into ``k`` parts, scaled to 1.
+
+    Stars and bars: k - 1 bar positions among steps + k - 1 slots give one
+    composition each, in lexicographic order of the parts.
+    """
     if k == 1:
         return np.ones((1, 1))
-    out = []
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + [remaining])
-            return
-        for t in range(remaining + 1):
-            rec(prefix + [t], remaining - t, slots - 1)
-    rec([], steps, k)
-    return np.asarray(out, dtype=float) / steps
+    bars = np.array(list(itertools.combinations(range(steps + k - 1), k - 1)))
+    return (np.diff(bars, axis=1, prepend=-1, append=steps + k - 1) - 1) / steps
 
 
 def grid_divergence(

@@ -237,25 +237,24 @@ def test_simplex_certificate_thin(rng):
         assert_simplex_certificate(w, np.ones(1), rng.uniform(0.0, 3.0, (k, 1)))
 
 
-def test_rooted_walk_roots_each_component_at_its_first_listed_root(rng):
-    # Rows 0-2, columns 3-6; components {0, 1, 3, 4}, {2, 5} and {6}.
+def test_rooted_walk_roots_and_labels_each_component_at_its_lowest_node(rng):
+    # Rows 0-2, columns 3-6; components {0, 4}, {1, 2, 3, 5} and {6}.
     C = rng.uniform(0.0, 3.0, (3, 4))
-    edges = [(0, 0), (1, 0), (1, 1), (2, 2)]
+    edges = [(0, 1), (1, 0), (2, 0), (2, 2)]
     tree = [[] for _ in range(7)]
     for i, j in edges:
         tree[i].append(3 + j)
         tree[3 + j].append(i)
-    parent, depth, pot = _rooted_walk(tree, C.tolist(), 3, roots=[4, 1, 2, 0, 6, 5])
-    expected = {0: 4, 1: 4, 3: 4, 4: 4, 2: 2, 5: 2, 6: 6}
+    parent, depth, pot, comp = _rooted_walk(tree, C.tolist(), 3)
+    expected = {0: 0, 4: 0, 1: 1, 2: 1, 3: 1, 5: 1, 6: 6}
     for node, root in expected.items():
         while parent[node] >= 0:
             assert depth[parent[node]] == depth[node] - 1
             node = parent[node]
         assert node == root and depth[node] == 0 and pot[node] == 0.0
+    assert comp == [0, 1, 1, 1, 0, 1, 2]
     for i, j in edges:
         assert pot[i] + pot[3 + j] == pytest.approx(C[i, j], abs=1e-15)
-    with pytest.raises(RuntimeError, match="not spanning"):
-        _rooted_walk(tree, C.tolist(), 3)
 
 
 def test_simplex_raises_on_a_basis_that_does_not_span(monkeypatch):
@@ -268,5 +267,9 @@ def test_simplex_raises_on_a_basis_that_does_not_span(monkeypatch):
         return X, basis[:-1]
 
     monkeypatch.setattr(lipkl.divergences, "_northwest_corner", short_basis)
-    with pytest.raises(RuntimeError, match="not spanning"):
-        transport_simplex(np.full(2, 0.5), np.full(2, 0.5), np.ones((2, 2)))
+    # Dropping the last corner cell cuts off the last column of a 2 x 2
+    # basis, but the last row of a 2 x 1 basis: not the last node, since the
+    # one column stays with row 0.
+    for a, b in (([0.5, 0.5], [0.5, 0.5]), ([0.5, 0.5], [1.0])):
+        with pytest.raises(RuntimeError, match="not spanning"):
+            transport_simplex(np.array(a), np.array(b), np.ones((len(a), len(b))))

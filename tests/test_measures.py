@@ -51,12 +51,14 @@ def test_point_set_scalar_points_become_1d():
 
 
 def test_point_set_labels():
-    for labels in [("a", "b"), (True, False), ("a", (True, 1.0))]:
+    for labels in [("a", "b"), (True, False), ("a", (True, 1.0)), (("a", 1.0), ("b", 2.0))]:
         ps = PointSet(labels)
         assert not ps.is_numeric
         assert ps.points == labels
         with pytest.raises(ValidationError):
             _ = ps.coords
+        with pytest.raises(ValidationError, match="non-numeric labels"):
+            metric_cost(ps)
 
 
 @pytest.mark.parametrize("point, canonical", [
