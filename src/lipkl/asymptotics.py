@@ -163,7 +163,7 @@ def nearest_atom_aggregation(mu: DiscreteMeasure, nu: DiscreteMeasure,
     if cols.size == 0:
         raise ValidationError("nu has empty support")
     rows = mu.support
-    dists = cost0.entries[np.ix_(rows, cols)]
+    dists = cost0.with_scale(1.0).block(rows, cols)
     tie = bool((np.sum(dists == dists.min(axis=1, keepdims=True), axis=1) > 1).any())
     weights = np.zeros(mu.point_set.n)
     np.add.at(weights, cols[dists.argmin(axis=1)], mu.weights[rows])

@@ -72,7 +72,6 @@ from .measures import (
     ValidationError,
     lipschitz_violation,
     _c_transform,
-    _columns,
     _lipschitz_tol,
     _log_mgf,
     _potential_values,
@@ -148,8 +147,7 @@ class _Workspace:
         self.cost = cost
         self.rows = mu.support
         self.cols = nu.support
-        self.C_rc = cost.scaled[np.ix_(self.rows, self.cols)]
-        self.C_xc = _columns(cost.scaled, self.cols)  # chosen once per solve
+        self.C_rc = cost.block(self.rows, self.cols)
         self.a = mu.weights[self.rows]
         self.logw = np.log(nu.weights[self.cols])
 
@@ -160,7 +158,7 @@ class _Workspace:
         Gibbs tilt becomes the primal measure, and the transport part is
         priced exactly by the network simplex. Shift-invariant in g_cols.
         """
-        g_full = _c_transform(g_cols, self.C_xc)
+        g_full = _c_transform(g_cols, self.cost, self.cols)
         gc = g_full[self.cols]
         lse = float(np.logaddexp.reduce(gc + self.logw))
         dual = float(self.mu.weights @ g_full) - lse

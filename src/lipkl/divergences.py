@@ -26,7 +26,6 @@ from .measures import (
     LipschitzFunction,
     ValidationError,
     _c_transform,
-    _columns,
     _require_same_point_set,
 )
 
@@ -74,7 +73,9 @@ class TransportSolution:
         if i.size == 0:
             return 0.0
         g = self.potential.values
-        return float(np.abs(g[i] - g[j] - cost.scaled[i, j]).max())
+        rows, r = np.unique(i, return_inverse=True)
+        cols, c = np.unique(j, return_inverse=True)
+        return float(np.abs(g[i] - g[j] - cost.block(rows, cols)[r, c]).max())
 
 
 def transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, cost: CostMatrix) -> TransportSolution:
@@ -85,7 +86,7 @@ def transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, cost: CostMatrix
         raise ValidationError("cost matrix size does not match the point set")
     rows = mu.support
     cols = gamma.support
-    sub = cost.scaled[np.ix_(rows, cols)]
+    sub = cost.block(rows, cols)
     flow, _, v = transport_simplex(mu.weights[rows], gamma.weights[cols], sub)
 
     plan = np.zeros((n, n))
@@ -94,7 +95,7 @@ def transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, cost: CostMatrix
 
     # Column potential -v extends to the whole set by c-transform; this keeps
     # dual feasibility on all pairs (triangle inequality) and optimality.
-    full = _c_transform(-v, _columns(cost.scaled, cols))
+    full = _c_transform(-v, cost, cols)
     full = full - full[0]
     potential = LipschitzFunction(full, cost)
     return TransportSolution(value=value, plan=plan, potential=potential)

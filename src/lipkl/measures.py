@@ -16,23 +16,28 @@ probability vectors. Every Lipschitz-feasibility verdict allows an excess of
 ``LIP_ATOL * (1 + max |g|)``.
 
 Each type derives its data once, in its constructor: a :class:`PointSet`
-holds the position of every point, and a :class:`CostMatrix` holds its scaled
-cost ``scale_b * entries``. Every weight vector read from points and weights
-(duplicate points in a file, merged supports, a perturbation direction) is
-placed by ``_place``, which sums weights onto a point set in the given order.
+holds the position of every point, and a :class:`CostMatrix` holds its
+accepted source, an explicit matrix or the coordinates of a metric cost.
+Every weight vector read from points and weights (duplicate points in a
+file, merged supports, a perturbation direction) is placed by ``_place``,
+which sums weights onto a point set in the given order.
 
-Every O(n^2) pass on the solve path streams over the cost in blocks of
-``_BLOCK`` rows: the symmetry check (square tiles, each paired with its
-transpose), :func:`metric_cost` (a block's coordinates one at a time), the
-c-transform and :func:`lipschitz_violation`. A block stays in cache while it is used, and
-no pass makes an n x n temporary beside the matrices it reads and writes.
+Every reader on the solve path takes the scaled cost from
+:meth:`CostMatrix.block`, a few rows and columns at a time, and every O(n^2)
+pass streams over blocks of ``_BLOCK`` rows: the c-transform,
+:func:`lipschitz_violation`, the check of a metric cost and the symmetry
+check of an explicit one (square tiles, each paired with its transpose). A
+metric cost computes each block from its coordinates, in place, and stores
+no n x n array; a pass holds a few blocks at a time, never an n x n
+temporary. Only exports read ``entries`` or ``scaled`` whole, and build
+them then.
 
 All types are immutable after construction (arrays are frozen), so instances
 can be shared freely across threads. A :class:`CostMatrix` keeps a read-only
 float64 input that is already canonical (no entry below zero, a +0.0
-diagonal) instead of copying it: :func:`metric_cost` hands over its freshly
-built matrix this way, and :meth:`CostMatrix.with_scale` reuses its entries.
-Such an array must not be written through another handle afterwards.
+diagonal) instead of copying it, and :meth:`CostMatrix.with_scale` shares
+its source. Such an array must not be written through another handle
+afterwards.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import json
 import numbers
 import reprlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -72,11 +78,14 @@ LIP_ATOL = 1e-9        # slack allowed when certifying Lipschitz feasibility
 COST_RTOL = 1e-12      # symmetry, diagonal and sign of a cost, relative to 1 + max c
 TRIANGLE_RTOL = 1e-9   # triangle inequality of a cost, relative to 1 + max c
 MAX_REPORTS = 50       # witnesses listed per kind of cost violation
-# Rows per block of a streamed n x n pass (tiles are _BLOCK x _BLOCK). On the
-# 3 001-point grid (2-core VM, best of 5) the tiled symmetry check took 62, 31,
-# 23, 25 and 29 ms at 32, 64, 128, 256 and 512 rows; the whole-matrix c - c.T
-# took 89 ms.
-_BLOCK = 128
+# Rows per block of a streamed n x n pass (tiles are _BLOCK x _BLOCK). A
+# Lipschitz check of a 1-D cost holds two blocks at once (g_i - g_j and the
+# cost), 0.13 n^2 doubles at n = 1000. On a 3 050-point grid cost at scale 3
+# (2-core VM, best of 25), at 32, 64 and 128 rows: a c-transform pass from
+# coordinates took 17.9, 20.1 and 22.8 ms, a Lipschitz check 17.2, 25.4 and
+# 26.1 ms, and the tiled symmetry check of an explicit 3 001-point cost 60.7,
+# 23.8 and 19.3 ms.
+_BLOCK = 64
 
 
 class ValidationError(ValueError):
@@ -347,17 +356,29 @@ def _asymmetry(c: np.ndarray) -> float:
     return worst
 
 
-@dataclass(frozen=True)
+_NORMS = {"euclidean": np.square, "manhattan": np.abs}
+
+
 class CostMatrix:
     """Pairwise ground cost c(x, y) with a positive scale multiplier.
 
-    ``entries`` is the unit-scale cost; the effective cost used by every
-    solver is ``scaled = scale_b * entries``, computed once here (at
-    ``scale_b == 1`` it is ``entries`` itself). The constructor applies the
-    structural rule of the module docstring, raising
-    :class:`CostValidationError`. The O(n^3) triangle-inequality check is
-    performed by :func:`validate_cost`; the euclidean/manhattan builders
-    satisfy it by construction.
+    Every solver reads the scaled cost ``scale_b * c`` through :meth:`block`,
+    a few rows and columns at a time. A cost has one of two sources:
+
+    - explicit: ``CostMatrix(entries, scale_b)`` applies the structural rule
+      of the module docstring to a square matrix, raising
+      :class:`CostValidationError`, and stores it; :meth:`block` gathers the
+      stored ``scaled``. The O(n^3) triangle-inequality check is performed by
+      :func:`validate_cost`.
+    - coordinates: :func:`metric_cost` keeps the points' coordinates and the
+      metric, and :meth:`block` computes each block from them. No n x n array
+      is stored; the euclidean and manhattan metrics satisfy the rule's
+      symmetry, zero diagonal and the triangle inequality by construction.
+
+    ``entries`` is the unit-scale matrix and ``scaled = scale_b * entries``
+    (``entries`` itself at ``scale_b == 1``). Each is built on first access
+    and cached; only exports read them. :meth:`with_scale` shares the
+    accepted source and checks nothing again.
 
     Ownership: a read-only float64 array with a +0.0 diagonal that passes the
     rule is kept as ``entries`` without a copy, so the caller must not write
@@ -365,15 +386,12 @@ class CostMatrix:
     is copied, its diagonal set to +0.0 and its entries clamped at zero.
     """
 
-    entries: np.ndarray
-    scale_b: float = 1.0
-    scaled: np.ndarray = field(init=False, repr=False, compare=False)
+    _coords: np.ndarray | None = None  # (d, n): row k holds coordinate k of every point
+    _metric: str | None = None
 
-    def __post_init__(self):
-        scale = float(self.scale_b)
-        if not (scale > 0 and np.isfinite(scale)):
-            raise ValidationError(f"scale_b must be a positive real, got {scale!r}")
-        c = np.asarray(self.entries, dtype=float)
+    def __init__(self, entries, scale_b: float = 1.0):
+        scale = _positive_scale(scale_b)
+        c = np.asarray(entries, dtype=float)
         if violations := _structure_violations(c):
             raise CostValidationError(violations)
         # np.asarray hands back any input that is not float64 as a fresh,
@@ -384,16 +402,108 @@ class CostMatrix:
         if c.flags.writeable or np.diagonal(c).view(np.uint64).any():
             c = np.maximum(c, 0.0)
             np.fill_diagonal(c, 0.0)
-        object.__setattr__(self, "entries", _freeze(c))
-        object.__setattr__(self, "scale_b", scale)
-        object.__setattr__(self, "scaled", c if scale == 1.0 else _freeze(scale * c))
+        self.__dict__.update(entries=_freeze(c), scale_b=scale)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CostMatrix is immutable; cannot set {name!r}")
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return len(self.entries) if self._coords is None else self._coords.shape[1]
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        # An explicit cost stores its matrix under this name at construction.
+        return _freeze(_distances(self._coords, self._metric, slice(None), slice(None)))
+
+    @cached_property
+    def scaled(self) -> np.ndarray:
+        return self.entries if self.scale_b == 1.0 else _freeze(self.scale_b * self.entries)
+
+    def block(self, rows, cols) -> np.ndarray:
+        """The scaled cost of ``rows`` x ``cols`` as a fresh array the caller
+        may write to. Each of ``rows`` and ``cols`` is a slice or an integer
+        index array (repeats allowed) over the point set."""
+        if self._coords is None:
+            index = np.arange(self.n)
+            return self.scaled[np.ix_(index[rows], index[cols])]
+        out = _distances(self._coords, self._metric, rows, cols)
+        if self.scale_b != 1.0:
+            out *= self.scale_b
+        return out
 
     def with_scale(self, scale_b: float) -> "CostMatrix":
-        return CostMatrix(self.entries, scale_b)
+        """This cost at scale ``scale_b``. The accepted source is shared, and
+        no check runs again."""
+        return _accepted_cost(scale_b, {k: v for k, v in self.__dict__.items()
+                                        if k not in ("scale_b", "scaled")})
+
+
+def _positive_scale(scale_b) -> float:
+    scale = float(scale_b)
+    if not (scale > 0 and np.isfinite(scale)):
+        raise ValidationError(f"scale_b must be a positive real, got {scale!r}")
+    return scale
+
+
+def _accepted_cost(scale_b, source: dict) -> CostMatrix:
+    """A :class:`CostMatrix` over a source that has passed the structural
+    rule: ``{"entries": matrix}`` or ``{"_coords": x, "_metric": name}``."""
+    cost = object.__new__(CostMatrix)
+    cost.__dict__.update(source, scale_b=_positive_scale(scale_b))
+    return cost
+
+
+def _distances(x: np.ndarray, metric: str, rows, cols) -> np.ndarray:
+    """Unit-scale distances from points ``rows`` to points ``cols`` of the
+    (d, n) coordinates ``x``, as a fresh array computed in place. In 1-D
+    both metrics are |x_i - x_j|, which equals :func:`_formula`'s
+    sqrt((x_i - x_j)^2) whenever the square is a normal float, that is for
+    every gap of at least 1.5e-154."""
+    if len(x) == 1:
+        out = np.subtract.outer(x[0][rows], x[0][cols])
+        return np.abs(out, out=out)
+    return _formula((np.subtract.outer(t[rows], t[cols]) for t in x), metric)
+
+
+def _formula(diffs, metric: str) -> np.ndarray:
+    """The metric of coordinate differences: ``diffs`` yields one fresh
+    array per coordinate, which is overwritten. Each difference's norm is
+    summed in coordinate order (numpy's order for sum(axis=2) over up to 7
+    coordinates), then euclidean takes the sqrt."""
+    norm, diffs = _NORMS[metric], iter(diffs)
+    out = next(diffs)
+    norm(out, out=out)
+    for t in diffs:
+        out += norm(t, out=t)
+    return np.sqrt(out, out=out) if metric == "euclidean" else out
+
+
+def _metric_violations(x: np.ndarray, metric: str) -> list[CostViolation]:
+    """The structural rule on the distance matrix of the (d, n) coordinates
+    ``x``. Symmetry, a zero diagonal and the sign hold by construction;
+    finiteness and strictly positive off-diagonal entries are decided
+    without the matrix. In 1-D the largest entry is the extent and the
+    smallest off the diagonal is the least adjacent gap of the sorted points
+    (rounding is monotone), each taken through :func:`_formula`; for d >= 2
+    one streamed pass decides. Only a failed verdict builds the matrix, so
+    the witnesses are the dense rule's."""
+    d, n = x.shape
+    if d == 1:
+        s = np.sort(x[0])
+        ok = (np.isfinite(_formula([s[-1:] - s[:1]], metric)).all()
+              and _formula([np.diff(s)], metric).min(initial=np.inf) > 0)
+    else:
+        for i in range(0, n, _BLOCK):
+            c = _distances(x, metric, slice(i, i + _BLOCK), slice(None))
+            hi = c.max()  # NaN if any entry is NaN
+            np.fill_diagonal(c[:, i:], np.inf)
+            ok = np.isfinite(hi) and c.min() > 0
+            if not ok:
+                break
+    if ok:
+        return []
+    return _structure_violations(_formula((np.subtract.outer(t, t) for t in x), metric))
 
 
 def cost_violations(entries) -> list[CostViolation]:
@@ -438,25 +548,19 @@ def metric_cost(point_set: PointSet, metric: str = "euclidean", scale_b: float =
     """Pairwise-distance cost from numeric coordinates.
 
     Supported metrics: ``euclidean`` and ``manhattan``. Both satisfy the
-    triangle inequality exactly, so only the cheap structural checks run.
+    triangle inequality exactly, so only the structural rule is checked, and
+    without building the matrix. The cost keeps the coordinates; see
+    :class:`CostMatrix`.
     """
-    norms = {"euclidean": np.square, "manhattan": np.abs}
-    if metric not in norms:
+    if metric not in _NORMS:
         raise ValidationError(f"unknown metric {metric!r}")
-    x = point_set.coords
-    # Each block of rows sums its coordinate terms in coordinate order, which
-    # is numpy's order for sum(axis=2) over up to 7 coordinates. x_i - x_j ==
-    # -(x_j - x_i) exactly in IEEE arithmetic, so c is exactly symmetric with
-    # a zero diagonal.
-    c = np.zeros((x.shape[0],) * 2)
-    for i in range(0, x.shape[0], _BLOCK):
-        rows = c[i:i + _BLOCK]
-        for col in x.T:
-            term = np.subtract.outer(col[i:i + _BLOCK], col)
-            rows += norms[metric](term, out=term)
-        if metric == "euclidean":
-            np.sqrt(rows, out=rows)
-    return CostMatrix(_freeze(c), scale_b)
+    x = _freeze(np.ascontiguousarray(point_set.coords.T))
+    scale = _positive_scale(scale_b)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as not_finite
+        violations = _metric_violations(x, metric)
+    if violations:
+        raise CostValidationError(violations)
+    return _accepted_cost(scale, {"_coords": x, "_metric": metric})
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +577,7 @@ def lipschitz_violation(values, cost: CostMatrix) -> tuple[float, tuple[int, int
     worst, pair = -np.inf, None
     for i in range(0, n, _BLOCK):
         slack = np.subtract.outer(g[i:i + _BLOCK], g)
-        slack -= cost.scaled[i:i + _BLOCK]
+        slack -= cost.block(slice(i, i + _BLOCK), slice(None))
         k = int(slack.argmax())  # the block's first NaN, if it has one
         v = float(slack.flat[k])
         if not v <= worst:
@@ -545,21 +649,18 @@ def project_lipschitz(values, cost: CostMatrix, reference=None) -> LipschitzFunc
             raise ValidationError(f"reference entries must be point indices in "
                                   f"[0, {cost.n}): {reprlib.repr(reference)}")
         ref = r.astype(int)
-    return LipschitzFunction(_c_transform(g[ref], _columns(cost.scaled, ref)), cost)
+    return LipschitzFunction(_c_transform(g[ref], cost, ref), cost)
 
 
-def _columns(m: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``m[:, cols]``: a slice when ``cols`` is exactly 0..k-1, else a gather.
-    merge_supports puts nu's points first, so nu's support is often leading."""
-    k = cols.size
-    return m[:, :k] if np.array_equal(cols, np.arange(k)) else m[:, cols]
-
-
-def _c_transform(h: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """min over j of h_j + m[x, j], at every row x, one block of rows at a time."""
-    if len(m) <= _BLOCK:  # small solves make thousands of these calls: no loop
-        return (m + h).min(axis=1)
-    return np.concatenate([(m[i:i + _BLOCK] + h).min(axis=1) for i in range(0, len(m), _BLOCK)])
+def _c_transform(h: np.ndarray, cost: CostMatrix, cols: np.ndarray) -> np.ndarray:
+    """min over k of h_k + cost(x, cols[k]), at every point x, one block of
+    rows at a time."""
+    out = np.empty(cost.n)
+    for i in range(0, cost.n, _BLOCK):
+        m = cost.block(slice(i, i + _BLOCK), cols)
+        m += h
+        m.min(axis=1, out=out[i:i + _BLOCK])
+    return out
 
 
 # ---------------------------------------------------------------------------

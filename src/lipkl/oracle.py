@@ -84,7 +84,7 @@ def grid_divergence(
     rows = mu.support
     a = mu.weights[rows]
     w = nu.weights[cols]
-    C = cost.scaled[np.ix_(rows, cols)]
+    C = cost.block(rows, cols)
 
     res = config.grid_resolution
     steps = int(round(1.0 / res))

@@ -62,6 +62,14 @@ def test_point_mass_vs_grid_closed_form():
     assert pot.max() - pot.min() <= 1e-6
 
 
+def test_grid_solve_builds_no_cost_matrix():
+    # Every reader on the solve path computes its blocks from the coordinates.
+    mu, nu, cost = make_grid_instance(10.0, n=300)
+    assert divergence(mu, nu, cost, tol=1e-8).certified
+    transport_cost(mu, nu, cost)
+    assert "entries" not in vars(cost) and "scaled" not in vars(cost)
+
+
 def test_two_point_instance_matches_oracle():
     ps = PointSet((0.0, 1.0))
     mu = DiscreteMeasure(ps, [1.0, 0.0])

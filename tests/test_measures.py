@@ -21,6 +21,7 @@ from lipkl import (
     project_lipschitz,
     validate_cost,
 )
+from lipkl import measures
 from lipkl.measures import lipschitz_violation, measure_to_dict
 
 from conftest import random_point_set
@@ -265,7 +266,8 @@ def test_random_distance_matrices_validate(metric, d):
 
 
 def test_scaled_cost_is_computed_once():
-    cost = metric_cost(PointSet((0.0, 0.3, 1.0)), "euclidean", 2.5)
+    x = np.array([0.0, 0.3, 1.0])
+    cost = CostMatrix(np.abs(x[:, None] - x[None, :]), 2.5)
     assert cost.scaled is cost.scaled
     assert not cost.scaled.flags.writeable
     assert cost.scaled.tobytes() == (2.5 * cost.entries).tobytes()
@@ -273,6 +275,81 @@ def test_scaled_cost_is_computed_once():
     unit = cost.with_scale(1.0)
     assert unit.entries is cost.entries  # the checked entries are reused
     assert unit.scaled is unit.entries
+
+
+def test_metric_cost_builds_its_matrices_once():
+    cost = metric_cost(PointSet((0.0, 0.3, 1.0)), "euclidean", 2.5)
+    assert "entries" not in vars(cost) and "scaled" not in vars(cost)
+    assert cost.scaled is cost.scaled
+    assert not cost.scaled.flags.writeable and not cost.entries.flags.writeable
+    assert cost.scaled.tobytes() == (2.5 * cost.entries).tobytes()
+    assert cost.block(slice(None), slice(None)).tobytes() == cost.scaled.tobytes()
+    assert np.array_equal(cost.with_scale(3.0).scaled, 3.0 * cost.entries)
+    unit = cost.with_scale(1.0)
+    assert unit.entries is cost.entries  # entries already built are shared
+    assert unit.scaled is unit.entries
+
+
+def test_with_scale_reuses_the_accepted_verdict(monkeypatch):
+    calls = []
+    rule = measures._structure_violations
+    monkeypatch.setattr(measures, "_structure_violations", lambda c: calls.append(c) or rule(c))
+    cost = CostMatrix(np.array(BASE_COST), 2.0)
+    assert len(calls) == 1
+    for scale in (1.0, 3.0, 0.1):
+        rescaled = cost.with_scale(scale)
+        assert rescaled.entries is cost.entries
+        assert rescaled.scaled.tobytes() == (scale * cost.entries).tobytes()
+    metric_cost(PointSet((0.0, 0.5)), "euclidean").with_scale(3.0).scaled
+    assert len(calls) == 1
+    with pytest.raises(ValidationError, match="scale_b"):
+        cost.with_scale(-1.0)
+
+
+def reference_metric(points, metric="euclidean"):
+    """The dense distance matrix of ``points``: the norms of the coordinate
+    differences, summed, then sqrt for euclidean."""
+    x = np.asarray(points, dtype=float)
+    norm = np.square if metric == "euclidean" else np.abs
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = norm(x[:, None, :] - x[None, :, :]).sum(axis=2)
+    return np.sqrt(c) if metric == "euclidean" else c
+
+
+ZERO_GAP = [("zero_off_diagonal", (0, 1)), ("zero_off_diagonal", (1, 0))]
+
+
+@pytest.mark.parametrize("points, expected", [
+    ([(0.0,), (1e-200,)], ZERO_GAP),                 # (1e-200)^2 underflows to 0
+    ([(0.0,), (1e-100,)], []),
+    ([(0.0, 0.0), (1e-170, 1e-170)], ZERO_GAP),
+    ([(1e308,), (-1e308,)], [("not_finite", (0, 1))]),
+], ids=["1d-1e-200", "1d-1e-100", "2d-1e-170", "1d-1e308"])
+def test_metric_cost_verdict_is_its_dense_matrix_verdict(points, expected):
+    dense = reference_metric(points)
+    violations = cost_violations(dense)
+    assert [(v.kind, v.indices) for v in violations] == expected
+    if expected:
+        with pytest.raises(CostValidationError) as err:
+            metric_cost(PointSet(tuple(points)), "euclidean")
+        assert err.value.violations == violations
+    else:
+        assert metric_cost(PointSet(tuple(points)), "euclidean").entries.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("cost", [
+    metric_cost(PointSet(tuple(map(tuple, np.random.default_rng(4).random((150, 2))))),
+                "manhattan", 2.0),
+    CostMatrix(reference_metric(np.random.default_rng(4).random((150, 2)), "manhattan"), 2.0),
+], ids=["metric", "explicit"])
+def test_block_is_a_fresh_gather_of_the_scaled_cost(cost):
+    picks = np.array([149, 3, 3, 70, 0])
+    for rows, cols in [(slice(60, 130), picks), (picks, picks), (picks, slice(None)),
+                       (slice(None), slice(10, 20))]:
+        got = cost.block(rows, cols)
+        expected = cost.scaled[rows][:, cols]
+        assert got.tobytes() == expected.tobytes()
+        assert got.flags.writeable and not np.shares_memory(got, cost.scaled)
 
 
 BASE_COST = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
@@ -317,26 +394,23 @@ def test_canonical_read_only_cost_is_kept():
 
 
 def test_cost_matrix_memory():
-    # One n x n float64 array is `unit` bytes. A cost at scale != 1 holds two
-    # (entries and scaled); with_scale makes only the new scaled array.
+    # One n x n float64 array is `unit` bytes. A metric cost stores none, and
+    # its c-transform and Lipschitz check hold a block or two of rows at once.
     n = 1000
     unit = n * n * 8
     ps = PointSet(tuple(((k + 0.5) / n,) for k in range(n)))
+    g = np.sin(np.arange(n))
     tracemalloc.start()
     try:
-        cost = metric_cost(ps, "euclidean", 2.0)
-        built_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        cost.with_scale(3.0)
-        rescale_peak = tracemalloc.get_traced_memory()[1]
+        cost = metric_cost(ps, "euclidean", 2.0).with_scale(3.0)
+        project_lipschitz(g, cost)  # one c-transform and one lipschitz_violation
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert built_peak < 2.5 * unit
-    assert rescale_peak - held < 1.5 * unit
+    assert peak < 0.2 * unit
 
 
-# Block-crossing cases: 300 points span two full blocks of rows plus a
+# Block-crossing cases: 300 points span several full blocks of rows plus a
 # partial one in every streamed pass.
 N_POINTS = 300
 
