@@ -60,10 +60,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .divergences import _rooted_walk, relative_entropy, transport_cost, transport_simplex
+from .divergences import (
+    _rooted_walk,
+    _dense_plan,
+    relative_entropy,
+    transport_cost,
+    transport_simplex,
+)
 from .measures import (
     WEIGHT_CLAMP,
     CostMatrix,
@@ -104,7 +111,9 @@ class DivergenceSolution:
     (measure, potential); the pair satisfies the Gibbs relation by
     construction. ``potential`` is normalized so that log sum e^g dnu = 0,
     i.e. g = log(d measure / d nu) on the support of nu, extended off the
-    support by its maximal Lipschitz extension.
+    support by its maximal Lipschitz extension. ``flow`` is the transport
+    plan from mu to ``measure`` on ``rows`` x ``cols``, the supports of mu
+    and nu; ``plan`` is the whole n x n plan, built on first access.
     """
 
     value: float
@@ -112,10 +121,16 @@ class DivergenceSolution:
     duality_gap: float
     measure: DiscreteMeasure
     potential: LipschitzFunction
-    plan: np.ndarray
+    flow: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     iterations: int
     certified: bool
     tol: float
+
+    @cached_property
+    def plan(self) -> np.ndarray:
+        return _dense_plan(self.measure.point_set.n, self.rows, self.cols, self.flow)
 
 
 @dataclass(frozen=True)
@@ -388,8 +403,6 @@ def _assemble(ws: _Workspace, cand: _Candidate, best_dual: float,
     g_norm = cand.g_full - shift
     gamma_full = np.zeros(n)
     gamma_full[ws.cols] = cand.gamma
-    plan = np.zeros((n, n))
-    plan[np.ix_(ws.rows, ws.cols)] = cand.flow
     gap = max(cand.gap, 0.0)
     if not (math.isfinite(cand.primal) and math.isfinite(cand.dual)):
         # Finite supports with finite costs always give a finite value.
@@ -404,7 +417,9 @@ def _assemble(ws: _Workspace, cand: _Candidate, best_dual: float,
         duality_gap=gap,
         measure=DiscreteMeasure(ws.mu.point_set, gamma_full),
         potential=LipschitzFunction(g_norm, ws.cost),
-        plan=plan,
+        flow=cand.flow,
+        rows=ws.rows,
+        cols=ws.cols,
         iterations=iterations,
         certified=gap <= tol,
         tol=tol,

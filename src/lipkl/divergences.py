@@ -3,9 +3,14 @@
 The transport LP is solved by a network simplex on the bipartite transport
 graph (a transportation simplex): north-west-corner initial basis, Bland's
 rule for the entering cell, lowest-index tie break for the leaving cell.
-Each pivot roots the basis tree in one walk that yields parent pointers,
-depths, dual potentials and component labels, checks that the basis spans
-(one component), and reads the pivot cycle off the parent pointers (Ahuja,
+The north-west start sets its dual potentials as it lays its staircase, so
+an LP that is optimal at the start returns after one reduced-cost check,
+with no basis tree and no tree walk. That is every LP on sorted points with
+an |x - y| cost, a Monge matrix (Hoffman, "On simple linear programming
+problems", 1963), and every LP with one row or one column. Each pivot
+roots the basis tree in one walk that yields parent pointers, depths, dual
+potentials and component labels, checks that the basis spans (one
+component), and reads the pivot cycle off the parent pointers (Ahuja,
 Magnanti & Orlin, *Network Flows*, 1993, ch. 11). The same walk roots and
 labels the components of the structure closure's support forest. This is
 exact up to floating-point arithmetic and produces a dual certificate: at
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,16 +57,23 @@ def relative_entropy(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 class TransportSolution:
     """Optimal Kantorovich value, plan, and dual potential.
 
-    ``plan`` is indexed by the shared point set (rows: first marginal,
-    columns: second). ``potential`` is a Lipschitz function g with
-    value = sum g d(mu - gamma) and g(x) - g(y) = b*c(x,y) wherever the plan
-    is positive; it is pinned to potential[0] = 0 (potentials are unique only
-    up to an additive constant).
+    ``flow`` is the plan on ``rows`` x ``cols``, the supports of the two
+    marginals; ``plan`` is the whole plan, indexed by the shared point set
+    (rows: first marginal, columns: second), built on first access.
+    ``potential`` is a Lipschitz function g with value = sum g d(mu - gamma)
+    and g(x) - g(y) = b*c(x,y) wherever the plan is positive; it is pinned to
+    potential[0] = 0 (potentials are unique only up to an additive constant).
     """
 
     value: float
-    plan: np.ndarray
+    flow: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     potential: LipschitzFunction
+
+    @cached_property
+    def plan(self) -> np.ndarray:
+        return _dense_plan(self.potential.cost.n, self.rows, self.cols, self.flow)
 
     def marginal_residual(self, mu: DiscreteMeasure, gamma: DiscreteMeasure) -> float:
         row = np.abs(self.plan.sum(axis=1) - mu.weights).max()
@@ -89,8 +102,6 @@ def transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, cost: CostMatrix
     sub = cost.block(rows, cols)
     flow, _, v = transport_simplex(mu.weights[rows], gamma.weights[cols], sub)
 
-    plan = np.zeros((n, n))
-    plan[np.ix_(rows, cols)] = flow
     value = float((sub * flow).sum())
 
     # Column potential -v extends to the whole set by c-transform; this keeps
@@ -98,7 +109,14 @@ def transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, cost: CostMatrix
     full = _c_transform(-v, cost, cols)
     full = full - full[0]
     potential = LipschitzFunction(full, cost)
-    return TransportSolution(value=value, plan=plan, potential=potential)
+    return TransportSolution(value=value, flow=flow, rows=rows, cols=cols, potential=potential)
+
+
+def _dense_plan(n: int, rows: np.ndarray, cols: np.ndarray, flow: np.ndarray) -> np.ndarray:
+    """The n x n plan that carries ``flow`` on ``rows`` x ``cols`` and 0 elsewhere."""
+    plan = np.zeros((n, n))
+    plan[np.ix_(rows, cols)] = flow
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -118,22 +136,18 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     m, n = C.shape
     if a.shape != (m,) or b.shape != (n,):
         raise ValidationError("marginal shapes do not match the cost matrix")
-    if abs(a.sum() - b.sum()) > 1e-9 * (1.0 + a.sum()):
+    total = a.sum()
+    if abs(total - b.sum()) > 1e-9 * (1.0 + total):
         raise ValidationError("marginals must have equal total mass")
 
-    X, basis = _northwest_corner(a, b)
-    # Basis tree on nodes 0..m-1 (rows) and m..m+n-1 (columns).
-    tree: list[set[int]] = [set() for _ in range(m + n)]
-    for i, j in basis:
-        tree[i].add(m + j)
-        tree[m + j].add(i)
     cost = C.tolist()
+    X, basis, pot = _northwest_corner(a.tolist(), b.tolist(), cost)
+    if len(basis) < m + n - 1:
+        raise RuntimeError("transport basis is not spanning; numerical breakdown")
+    tree = None  # built only when the start is not optimal
 
     eps = 1e-11 * (1.0 + float(np.abs(C).max(initial=0.0)))
     for _ in range(40 * (m + n) ** 2 + 1000):
-        parent, depth, pot, comp = _rooted_walk(tree, cost, m)
-        if any(comp):
-            raise RuntimeError("transport basis is not spanning; numerical breakdown")
         u = np.array(pot[:m])
         v = np.array(pot[m:])
         # Bland's rule: first cell in row-major order with negative reduced
@@ -142,6 +156,13 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
         first = int(neg.argmax())
         if not neg[first]:
             return X, u, v
+        if tree is None:
+            # Basis tree on nodes 0..m-1 (rows) and m..m+n-1 (columns).
+            tree = [set() for _ in range(m + n)]
+            for i, j in basis:
+                tree[i].add(m + j)
+                tree[m + j].add(i)
+            parent, depth, _, _ = _rooted_walk(tree, cost, m)
         ei, ej = divmod(first, n)
         # The entering cell closes one cycle: walk its row and column up to
         # their common ancestor. Signs alternate from the entering cell, so
@@ -168,20 +189,29 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
         tree[m + lj].remove(li)
         tree[ei].add(m + ej)
         tree[m + ej].add(ei)
+        parent, depth, pot, comp = _rooted_walk(tree, cost, m)
+        if any(comp):
+            raise RuntimeError("transport basis is not spanning; numerical breakdown")
     raise RuntimeError("transport simplex failed to terminate (pivot limit reached)")
 
 
-def _northwest_corner(a: np.ndarray, b: np.ndarray):
-    """Initial basic feasible solution with exactly m + n - 1 basic cells."""
-    m, n = a.size, b.size
+def _northwest_corner(a: list, b: list, cost: list):
+    """Initial basic feasible solution with exactly m + n - 1 basic cells,
+    a staircase from (0, 0) to (m - 1, n - 1), and its potentials (rows,
+    then columns) with u_0 = 0 and u_i + v_j = C_ij on every basic cell.
+    Each node's potential is set as its cell joins the staircase, by the
+    arithmetic of :func:`_rooted_walk` from row 0."""
+    m, n = len(a), len(b)
     X = np.zeros((m, n))
-    basis: list[tuple[int, int]] = []
+    cells = []
+    pot = [0.0] * (m + n)
+    pot[m] = cost[0][0] - pot[0]
     i = j = 0
     ra, rb = a[0], b[0]
     while True:
         t = min(ra, rb)
         X[i, j] = t
-        basis.append((i, j))
+        cells.append((i, j))
         ra -= t
         rb -= t
         if i == m - 1 and j == n - 1:
@@ -191,10 +221,12 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
         if ra <= 1e-15 * (1.0 + a[i]) and i < m - 1:
             i += 1
             ra = a[i]
+            pot[i] = cost[i][j] - pot[m + j]
         else:
             j += 1
             rb = b[j]
-    return X, basis
+            pot[m + j] = cost[i][j] - pot[i]
+    return X, cells, pot
 
 
 def _rooted_walk(tree, cost, m):

@@ -23,9 +23,13 @@ file, merged supports, a perturbation direction) is placed by ``_place``,
 which sums weights onto a point set in the given order.
 
 Every reader on the solve path takes the scaled cost from
-:meth:`CostMatrix.block`, a few rows and columns at a time, and every O(n^2)
-pass streams over blocks of ``_BLOCK`` rows: the c-transform,
-:func:`lipschitz_violation`, the check of a metric cost and the symmetry
+:meth:`CostMatrix.block`, a few rows and columns at a time. On a line (a
+metric cost of 1-D points, where both metrics are |x - y|) the c-transform
+and :func:`lipschitz_violation` make no O(n^2) pass: two sorted sweeps find,
+for every point, the best column on each side (:func:`_line_argmins`), in
+O(n) after one sort at construction. Every other O(n^2) pass streams over
+blocks of ``_BLOCK`` rows: the c-transform and :func:`lipschitz_violation`
+of any other cost, the check of a metric cost in d >= 2 and the symmetry
 check of an explicit one (square tiles, each paired with its transpose). A
 metric cost computes each block from its coordinates, in place, and stores
 no n x n array; a pass holds a few blocks at a time, never an n x n
@@ -86,6 +90,7 @@ MAX_REPORTS = 50       # witnesses listed per kind of cost violation
 # 26.1 ms, and the tiled symmetry check of an explicit 3 001-point cost 60.7,
 # 23.8 and 19.3 ms.
 _BLOCK = 64
+_SWEEP_SIGNS = np.array([[-1.0], [1.0]])  # row 0 of a line sweep keys on -b x, row 1 on +b x
 
 
 class ValidationError(ValueError):
@@ -374,6 +379,8 @@ class CostMatrix:
       metric, and :meth:`block` computes each block from them. No n x n array
       is stored; the euclidean and manhattan metrics satisfy the rule's
       symmetry, zero diagonal and the triangle inequality by construction.
+      On 1-D points it also keeps their sorted order, which the line sweeps
+      of the c-transform and the Lipschitz check walk.
 
     ``entries`` is the unit-scale matrix and ``scaled = scale_b * entries``
     (``entries`` itself at ``scale_b == 1``). Each is built on first access
@@ -388,21 +395,17 @@ class CostMatrix:
 
     _coords: np.ndarray | None = None  # (d, n): row k holds coordinate k of every point
     _metric: str | None = None
+    # d == 1: the points from left to right (row 0) and from right to left
+    # (row 1), and each point's position in row 0.
+    _walk: np.ndarray | None = None
+    _rank: np.ndarray | None = None
 
     def __init__(self, entries, scale_b: float = 1.0):
         scale = _positive_scale(scale_b)
         c = np.asarray(entries, dtype=float)
         if violations := _structure_violations(c):
             raise CostValidationError(violations)
-        # np.asarray hands back any input that is not float64 as a fresh,
-        # writeable array, and a writeable input may still change: only a
-        # read-only float64 input is kept. An accepted matrix is strictly
-        # positive off the diagonal, so it is already canonical when every
-        # diagonal bit is clear (+0.0).
-        if c.flags.writeable or np.diagonal(c).view(np.uint64).any():
-            c = np.maximum(c, 0.0)
-            np.fill_diagonal(c, 0.0)
-        self.__dict__.update(entries=_freeze(c), scale_b=scale)
+        self.__dict__.update(entries=_canonical(c), scale_b=scale)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"CostMatrix is immutable; cannot set {name!r}")
@@ -420,6 +423,15 @@ class CostMatrix:
     def scaled(self) -> np.ndarray:
         return self.entries if self.scale_b == 1.0 else _freeze(self.scale_b * self.entries)
 
+    @cached_property
+    def _sweep(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What :func:`_line_argmins` reads of a line cost, derived once per
+        scale: the coordinates along ``_walk``, -b x along its row 0 and
+        +b x along its row 1, and the flat position of each entry."""
+        xw = _freeze(self._coords[0][self._walk])
+        steps = np.arange(xw.size).reshape(xw.shape)
+        return xw, _freeze(self.scale_b * xw * _SWEEP_SIGNS), _freeze(steps)
+
     def block(self, rows, cols) -> np.ndarray:
         """The scaled cost of ``rows`` x ``cols`` as a fresh array the caller
         may write to. Each of ``rows`` and ``cols`` is a slice or an integer
@@ -436,7 +448,7 @@ class CostMatrix:
         """This cost at scale ``scale_b``. The accepted source is shared, and
         no check runs again."""
         return _accepted_cost(scale_b, {k: v for k, v in self.__dict__.items()
-                                        if k not in ("scale_b", "scaled")})
+                                        if k not in ("scale_b", "scaled", "_sweep")})
 
 
 def _positive_scale(scale_b) -> float:
@@ -446,9 +458,23 @@ def _positive_scale(scale_b) -> float:
     return scale
 
 
+def _canonical(c: np.ndarray) -> np.ndarray:
+    """A matrix that passes the structural rule, frozen, with its entries
+    clamped at zero and a +0.0 diagonal. np.asarray hands back any input
+    that is not float64 as a fresh, writeable array, and a writeable input
+    may still change: only a read-only float64 input is kept. An accepted
+    matrix is strictly positive off the diagonal, so it is already
+    canonical when every diagonal bit is clear (+0.0)."""
+    if c.flags.writeable or np.diagonal(c).view(np.uint64).any():
+        c = np.maximum(c, 0.0)
+        np.fill_diagonal(c, 0.0)
+    return _freeze(c)
+
+
 def _accepted_cost(scale_b, source: dict) -> CostMatrix:
     """A :class:`CostMatrix` over a source that has passed the structural
-    rule: ``{"entries": matrix}`` or ``{"_coords": x, "_metric": name}``."""
+    rule: ``{"entries": matrix}`` or ``{"_coords": x, "_metric": name}``,
+    with ``_walk`` and ``_rank`` when x is 1-D."""
     cost = object.__new__(CostMatrix)
     cost.__dict__.update(source, scale_b=_positive_scale(scale_b))
     return cost
@@ -479,18 +505,19 @@ def _formula(diffs, metric: str) -> np.ndarray:
     return np.sqrt(out, out=out) if metric == "euclidean" else out
 
 
-def _metric_violations(x: np.ndarray, metric: str) -> list[CostViolation]:
+def _metric_violations(x: np.ndarray, metric: str, order: np.ndarray | None) -> list[CostViolation]:
     """The structural rule on the distance matrix of the (d, n) coordinates
     ``x``. Symmetry, a zero diagonal and the sign hold by construction;
     finiteness and strictly positive off-diagonal entries are decided
-    without the matrix. In 1-D the largest entry is the extent and the
-    smallest off the diagonal is the least adjacent gap of the sorted points
-    (rounding is monotone), each taken through :func:`_formula`; for d >= 2
-    one streamed pass decides. Only a failed verdict builds the matrix, so
-    the witnesses are the dense rule's."""
+    without the matrix. In 1-D, where ``order`` sorts the points, the
+    largest entry is the extent and the smallest off the diagonal is the
+    least adjacent gap of the sorted points (rounding is monotone), each
+    taken through :func:`_formula`; for d >= 2 one streamed pass decides.
+    Only a failed verdict builds the matrix, so the witnesses are the dense
+    rule's."""
     d, n = x.shape
     if d == 1:
-        s = np.sort(x[0])
+        s = x[0][order]
         ok = (np.isfinite(_formula([s[-1:] - s[:1]], metric)).all()
               and _formula([np.diff(s)], metric).min(initial=np.inf) > 0)
     else:
@@ -537,11 +564,13 @@ def validate_cost(entries, scale_b: float = 1.0) -> CostMatrix:
     Accepts a matrix with no :func:`cost_violations`: the structural rule at
     ``COST_RTOL`` and the triangle inequality at ``TRIANGLE_RTOL``, both
     relative to ``1 + max c``. Otherwise raises :class:`CostValidationError`
-    carrying the violation list with witness indices.
+    carrying the violation list with witness indices. The structural rule
+    runs once.
     """
-    if violations := cost_violations(entries):
+    c = np.asarray(entries, dtype=float)
+    if violations := cost_violations(c):
         raise CostValidationError(violations)
-    return CostMatrix(entries, scale_b)
+    return _accepted_cost(scale_b, {"entries": _canonical(c)})
 
 
 def metric_cost(point_set: PointSet, metric: str = "euclidean", scale_b: float = 1.0) -> CostMatrix:
@@ -556,11 +585,16 @@ def metric_cost(point_set: PointSet, metric: str = "euclidean", scale_b: float =
         raise ValidationError(f"unknown metric {metric!r}")
     x = _freeze(np.ascontiguousarray(point_set.coords.T))
     scale = _positive_scale(scale_b)
+    order = np.argsort(x[0]) if len(x) == 1 else None
     with np.errstate(over="ignore", invalid="ignore"):  # reported as not_finite
-        violations = _metric_violations(x, metric)
+        violations = _metric_violations(x, metric, order)
     if violations:
         raise CostValidationError(violations)
-    return _accepted_cost(scale, {"_coords": x, "_metric": metric})
+    source = {"_coords": x, "_metric": metric}
+    if order is not None:
+        source.update(_walk=_freeze(np.stack([order, order[::-1]])),
+                      _rank=_freeze(np.argsort(order)))
+    return _accepted_cost(scale, source)
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +605,16 @@ def lipschitz_violation(values, cost: CostMatrix) -> tuple[float, tuple[int, int
     """Largest violation of g(x) - g(y) <= b*c(x,y) and its witness pair.
 
     The witness is the first largest pair in row-major order; any NaN makes
-    the violation NaN, witnessed by the first NaN pair."""
+    the violation NaN, witnessed by the first NaN pair. On a line cost each
+    row's largest slack is at the column that attains its c-transform, so
+    only the two columns :func:`_line_argmins` finds are evaluated, as the
+    dense pass evaluates them, and the diagonal's 0 counts. Where several
+    columns tie in real arithmetic, the value can differ from the dense
+    pass's in the last bits. Any other cost is read one block of rows at a
+    time."""
     g = np.asarray(values, dtype=float)
+    if cost._walk is not None:
+        return _line_violation(g, cost)
     n = g.size
     worst, pair = -np.inf, None
     for i in range(0, n, _BLOCK):
@@ -585,6 +627,27 @@ def lipschitz_violation(values, cost: CostMatrix) -> tuple[float, tuple[int, int
             if v != v:
                 break
     return (worst, None) if worst <= 0 else (worst, pair)
+
+
+def _line_violation(g: np.ndarray, cost: CostMatrix) -> tuple[float, tuple[int, int] | None]:
+    """:func:`lipschitz_violation` on a line cost, two columns a row."""
+    if not np.isfinite(g).all():
+        # The dense pass's first NaN pair: row 0 holds one if any value is
+        # NaN, else the first non-finite row does (on its diagonal).
+        i = 0 if np.isnan(g).any() else int(np.isfinite(g).argmin())
+        with np.errstate(invalid="ignore"):  # inf - inf is the NaN sought
+            return np.nan, (i, int(np.isnan(g[i] - g).argmax()))
+    rank = cost._rank
+    k, dist = _line_argmins(g, cost)
+    slack = (g[cost._walk] - g[k]) - dist
+    row_worst = np.maximum(slack[0], slack[1, ::-1])[rank]
+    i = int(row_worst.argmax())
+    worst = max(float(row_worst[i]), 0.0)
+    if worst <= 0:
+        return worst, None
+    j, back = rank[i], g.size - 1 - rank[i]
+    candidates = ((k[0, j], slack[0, j]), (k[1, back], slack[1, back]))
+    return worst, (i, min(int(c) for c, v in candidates if v == worst))
 
 
 def _lipschitz_tol(values: np.ndarray) -> float:
@@ -653,14 +716,49 @@ def project_lipschitz(values, cost: CostMatrix, reference=None) -> LipschitzFunc
 
 
 def _c_transform(h: np.ndarray, cost: CostMatrix, cols: np.ndarray) -> np.ndarray:
-    """min over k of h_k + cost(x, cols[k]), at every point x, one block of
-    rows at a time."""
+    """min over k of h_k + cost(x, cols[k]), at every point x. A column
+    that ``cols`` repeats carries one value of ``h``.
+
+    On a line cost, h_k + b|x - x_k| is evaluated as the dense pass
+    evaluates it, at the two columns :func:`_line_argmins` finds; where
+    several columns tie in real arithmetic, the result can differ from the
+    dense pass's in the last bits. Any other cost is read one block of rows
+    at a time."""
+    if cost._walk is not None:
+        # +inf off the columns: such a point never evaluates below a column.
+        h_all = np.full(cost.n, np.inf)
+        h_all[cols] = h
+        best = _line_argmins(h_all, cost)
+        if best is None:  # the dense minimum of every row is NaN
+            return np.full(cost.n, np.nan)
+        k, dist = best
+        v = dist + h_all[k]
+        return np.minimum(v[0], v[1, ::-1])[cost._rank]
     out = np.empty(cost.n)
     for i in range(0, cost.n, _BLOCK):
         m = cost.block(slice(i, i + _BLOCK), cols)
         m += h
         m.min(axis=1, out=out[i:i + _BLOCK])
     return out
+
+
+def _line_argmins(h: np.ndarray, cost: CostMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two sweeps of a 1-D distance transform (Felzenszwalb &
+    Huttenlocher, *Theory of Computing* 8, 2012) over the values ``h`` of
+    every point of a line cost, run as one (2, n) pass along
+    ``cost._walk``: left to right, a running minimum of h_k - b x_k, and
+    right to left, one of h_k + b x_k. Entry j of row r of ``k`` is the
+    point that attains the running minimum at the row's j-th point x, the
+    last to reach it: the least h_k + b|x - x_k| over the points at or left
+    of x (row 0) or at or right of x (row 1). ``dist`` is b|x - x_k| as the
+    block pass computes it. None if ``h`` holds a NaN."""
+    xw, signed, steps = cost._sweep
+    keys = h[cost._walk] + signed
+    least = np.minimum.accumulate(keys, axis=1)
+    if np.isnan(least[0, -1]):  # a NaN stays in the running minimum
+        return None
+    k = cost._walk.take(np.maximum.accumulate(steps * (keys == least), axis=1))
+    return k, np.abs(xw - cost._coords[0][k]) * cost.scale_b
 
 
 # ---------------------------------------------------------------------------

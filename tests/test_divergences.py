@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 
 from lipkl import (
     DiscreteMeasure,
+    divergence,
     PointSet,
     line_transport_cost,
     merge_supports,
@@ -172,6 +173,20 @@ def dense_slackness_residual(sol, cost):
     return float(np.abs(gap[mask]).max())
 
 
+def test_plans_are_built_on_access_from_the_support_block():
+    ps = PointSet((0.0, 0.25, 0.5, 1.0))
+    mu = DiscreteMeasure(ps, [0.5, 0.0, 0.5, 0.0])
+    nu = DiscreteMeasure(ps, [0.0, 0.3, 0.0, 0.7])
+    cost = metric_cost(ps, "euclidean", 2.0)
+    for sol in (transport_cost(mu, nu, cost), divergence(mu, nu, cost)):
+        assert "plan" not in vars(sol)
+        assert sol.flow.shape == (2, 2)
+        dense = np.zeros((4, 4))
+        dense[np.ix_([0, 2], [1, 3])] = sol.flow
+        assert sol.plan.tobytes() == dense.tobytes()
+        assert sol.plan is sol.plan
+
+
 def test_slackness_residual_matches_the_dense_formula():
     n = 300
     rng = np.random.default_rng(11)
@@ -237,6 +252,27 @@ def test_simplex_certificate_thin(rng):
         assert_simplex_certificate(w, np.ones(1), rng.uniform(0.0, 3.0, (k, 1)))
 
 
+def test_simplex_returns_an_optimal_start_without_a_tree_walk(rng, monkeypatch):
+    import lipkl.divergences
+
+    walks = []
+    walk = lipkl.divergences._rooted_walk
+    monkeypatch.setattr(lipkl.divergences, "_rooted_walk", lambda *a: walks.append(a) or walk(*a))
+    # A sorted |x - y| cost is a Monge matrix, so the north-west start is
+    # optimal; so is any start with one row or one column.
+    for m, n in ((12, 12), (5, 9), (1, 3000), (40, 1)):
+        x, y = np.sort(rng.uniform(0, 1, m)), np.sort(rng.uniform(0, 1, n))
+        a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+        assert_simplex_certificate(a, b, 3.0 * np.abs(x[:, None] - y[None, :]))
+    assert_simplex_certificate(np.ones(1), rng.dirichlet(np.ones(50)), rng.uniform(0, 3, (1, 50)))
+    assert walks == []
+    # A start that is not optimal pivots, walking the tree once per pivot
+    # and once before the first.
+    C = np.array([[1.0, 0.0], [0.0, 1.0]])
+    assert_simplex_certificate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), C)
+    assert len(walks) == 2
+
+
 def test_rooted_walk_roots_and_labels_each_component_at_its_lowest_node(rng):
     # Rows 0-2, columns 3-6; components {0, 4}, {1, 2, 3, 5} and {6}.
     C = rng.uniform(0.0, 3.0, (3, 4))
@@ -262,9 +298,9 @@ def test_simplex_raises_on_a_basis_that_does_not_span(monkeypatch):
 
     corner = lipkl.divergences._northwest_corner
 
-    def short_basis(a, b):
-        X, basis = corner(a, b)
-        return X, basis[:-1]
+    def short_basis(a, b, cost):
+        X, basis, pot = corner(a, b, cost)
+        return X, basis[:-1], pot
 
     monkeypatch.setattr(lipkl.divergences, "_northwest_corner", short_basis)
     # Dropping the last corner cell cuts off the last column of a 2 x 2

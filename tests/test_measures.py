@@ -265,6 +265,35 @@ def test_random_distance_matrices_validate(metric, d):
         validate_cost(cost.entries)  # must not raise
 
 
+def test_load_cost_runs_the_structural_rule_once(monkeypatch):
+    calls = []
+    rule = measures._structure_violations
+    monkeypatch.setattr(measures, "_structure_violations", lambda c: calls.append(c) or rule(c))
+    ps = PointSet(tuple((float(k),) for k in range(5)))
+    x = np.arange(5.0)
+    line = np.abs(x[:, None] - x[None, :])
+    cost = load_cost({"matrix": line.tolist(), "scale_b": 2.0}, ps)
+    assert len(calls) == 1
+    assert cost.entries.tobytes() == line.tobytes() and cost.scale_b == 2.0
+    assert not cost.entries.flags.writeable
+    # A rejected matrix reports the same witnesses as before.
+    far = line.copy()
+    far[0, 4] = far[4, 0] = 9.0
+    skew = line.copy()
+    skew[1, 2] += 1e-6
+    skew[3, 3] = 0.5
+    for bad, expected in [
+        (far, [("triangle", (0, k, 4)) if s == 0 else ("triangle", (4, k, 0))
+               for k in (1, 2, 3) for s in (0, 1)]),
+        (skew, [("asymmetry", (1, 2)), ("nonzero_diagonal", (3,))]),
+    ]:
+        calls.clear()
+        with pytest.raises(CostValidationError) as err:
+            load_cost({"matrix": bad.tolist()}, ps)
+        assert [(v.kind, v.indices) for v in err.value.violations] == expected
+        assert len(calls) == 1
+
+
 def test_scaled_cost_is_computed_once():
     x = np.array([0.0, 0.3, 1.0])
     cost = CostMatrix(np.abs(x[:, None] - x[None, :]), 2.5)
@@ -570,6 +599,94 @@ def test_lipschitz_violation_matches_the_dense_reference():
 
     feasible = 0.5 * cost.scaled[:, 0]
     assert lipschitz_violation(feasible, cost) == dense_violation(feasible, cost) == (0.0, None)
+
+
+# ---------------------------------------------------------------------------
+# Line sweeps: a metric cost of 1-D points gets its c-transform and Lipschitz
+# check from two sorted sweeps, not from blocks
+
+
+def line_cost(n, scale=1.0, metric="euclidean"):
+    """The benchmark's grid: n midpoints of [0, 1], then 0.0 placed last."""
+    points = tuple(((k - 0.5) / n,) for k in range(1, n + 1)) + ((0.0,),)
+    return metric_cost(PointSet(points), metric, scale)
+
+
+def dense_c_transform(h, cost, cols):
+    return (h[None, :] + cost.scaled[:, cols]).min(axis=1)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37, 10.0])
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_line_sweeps_match_the_dense_passes(scale, metric):
+    rng = np.random.default_rng(8)
+    cost = line_cost(N_POINTS, scale, metric)
+    n = cost.n
+    g = rng.normal(0, 1, n)
+    for cols in (np.arange(n), np.array([n - 1]), np.sort(rng.choice(n, 40, replace=False)),
+                 rng.permutation(n)[:25]):
+        got = measures._c_transform(g[cols], cost, cols)
+        assert got.tobytes() == dense_c_transform(g[cols], cost, cols).tobytes()
+    assert lipschitz_violation(g, cost) == dense_violation(g, cost)
+
+
+def test_line_sweeps_repeated_reference_indices():
+    cost = line_cost(N_POINTS, 2.0)
+    g = np.random.default_rng(9).normal(0, 1, cost.n)
+    ref = [N_POINTS, 7, 7, 150, 3, 150, N_POINTS]
+    dense = dense_c_transform(g[ref], cost, ref)
+    assert project_lipschitz(g, cost, ref).values.tobytes() == dense.tobytes()
+
+
+def test_line_manhattan_equals_euclidean():
+    g = np.random.default_rng(10).normal(0, 1, N_POINTS + 1)
+    euclidean, manhattan = line_cost(N_POINTS, 3.0), line_cost(N_POINTS, 3.0, "manhattan")
+    assert (project_lipschitz(g, euclidean).values.tobytes()
+            == project_lipschitz(g, manhattan).values.tobytes())
+    assert lipschitz_violation(g, euclidean) == lipschitz_violation(g, manhattan)
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0])
+def test_line_sweeps_on_a_tight_potential(scale):
+    # g = -b x + c ties every column on one side of each point in real
+    # arithmetic; rounding then picks among them, so the value may differ
+    # from the dense minimum in the last bits (1.5 ulps at most, measured
+    # over grids of 100 to 3 001 points).
+    cost = line_cost(1000, scale)
+    for c in (0.0, 1.5, -7.25):
+        g = -scale * cost._coords[0] + c
+        got = project_lipschitz(g, cost).values
+        dense = dense_c_transform(g, cost, np.arange(cost.n))
+        assert np.abs(got - dense).max() <= 4 * np.spacing(np.abs(dense).max())
+        assert lipschitz_violation(got, cost)[0] <= measures._lipschitz_tol(got)
+        tol = measures._lipschitz_tol(g)
+        assert (lipschitz_violation(g, cost)[0] <= tol) == (dense_violation(g, cost)[0] <= tol)
+
+
+def test_line_sweeps_nan_and_infinite_values():
+    line, plane = line_cost(N_POINTS), grid_cost().with_scale(1.0)
+    g = np.random.default_rng(12).normal(0, 1, line.n)
+    for bad in ([0], [0, 9], [200, 250], [N_POINTS]):
+        nan = g.copy()
+        nan[bad] = np.nan
+        worst, pair = lipschitz_violation(nan, line)
+        assert np.isnan(worst) and pair == (0, bad[0]) == dense_violation(nan, line)[1]
+        with pytest.raises(ValidationError, match="function values must be finite"):
+            project_lipschitz(nan, line)
+    for value in (np.inf, -np.inf):
+        inf = g.copy()
+        inf[[40, 90]] = value
+        worst, pair = lipschitz_violation(inf, line)
+        with np.errstate(invalid="ignore"):  # the dense pass meets inf - inf
+            assert np.isnan(worst) and pair == (40, 40) == dense_violation(inf, line)[1]
+        # Infinite values are a c-transform's input like any other.
+        got = measures._c_transform(inf, line, np.arange(line.n))
+        assert got.tobytes() == dense_c_transform(inf, line, np.arange(line.n)).tobytes()
+    # Explicit costs still take the block path, with the same NaN verdict.
+    nan = np.zeros(N_POINTS)
+    nan[5] = np.nan
+    with pytest.raises(ValidationError, match="function values must be finite"):
+        project_lipschitz(nan, CostMatrix(plane.entries))
 
 
 def test_lipschitz_function_rejects_infeasible():
