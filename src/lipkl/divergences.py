@@ -76,19 +76,26 @@ class TransportSolution:
         return _dense_plan(self.potential.cost.n, self.rows, self.cols, self.flow)
 
     def marginal_residual(self, mu: DiscreteMeasure, gamma: DiscreteMeasure) -> float:
-        row = np.abs(self.plan.sum(axis=1) - mu.weights).max()
-        col = np.abs(self.plan.sum(axis=0) - gamma.weights).max()
-        return float(max(row, col))
+        """Worst gap between the plan's marginals and ``mu``, ``gamma``, read
+        from ``flow`` in the order numpy sums :attr:`plan`, so that the last
+        bits agree: each row summed inside a zero row of length n, and the
+        columns accumulated row after row."""
+        n = self.potential.cost.n
+        row, col, line = np.zeros(n), np.zeros(n), np.zeros(n)
+        for i, f in zip(self.rows, self.flow):
+            line[self.cols] = f
+            row[i] = line.sum()
+            col[self.cols] += f
+        return float(max(np.abs(row - mu.weights).max(), np.abs(col - gamma.weights).max()))
 
     def complementary_slackness_residual(self, cost: CostMatrix) -> float:
         """Worst |g_i - g_j - b c_ij| over plan entries above 1e-12."""
-        i, j = np.nonzero(self.plan > 1e-12)
-        if i.size == 0:
+        r, c = np.nonzero(self.flow > 1e-12)
+        if r.size == 0:
             return 0.0
         g = self.potential.values
-        rows, r = np.unique(i, return_inverse=True)
-        cols, c = np.unique(j, return_inverse=True)
-        return float(np.abs(g[i] - g[j] - cost.block(rows, cols)[r, c]).max())
+        gap = g[self.rows[r]] - g[self.cols[c]] - cost.block(self.rows, self.cols)[r, c]
+        return float(np.abs(gap).max())
 
 
 def transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, cost: CostMatrix) -> TransportSolution:

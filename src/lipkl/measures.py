@@ -23,18 +23,19 @@ file, merged supports, a perturbation direction) is placed by ``_place``,
 which sums weights onto a point set in the given order.
 
 Every reader on the solve path takes the scaled cost from
-:meth:`CostMatrix.block`, a few rows and columns at a time. On a line (a
-metric cost of 1-D points, where both metrics are |x - y|) the c-transform
-and :func:`lipschitz_violation` make no O(n^2) pass: two sorted sweeps find,
-for every point, the best column on each side (:func:`_line_argmins`), in
-O(n) after one sort at construction. Every other O(n^2) pass streams over
-blocks of ``_BLOCK`` rows: the c-transform and :func:`lipschitz_violation`
-of any other cost, the check of a metric cost in d >= 2 and the symmetry
-check of an explicit one (square tiles, each paired with its transpose). A
-metric cost computes each block from its coordinates, in place, and stores
-no n x n array; a pass holds a few blocks at a time, never an n x n
-temporary. Only exports read ``entries`` or ``scaled`` whole, and build
-them then.
+:meth:`CostMatrix.block`, a few rows and columns at a time. One function
+scans a cost, the c-transform: :func:`project_lipschitz` takes it, and
+:func:`lipschitz_violation` checks that g is its own c-transform, then reads
+the one row where g exceeds it most. On a line (a metric cost of 1-D
+points, where both metrics are |x - y|) the c-transform makes no O(n^2)
+pass: two sorted sweeps find, for every point, the best column on each
+side, in O(n) after one sort at construction. Every other O(n^2) pass
+streams over blocks of ``_BLOCK`` rows: the c-transform of any other cost,
+the check of a metric cost in d >= 2 and the symmetry check of an explicit
+one (square tiles, each paired with its transpose). A metric cost computes
+each block from its coordinates, in place, and stores no n x n array; a
+pass holds a few blocks at a time, never an n x n temporary. Only exports
+read ``entries`` or ``scaled`` whole, and build them then.
 
 All types are immutable after construction (arrays are frozen), so instances
 can be shared freely across threads. A :class:`CostMatrix` keeps a read-only
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -82,13 +84,11 @@ LIP_ATOL = 1e-9        # slack allowed when certifying Lipschitz feasibility
 COST_RTOL = 1e-12      # symmetry, diagonal and sign of a cost, relative to 1 + max c
 TRIANGLE_RTOL = 1e-9   # triangle inequality of a cost, relative to 1 + max c
 MAX_REPORTS = 50       # witnesses listed per kind of cost violation
-# Rows per block of a streamed n x n pass (tiles are _BLOCK x _BLOCK). A
-# Lipschitz check of a 1-D cost holds two blocks at once (g_i - g_j and the
-# cost), 0.13 n^2 doubles at n = 1000. On a 3 050-point grid cost at scale 3
-# (2-core VM, best of 25), at 32, 64 and 128 rows: a c-transform pass from
-# coordinates took 17.9, 20.1 and 22.8 ms, a Lipschitz check 17.2, 25.4 and
-# 26.1 ms, and the tiled symmetry check of an explicit 3 001-point cost 60.7,
-# 23.8 and 19.3 ms.
+# Rows per block of a streamed n x n pass (tiles are _BLOCK x _BLOCK). On a
+# 3 050-point grid cost at scale 3 (2-core VM, best of 25), at 32, 64 and
+# 128 rows: a c-transform pass from coordinates took 17.9, 20.1 and 22.8 ms,
+# and the tiled symmetry check of an explicit 3 001-point cost 60.7, 23.8
+# and 19.3 ms.
 _BLOCK = 64
 _SWEEP_SIGNS = np.array([[-1.0], [1.0]])  # row 0 of a line sweep keys on -b x, row 1 on +b x
 
@@ -380,7 +380,7 @@ class CostMatrix:
       is stored; the euclidean and manhattan metrics satisfy the rule's
       symmetry, zero diagonal and the triangle inequality by construction.
       On 1-D points it also keeps their sorted order, which the line sweeps
-      of the c-transform and the Lipschitz check walk.
+      of the c-transform walk.
 
     ``entries`` is the unit-scale matrix and ``scaled = scale_b * entries``
     (``entries`` itself at ``scale_b == 1``). Each is built on first access
@@ -425,7 +425,7 @@ class CostMatrix:
 
     @cached_property
     def _sweep(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """What :func:`_line_argmins` reads of a line cost, derived once per
+        """What the line sweeps of :func:`_c_transform` read, derived once per
         scale: the coordinates along ``_walk``, -b x along its row 0 and
         +b x along its row 1, and the flat position of each entry."""
         xw = _freeze(self._coords[0][self._walk])
@@ -604,50 +604,28 @@ def metric_cost(point_set: PointSet, metric: str = "euclidean", scale_b: float =
 def lipschitz_violation(values, cost: CostMatrix) -> tuple[float, tuple[int, int] | None]:
     """Largest violation of g(x) - g(y) <= b*c(x,y) and its witness pair.
 
-    The witness is the first largest pair in row-major order; any NaN makes
-    the violation NaN, witnessed by the first NaN pair. On a line cost each
-    row's largest slack is at the column that attains its c-transform, so
-    only the two columns :func:`_line_argmins` finds are evaluated, as the
-    dense pass evaluates them, and the diagonal's 0 counts. Where several
-    columns tie in real arithmetic, the value can differ from the dense
-    pass's in the last bits. Any other cost is read one block of rows at a
-    time."""
+    g is in the class exactly when it is its own c-transform over every
+    point (the diagonal's 0 makes g - g^c >= 0), so the row of the worst
+    pair is the first largest g - g^c. That one row is then read as the
+    dense pass reads it, (g_i - g_j) - b*c_ij, for the value and the first
+    largest column. Any NaN makes the violation NaN, witnessed by the dense
+    pass's first NaN pair. On a potential that is tight in real arithmetic
+    (a projection's output), rounding may pick another row than the dense
+    pass: the value can then differ in the last bits, or read 0 with no
+    pair where the dense pass names a pair an ulp above 0; the verdict at
+    :func:`_lipschitz_tol` is the same."""
     g = np.asarray(values, dtype=float)
-    if cost._walk is not None:
-        return _line_violation(g, cost)
-    n = g.size
-    worst, pair = -np.inf, None
-    for i in range(0, n, _BLOCK):
-        slack = np.subtract.outer(g[i:i + _BLOCK], g)
-        slack -= cost.block(slice(i, i + _BLOCK), slice(None))
-        k = int(slack.argmax())  # the block's first NaN, if it has one
-        v = float(slack.flat[k])
-        if not v <= worst:
-            worst, pair = v, divmod(i * n + k, n)
-            if v != v:
-                break
-    return (worst, None) if worst <= 0 else (worst, pair)
-
-
-def _line_violation(g: np.ndarray, cost: CostMatrix) -> tuple[float, tuple[int, int] | None]:
-    """:func:`lipschitz_violation` on a line cost, two columns a row."""
     if not np.isfinite(g).all():
         # The dense pass's first NaN pair: row 0 holds one if any value is
         # NaN, else the first non-finite row does (on its diagonal).
         i = 0 if np.isnan(g).any() else int(np.isfinite(g).argmin())
         with np.errstate(invalid="ignore"):  # inf - inf is the NaN sought
             return np.nan, (i, int(np.isnan(g[i] - g).argmax()))
-    rank = cost._rank
-    k, dist = _line_argmins(g, cost)
-    slack = (g[cost._walk] - g[k]) - dist
-    row_worst = np.maximum(slack[0], slack[1, ::-1])[rank]
-    i = int(row_worst.argmax())
-    worst = max(float(row_worst[i]), 0.0)
-    if worst <= 0:
-        return worst, None
-    j, back = rank[i], g.size - 1 - rank[i]
-    candidates = ((k[0, j], slack[0, j]), (k[1, back], slack[1, back]))
-    return worst, (i, min(int(c) for c, v in candidates if v == worst))
+    i = int((g - _c_transform(g, cost, slice(None))).argmax())
+    slack = (g[i] - g) - cost.block(slice(i, i + 1), slice(None))[0]
+    j = int(slack.argmax())
+    worst = float(slack[j])
+    return (worst, None) if worst <= 0 else (worst, (i, j))
 
 
 def _lipschitz_tol(values: np.ndarray) -> float:
@@ -715,50 +693,39 @@ def project_lipschitz(values, cost: CostMatrix, reference=None) -> LipschitzFunc
     return LipschitzFunction(_c_transform(g[ref], cost, ref), cost)
 
 
-def _c_transform(h: np.ndarray, cost: CostMatrix, cols: np.ndarray) -> np.ndarray:
-    """min over k of h_k + cost(x, cols[k]), at every point x. A column
-    that ``cols`` repeats carries one value of ``h``.
+def _c_transform(h: np.ndarray, cost: CostMatrix, cols) -> np.ndarray:
+    """min over k of h_k + cost(x, cols[k]), at every point x. ``cols`` is
+    an index array or a slice; a column that it repeats carries one value
+    of ``h``. :func:`project_lipschitz` and :func:`lipschitz_violation`
+    scan a cost only through this function.
 
-    On a line cost, h_k + b|x - x_k| is evaluated as the dense pass
-    evaluates it, at the two columns :func:`_line_argmins` finds; where
-    several columns tie in real arithmetic, the result can differ from the
-    dense pass's in the last bits. Any other cost is read one block of rows
-    at a time."""
-    if cost._walk is not None:
-        # +inf off the columns: such a point never evaluates below a column.
-        h_all = np.full(cost.n, np.inf)
-        h_all[cols] = h
-        best = _line_argmins(h_all, cost)
-        if best is None:  # the dense minimum of every row is NaN
-            return np.full(cost.n, np.nan)
-        k, dist = best
-        v = dist + h_all[k]
-        return np.minimum(v[0], v[1, ::-1])[cost._rank]
-    out = np.empty(cost.n)
-    for i in range(0, cost.n, _BLOCK):
-        m = cost.block(slice(i, i + _BLOCK), cols)
-        m += h
-        m.min(axis=1, out=out[i:i + _BLOCK])
-    return out
-
-
-def _line_argmins(h: np.ndarray, cost: CostMatrix) -> tuple[np.ndarray, np.ndarray] | None:
-    """The two sweeps of a 1-D distance transform (Felzenszwalb &
-    Huttenlocher, *Theory of Computing* 8, 2012) over the values ``h`` of
-    every point of a line cost, run as one (2, n) pass along
-    ``cost._walk``: left to right, a running minimum of h_k - b x_k, and
-    right to left, one of h_k + b x_k. Entry j of row r of ``k`` is the
-    point that attains the running minimum at the row's j-th point x, the
-    last to reach it: the least h_k + b|x - x_k| over the points at or left
-    of x (row 0) or at or right of x (row 1). ``dist`` is b|x - x_k| as the
-    block pass computes it. None if ``h`` holds a NaN."""
+    A line cost runs the two sweeps of a 1-D distance transform
+    (Felzenszwalb & Huttenlocher, *Theory of Computing* 8, 2012) as one
+    (2, n) pass along ``cost._walk``: left to right, a running minimum of
+    h_k - b x_k, and right to left, one of h_k + b x_k. Each point takes
+    the last point k to reach its running minimum on either side and
+    evaluates h_k + b|x - x_k| there as the dense pass does; where several
+    columns tie in real arithmetic, the result can differ from the dense
+    pass's in the last bits. Any other cost is read one block of rows at a
+    time."""
+    if cost._walk is None:
+        out = np.empty(cost.n)
+        for i in range(0, cost.n, _BLOCK):
+            m = cost.block(slice(i, i + _BLOCK), cols)
+            m += h
+            m.min(axis=1, out=out[i:i + _BLOCK])
+        return out
+    # +inf off the columns: such a point never evaluates below a column.
+    h_all = np.full(cost.n, np.inf)
+    h_all[cols] = h
     xw, signed, steps = cost._sweep
-    keys = h[cost._walk] + signed
+    keys = h_all[cost._walk] + signed
     least = np.minimum.accumulate(keys, axis=1)
-    if np.isnan(least[0, -1]):  # a NaN stays in the running minimum
-        return None
+    if np.isnan(least[0, -1]):  # a NaN stays in the running minimum,
+        return np.full(cost.n, np.nan)  # and in every row's dense minimum
     k = cost._walk.take(np.maximum.accumulate(steps * (keys == least), axis=1))
-    return k, np.abs(xw - cost._coords[0][k]) * cost.scale_b
+    v = np.abs(xw - cost._coords[0][k]) * cost.scale_b + h_all[k]
+    return np.minimum(v[0], v[1, ::-1])[cost._rank]
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +802,8 @@ def load_cost(source, point_set: PointSet) -> CostMatrix:
 def _load_json(source):
     if isinstance(source, dict):
         return source
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
+    # os.path.exists is False, not an error, for a string too long to name a file.
+    if isinstance(source, (str, Path)) and os.path.exists(source):
         with open(source) as fh:
             return json.load(fh)
     if isinstance(source, str):

@@ -61,12 +61,15 @@ def directional_derivative(
 ) -> DerivativeReport:
     """One-sided derivative of the divergence along rho, with FD validation.
 
-    Requires rho to have zero total mass (within 1e-12) and mu + eps*rho to
-    stay inside the simplex up to ``epsilon``; otherwise the perturbation is
-    rejected, reporting the largest feasible eps. The solver tolerance is
-    tightened well below ``epsilon`` so finite-difference noise stays small
-    against the comparison.
+    Requires a positive, finite ``epsilon``, rho to have zero total mass
+    (within 1e-12) and mu + eps*rho to stay inside the simplex up to
+    ``epsilon``; otherwise the perturbation is rejected, reporting the
+    largest feasible eps. The solver tolerance is tightened well below
+    ``epsilon`` so finite-difference noise stays small against the
+    comparison.
     """
+    if not (epsilon > 0 and np.isfinite(epsilon)):
+        raise ValidationError(f"epsilon must be a positive real, got {epsilon!r}")
     _require_same_point_set(mu, nu)
     _require_same_point_set(mu, rho)
     if not rho.is_balanced:

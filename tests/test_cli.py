@@ -222,6 +222,17 @@ def test_derivative_infeasible_direction_exits_3(fixtures):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("epsilon", ["0", "-1e-4", "nan"])
+def test_derivative_rejects_an_epsilon_that_is_not_positive_and_finite(
+        fixtures, tmp_path, epsilon):
+    rho = tmp_path / "rho_feasible.json"
+    rho.write_text(json.dumps({"points": [[0.0], [0.25]], "weights": [-0.5, 0.5]}))
+    code, _ = run_cli(["derivative", "--mu", fixtures["mu.json"],
+                       "--nu", fixtures["nu.json"], "--rho", str(rho),
+                       "--cost", "euclidean", "--scale-b", "10", f"--epsilon={epsilon}"])
+    assert code == EXIT_VALIDATION
+
+
 def test_markov_bound_identical_kernels(fixtures):
     code, out = run_cli(["markov", "bound", "--p", fixtures["pkernel.json"],
                          "--q", fixtures["pkernel.json"], "--f", fixtures["f.json"]])

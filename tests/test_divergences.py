@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -158,12 +159,19 @@ def test_certificates(rng):
                                        nu_support=int(rng.integers(1, 9)))
         sol = transport_cost(mu, nu, cost)
         assert sol.marginal_residual(mu, nu) <= 1e-10
+        assert sol.marginal_residual(mu, nu) == dense_marginal_residual(sol, mu, nu)
         assert sol.value == pytest.approx((cost.scaled * sol.plan).sum(), abs=1e-10)
         # strong duality at the returned potential
         pairing = float(sol.potential.values @ (mu.weights - nu.weights))
         assert pairing == pytest.approx(sol.value, abs=1e-9)
         assert sol.complementary_slackness_residual(cost) <= 1e-8
         assert sol.potential.values[0] == 0.0
+
+
+def dense_marginal_residual(sol, mu, nu):
+    row = np.abs(sol.plan.sum(axis=1) - mu.weights).max()
+    col = np.abs(sol.plan.sum(axis=0) - nu.weights).max()
+    return float(max(row, col))
 
 
 def dense_slackness_residual(sol, cost):
@@ -202,6 +210,27 @@ def test_slackness_residual_matches_the_dense_formula():
     for s in (sol, other):
         assert s.complementary_slackness_residual(cost) == dense_slackness_residual(s, cost)
     assert other.complementary_slackness_residual(cost) > 0.1
+
+
+def test_residuals_read_the_flow_not_the_plan():
+    # The benchmark's one-row LP: a point mass at 0 against a 2 000-point grid.
+    # The dense plan would hold 30.5 MiB.
+    n = 2000
+    ps = PointSet(tuple(((k - 0.5) / n,) for k in range(1, n + 1)) + ((0.0,),))
+    mu = DiscreteMeasure(ps, np.eye(n + 1)[n])
+    nu = DiscreteMeasure(ps, np.append(np.full(n, 1.0 / n), 0.0))
+    cost = metric_cost(ps, "euclidean", 10.0)
+    tracemalloc.start()
+    try:
+        sol = transport_cost(mu, nu, cost)
+        residuals = (sol.marginal_residual(mu, nu), sol.complementary_slackness_residual(cost))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+    assert "plan" not in vars(sol)
+    assert max(residuals) <= 1e-12
+    assert residuals == (dense_marginal_residual(sol, mu, nu), dense_slackness_residual(sol, cost))
 
 
 # ---------------------------------------------------------------------------

@@ -600,10 +600,25 @@ def test_lipschitz_violation_matches_the_dense_reference():
     feasible = 0.5 * cost.scaled[:, 0]
     assert lipschitz_violation(feasible, cost) == dense_violation(feasible, cost) == (0.0, None)
 
+    # Costs read one block at a time: a 2-D metric cost spanning several
+    # blocks and its explicit copy.
+    rng = np.random.default_rng(6)
+    plane = metric_cost(random_point_set(rng, N_POINTS, d=2), "euclidean", 3.0)
+    for c in (plane, CostMatrix(plane.entries, plane.scale_b)):
+        g = rng.normal(0, 1, N_POINTS)
+        tight = project_lipschitz(g, c).values
+        for v in (g, 0.999 * tight):
+            assert lipschitz_violation(v, c) == dense_violation(v, c)
+        # On a tight g, rounding may pick another row than the dense pass.
+        worst, dense = lipschitz_violation(tight, c)[0], dense_violation(tight, c)[0]
+        tol = measures._lipschitz_tol(tight)
+        assert (worst <= tol) == (dense <= tol)
+        assert abs(worst - dense) <= 4 * np.spacing(np.abs(tight).max())
+
 
 # ---------------------------------------------------------------------------
-# Line sweeps: a metric cost of 1-D points gets its c-transform and Lipschitz
-# check from two sorted sweeps, not from blocks
+# Line sweeps: a metric cost of 1-D points gets its c-transform, and so its
+# Lipschitz check, from two sorted sweeps, not from blocks
 
 
 def line_cost(n, scale=1.0, metric="euclidean"):
@@ -707,6 +722,14 @@ def test_measure_json_round_trip(tmp_path):
     back = load_measure(path)
     assert back.point_set.points == m.point_set.points
     np.testing.assert_allclose(back.weights, m.weights)
+
+
+def test_load_measure_from_a_json_string_longer_than_a_file_name():
+    text = json.dumps({"points": [[float(i)] for i in range(40)], "weights": [1 / 40] * 40})
+    assert len(text) == 615
+    m = load_measure(text)
+    assert m.point_set.points == tuple((float(i),) for i in range(40))
+    assert m.weights.tobytes() == np.full(40, 1 / 40).tobytes()
 
 
 def test_load_cost_metric_and_matrix(tmp_path):

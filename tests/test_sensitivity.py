@@ -136,3 +136,14 @@ def test_infeasible_direction_reports_max_epsilon():
     rho_outside = SignedMeasure(ps, [0.5, 0.0, -0.5])  # negative off supp(mu)
     with pytest.raises(ValidationError, match="largest feasible eps"):
         directional_derivative(mu, nu, cost, rho_outside)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-4, np.nan])
+def test_epsilon_must_be_positive_and_finite(epsilon):
+    ps = PointSet((0.0, 0.25, 0.75))
+    mu = DiscreteMeasure(ps, [1.0, 0.0, 0.0])
+    nu = DiscreteMeasure(ps, [0.0, 0.5, 0.5])
+    rho = SignedMeasure(ps, [-0.5, 0.5, 0.0])
+    cost = metric_cost(ps, "euclidean", 10.0)
+    with pytest.raises(ValidationError, match="epsilon must be a positive real"):
+        directional_derivative(mu, nu, cost, rho, epsilon=epsilon)
