@@ -52,10 +52,6 @@ __all__ = [
     "sweep_rows",
 ]
 
-TO_ENTROPY = "to_entropy"
-TO_TRANSPORT = "to_transport"
-
-
 @dataclass(frozen=True)
 class ScaleSweep:
     """Certified divergence lower brackets along a scale ladder.
@@ -70,7 +66,6 @@ class ScaleSweep:
     values: tuple[float, ...]
     gaps: tuple[float, ...]
     reference: float
-    mode: str
     tol: float
 
     @property
@@ -83,7 +78,7 @@ class ScaleSweep:
         return all(g <= self.tol for g in self.gaps)
 
 
-def _run_sweep(mu, nu, cost0, scales, tol, mode, reference) -> ScaleSweep:
+def _run_sweep(mu, nu, cost0, scales, tol, reference) -> ScaleSweep:
     order = sorted(float(s) for s in scales)
     if not order:
         raise ValidationError("scale list must be nonempty")
@@ -100,7 +95,7 @@ def _run_sweep(mu, nu, cost0, scales, tol, mode, reference) -> ScaleSweep:
         values.append(floor)
         gaps.append(sol.duality_gap)
     return ScaleSweep(scales=tuple(order), values=tuple(values), gaps=tuple(gaps),
-                      reference=reference, mode=mode, tol=tol)
+                      reference=reference, tol=tol)
 
 
 def entropy_limit_sweep(
@@ -116,8 +111,7 @@ def entropy_limit_sweep(
     R(mu || nu) and stay below it; otherwise the reference is infinite and
     the values grow without bound.
     """
-    return _run_sweep(mu, nu, cost0, scales, tol, TO_ENTROPY,
-                      reference=relative_entropy(mu, nu))
+    return _run_sweep(mu, nu, cost0, scales, tol, reference=relative_entropy(mu, nu))
 
 
 def transport_limit_sweep(
@@ -135,7 +129,7 @@ def transport_limit_sweep(
     deltas = [float(s) for s in scales]
     if any(not (0 < d <= 1) for d in deltas):
         raise ValidationError("transport sweep scales must lie in (0, 1]")
-    return _run_sweep(mu, nu, cost0, deltas, tol, TO_TRANSPORT,
+    return _run_sweep(mu, nu, cost0, deltas, tol,
                       reference=transport_cost(mu, nu, cost0).value)
 
 
@@ -193,7 +187,7 @@ def large_scale_expansion(
     gamma_star, tie = nearest_atom_aggregation(mu, nu, cost0)
     leading = transport_cost(mu, gamma_star, cost0).value
     constant = relative_entropy(gamma_star, nu)
-    sweep = _run_sweep(mu, nu, cost0, scales, tol, TO_ENTROPY, reference=constant)
+    sweep = _run_sweep(mu, nu, cost0, scales, tol, reference=constant)
     remainders = tuple(v - s * leading - constant
                        for v, s in zip(sweep.values, sweep.scales))
     return ExpansionReport(

@@ -136,6 +136,9 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     ``a`` and ``b`` must be strictly positive with equal totals. Returns
     ``(X, u, v)`` where (u, v) are optimal dual potentials with
     u_i + v_j <= C_ij everywhere and equality on the spanning-tree basis.
+    Totals that differ by less than the 1e-9 tolerance give a plan that
+    carries the smaller one: row sums at most ``a`` and column sums at most
+    ``b``, so the side with the larger total falls short by the gap.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -224,8 +227,10 @@ def _northwest_corner(a: list, b: list, cost: list):
         if i == m - 1 and j == n - 1:
             break
         # Exhausted row moves down, otherwise move right; simultaneous
-        # exhaustion leaves a zero-flow basic cell in the next column.
-        if ra <= 1e-15 * (1.0 + a[i]) and i < m - 1:
+        # exhaustion leaves a zero-flow basic cell in the next column. From
+        # the last column every row moves down: totals that differ within
+        # the tolerance may leave it not exhausted.
+        if i < m - 1 and (j == n - 1 or ra <= 1e-15 * (1.0 + a[i])):
             i += 1
             ra = a[i]
             pot[i] = cost[i][j] - pot[m + j]

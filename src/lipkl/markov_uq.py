@@ -133,8 +133,12 @@ class GaussianAR1:
     def __post_init__(self):
         if not (0 < self.alpha < 1):
             raise ValidationError("alpha must lie in (0, 1)")
-        if not (self.sigma > 0):
-            raise ValidationError("sigma must be positive")
+        # The example's formulas scale by sigma^2 and divide by it, so
+        # neither sigma^2 nor 1/sigma^2 may overflow.
+        sigma2 = self.sigma * self.sigma
+        if not (self.sigma > 0 and 0 < sigma2 < math.inf and 1 / sigma2 < math.inf):
+            raise ValidationError(
+                f"sigma must be positive with sigma^2 and 1/sigma^2 finite, got {self.sigma!r}")
 
 
 @dataclass(frozen=True)

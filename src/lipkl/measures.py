@@ -30,26 +30,22 @@ the one row where g exceeds it most. On a line (a metric cost of 1-D
 points, where both metrics are |x - y|) the c-transform makes no O(n^2)
 pass: two sorted sweeps find, for every point, the best column on each
 side, in O(n) after one sort at construction. Every other O(n^2) pass
-streams over blocks of ``_BLOCK`` rows: the c-transform of any other cost,
-the check of a metric cost in d >= 2 and the symmetry check of an explicit
-one (square tiles, each paired with its transpose). A metric cost computes
-each block from its coordinates, in place, and stores no n x n array; a
-pass holds a few blocks at a time, never an n x n temporary. Only exports
-read ``entries`` or ``scaled`` whole, and build them then.
+streams over blocks of ``_BLOCK`` rows: the c-transform of any other cost
+and the check of a metric cost in d >= 2. Each block is a fresh array,
+scaled in place: a metric cost computes it from its coordinates and stores
+no n x n array, an explicit cost gathers it from its stored matrix. A pass
+holds a few blocks at a time, never an n x n temporary. Only exports read
+``entries`` or ``scaled`` whole. An explicit matrix is checked whole, one
+mask per property of the structural rule.
 
-All types are immutable after construction (arrays are frozen), so instances
-can be shared freely across threads. A :class:`CostMatrix` keeps a read-only
-float64 input that is already canonical (no entry below zero, a +0.0
-diagonal) instead of copying it, and :meth:`CostMatrix.with_scale` shares
-its source. Such an array must not be written through another handle
-afterwards.
+All types are immutable after construction (arrays are frozen copies), so
+instances can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-import os
 import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -84,11 +80,9 @@ LIP_ATOL = 1e-9        # slack allowed when certifying Lipschitz feasibility
 COST_RTOL = 1e-12      # symmetry, diagonal and sign of a cost, relative to 1 + max c
 TRIANGLE_RTOL = 1e-9   # triangle inequality of a cost, relative to 1 + max c
 MAX_REPORTS = 50       # witnesses listed per kind of cost violation
-# Rows per block of a streamed n x n pass (tiles are _BLOCK x _BLOCK). On a
-# 3 050-point grid cost at scale 3 (2-core VM, best of 25), at 32, 64 and
-# 128 rows: a c-transform pass from coordinates took 17.9, 20.1 and 22.8 ms,
-# and the tiled symmetry check of an explicit 3 001-point cost 60.7, 23.8
-# and 19.3 ms.
+# Rows per block of a streamed n x n pass. A blocked c-transform of a
+# 3 050-point grid cost at scale 3 (2-core VM, best of 25) took 17.9, 20.1
+# and 22.8 ms at 32, 64 and 128 rows.
 _BLOCK = 64
 _SWEEP_SIGNS = np.array([[-1.0], [1.0]])  # row 0 of a line sweep keys on -b x, row 1 on +b x
 
@@ -318,47 +312,28 @@ class CostValidationError(ValidationError):
 
 
 def _structure_violations(c: np.ndarray) -> list[CostViolation]:
-    """Violations of the structural rule (module docstring). One reduction
-    decides each check; witnesses are gathered only for a failed check."""
+    """Violations of the structural rule (module docstring): the first
+    non-finite entry alone, else each property's witnesses in row-major
+    order, at most ``MAX_REPORTS`` a kind."""
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         return [CostViolation("shape", c.shape, "matrix is not square")]
-    n, diag = c.shape[0], np.diagonal(c)
-    # Past its first entry the flat matrix splits into rows of n + 1 that each
-    # end on a diagonal entry; the other n columns hold the off-diagonal ones.
-    off_min = c.reshape(-1)[1:].reshape(max(n - 1, 0), n + 1)[:, :n].min(initial=np.inf)
-    hi, lo = float(c.max(initial=0.0)), float(np.minimum(off_min, diag.min(initial=0.0)))
-    if not (np.isfinite(hi) and np.isfinite(lo)):  # max and min propagate NaN
-        i, j = map(int, np.argwhere(~np.isfinite(c))[0])
+    bad = np.argwhere(~np.isfinite(c))
+    if len(bad):
+        i, j = bad[0].tolist()
         return [CostViolation("not_finite", (i, j), f"entry is {c[i, j]!r}")]
-    tol = COST_RTOL * (1.0 + hi)
+    tol = COST_RTOL * (1.0 + float(c.max(initial=0.0)))
     out: list[CostViolation] = []
-    if _asymmetry(c) > tol:
-        for i, j in np.argwhere(np.triu(np.abs(c - c.T), 1) > tol)[:MAX_REPORTS]:
-            out.append(CostViolation("asymmetry", (int(i), int(j)),
-                                     f"c[i][j]={c[i, j]:g} vs c[j][i]={c[j, i]:g}"))
-    if np.abs(diag).max(initial=0.0) > tol:
-        for (i,) in np.argwhere(np.abs(diag) > tol)[:MAX_REPORTS]:
-            out.append(CostViolation("nonzero_diagonal", (int(i),), f"c[i][i]={c[i, i]:g}"))
-    if lo < -tol:
-        for i, j in np.argwhere(c < -tol)[:MAX_REPORTS]:
-            out.append(CostViolation("negative", (int(i), int(j)), f"c[i][j]={c[i, j]:g}"))
-    if off_min <= 0:
-        bad = np.argwhere(c <= 0)
-        for i, j in bad[bad[:, 0] != bad[:, 1]][:MAX_REPORTS]:
-            out.append(CostViolation("zero_off_diagonal", (int(i), int(j)),
-                                     "off-diagonal entries must be strictly positive"))
+    for i, j in np.argwhere(np.triu(np.abs(c - c.T) > tol, 1))[:MAX_REPORTS].tolist():
+        out.append(CostViolation("asymmetry", (i, j),
+                                 f"c[i][j]={c[i, j]:g} vs c[j][i]={c[j, i]:g}"))
+    for (i,) in np.argwhere(np.abs(np.diagonal(c)) > tol)[:MAX_REPORTS].tolist():
+        out.append(CostViolation("nonzero_diagonal", (i,), f"c[i][i]={c[i, i]:g}"))
+    for i, j in np.argwhere(c < -tol)[:MAX_REPORTS].tolist():
+        out.append(CostViolation("negative", (i, j), f"c[i][j]={c[i, j]:g}"))
+    for i, j in np.argwhere((c <= 0) & ~np.eye(len(c), dtype=bool))[:MAX_REPORTS].tolist():
+        out.append(CostViolation("zero_off_diagonal", (i, j),
+                                 "off-diagonal entries must be strictly positive"))
     return out
-
-
-def _asymmetry(c: np.ndarray) -> float:
-    """max |c - c^T|, read over the tiles on and above the diagonal, each
-    against its transposed partner."""
-    n, worst = c.shape[0], 0.0
-    for i in range(0, n, _BLOCK):
-        for j in range(i, n, _BLOCK):
-            d = c[i:i + _BLOCK, j:j + _BLOCK] - c[j:j + _BLOCK, i:i + _BLOCK].T
-            worst = max(worst, float(np.abs(d, out=d).max()))
-    return worst
 
 
 _NORMS = {"euclidean": np.square, "manhattan": np.abs}
@@ -372,8 +347,9 @@ class CostMatrix:
 
     - explicit: ``CostMatrix(entries, scale_b)`` applies the structural rule
       of the module docstring to a square matrix, raising
-      :class:`CostValidationError`, and stores it; :meth:`block` gathers the
-      stored ``scaled``. The O(n^3) triangle-inequality check is performed by
+      :class:`CostValidationError`, and stores a copy with its entries
+      clamped at zero and a +0.0 diagonal; :meth:`block` gathers from that
+      copy. The O(n^3) triangle-inequality check is performed by
       :func:`validate_cost`.
     - coordinates: :func:`metric_cost` keeps the points' coordinates and the
       metric, and :meth:`block` computes each block from them. No n x n array
@@ -386,11 +362,6 @@ class CostMatrix:
     (``entries`` itself at ``scale_b == 1``). Each is built on first access
     and cached; only exports read them. :meth:`with_scale` shares the
     accepted source and checks nothing again.
-
-    Ownership: a read-only float64 array with a +0.0 diagonal that passes the
-    rule is kept as ``entries`` without a copy, so the caller must not write
-    to it through another handle (a writeable base or view). Any other input
-    is copied, its diagonal set to +0.0 and its entries clamped at zero.
     """
 
     _coords: np.ndarray | None = None  # (d, n): row k holds coordinate k of every point
@@ -438,8 +409,9 @@ class CostMatrix:
         index array (repeats allowed) over the point set."""
         if self._coords is None:
             index = np.arange(self.n)
-            return self.scaled[np.ix_(index[rows], index[cols])]
-        out = _distances(self._coords, self._metric, rows, cols)
+            out = self.entries[np.ix_(index[rows], index[cols])]
+        else:
+            out = _distances(self._coords, self._metric, rows, cols)
         if self.scale_b != 1.0:
             out *= self.scale_b
         return out
@@ -459,15 +431,10 @@ def _positive_scale(scale_b) -> float:
 
 
 def _canonical(c: np.ndarray) -> np.ndarray:
-    """A matrix that passes the structural rule, frozen, with its entries
-    clamped at zero and a +0.0 diagonal. np.asarray hands back any input
-    that is not float64 as a fresh, writeable array, and a writeable input
-    may still change: only a read-only float64 input is kept. An accepted
-    matrix is strictly positive off the diagonal, so it is already
-    canonical when every diagonal bit is clear (+0.0)."""
-    if c.flags.writeable or np.diagonal(c).view(np.uint64).any():
-        c = np.maximum(c, 0.0)
-        np.fill_diagonal(c, 0.0)
+    """A frozen copy of a matrix that passes the structural rule, with its
+    entries clamped at zero and a +0.0 diagonal."""
+    c = np.maximum(c, 0.0)
+    np.fill_diagonal(c, 0.0)
     return _freeze(c)
 
 
@@ -581,7 +548,7 @@ def metric_cost(point_set: PointSet, metric: str = "euclidean", scale_b: float =
     without building the matrix. The cost keeps the coordinates; see
     :class:`CostMatrix`.
     """
-    if metric not in _NORMS:
+    if not isinstance(metric, str) or metric not in _NORMS:
         raise ValidationError(f"unknown metric {metric!r}")
     x = _freeze(np.ascontiguousarray(point_set.coords.T))
     scale = _positive_scale(scale_b)
@@ -800,14 +767,15 @@ def load_cost(source, point_set: PointSet) -> CostMatrix:
 
 
 def _load_json(source):
+    """A parsed dict as given; a string whose first non-blank character is
+    ``{`` or ``[`` as JSON text; any other string or path as a file name."""
     if isinstance(source, dict):
         return source
-    # os.path.exists is False, not an error, for a string too long to name a file.
-    if isinstance(source, (str, Path)) and os.path.exists(source):
+    if isinstance(source, str) and source.lstrip()[:1] in ("{", "["):
+        return json.loads(source)
+    if isinstance(source, (str, Path)):
         with open(source) as fh:
             return json.load(fh)
-    if isinstance(source, str):
-        return json.loads(source)
     raise ValidationError(f"cannot load JSON from {source!r}")
 
 

@@ -315,6 +315,21 @@ def test_missing_file_exits_2(fixtures):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--mu", "@missing.json", "--nu", "@nu.json", "--cost", "euclidean"],
+    ["compute", "--mu", "@mu.json", "--nu", "@nu.json", "--cost", "@missing-cost.json"],
+    ["markov", "bound", "--p", "@missing.json", "--q", "@pkernel.json", "--f", "@f.json"],
+])
+def test_missing_file_is_named(fixtures, capsys, argv):
+    # Each used to be read as JSON text: "Expecting value: line 1 column 1".
+    args = [fixtures.get(arg[1:], f"{fixtures['dir']}/{arg[1:]}") if arg.startswith("@") else arg
+            for arg in argv]
+    code, _ = run_cli(args)
+    assert code == EXIT_IO
+    missing = next(f"{fixtures['dir']}/{arg[1:]}" for arg in argv if arg.startswith("@missing"))
+    assert f"No such file or directory: {missing!r}" in capsys.readouterr().err
+
+
 def test_invalid_cost_exits_3(fixtures, tmp_path):
     bad = tmp_path / "bad_cost.json"
     bad.write_text(json.dumps({"matrix": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}))
@@ -343,12 +358,17 @@ def test_invalid_cost_exits_3(fixtures, tmp_path):
     ["verify", "--report", "@list_report"],
     ["verify", "--report", "@list_results"],
     ["verify", "--report", "@list_gamma"],
+    ["compute", "--mu", "@mu.json", "--nu", "@nu.json", "--cost", "@list_metric"],
+    ["markov", "gaussian", "--alpha", "0.5", "--sigma", "1e-170"],
+    ["markov", "gaussian", "--alpha", "0.5", "--sigma", "inf"],
 ])
 def test_malformed_numbers_exit_3(fixtures, tmp_path, argv):
     # These used to escape main as a ValueError or TypeError (exit 1, a
     # traceback), or, for --scale-b 0, run at b = 10. rho_outside puts a rho
     # point outside the merged support of mu and nu; null_f reached Newton
-    # and exited 1 with "Newton did not reach tolerance".
+    # and exited 1 with "Newton did not reach tolerance". list_metric and
+    # --sigma 1e-170 exited 1 with a TypeError and a ZeroDivisionError;
+    # --sigma inf exited 0 with Infinity and NaN, which are not JSON.
     bad = {
         "bad_weight": {"points": [[0.0]], "weights": ["x"]},
         "bad_scale": {"metric": "euclidean", "scale_b": "x"},
@@ -374,6 +394,7 @@ def test_malformed_numbers_exit_3(fixtures, tmp_path, argv):
                                   "cost": [[0.0]], "scale_b": 1.0},
                        "results": {"gamma": [1.0, 0.0]}},
         "null_f": {"values": [None, 0.0, 0.0]},
+        "list_metric": {"metric": ["euclidean"]},
     }
     paths = {**fixtures, "out": str(tmp_path / "sweep.csv")}
     for name, obj in bad.items():

@@ -281,6 +281,16 @@ def test_simplex_certificate_thin(rng):
         assert_simplex_certificate(w, np.ones(1), rng.uniform(0.0, 3.0, (k, 1)))
 
 
+def test_simplex_certificate_with_totals_apart_inside_the_tolerance():
+    # Row 0 is not exhausted when the north-west start reaches the last
+    # column, which it used to pass (an IndexError).
+    a, b = np.array([1 + 1e-12, 1e-13]), np.array([0.5, 0.5 + 1e-13])
+    C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert_simplex_certificate(a, b, C)
+    assert (transport_simplex(a, b, C)[0].sum(axis=0) == b).all()
+    assert_simplex_certificate(b, a, C.T)
+
+
 def test_simplex_returns_an_optimal_start_without_a_tree_walk(rng, monkeypatch):
     import lipkl.divergences
 

@@ -479,3 +479,8 @@ def test_gaussian_model_validation():
         GaussianAR1(1.0, 1.0)
     with pytest.raises(ValidationError):
         GaussianAR1(0.5, 0.0)
+    # sigma^2 underflows to 0 (a ZeroDivisionError before), to a subnormal
+    # whose reciprocal overflows, or overflows itself (NaN or inf results).
+    for sigma in (1e-170, 1e-160, 1e200, math.inf):
+        with pytest.raises(ValidationError, match="sigma"):
+            GaussianAR1(0.5, sigma)
