@@ -6,6 +6,8 @@ identical inputs and configuration produce bit-identical output; pass
 
 Exit codes: 0 success (certified), 1 uncertified solve (unless
 ``--allow-uncertified``), 2 file/parse errors, 3 validation errors.
+Reports are strict JSON: a non-finite number is written as the string
+"inf", "-inf" or "nan".
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -39,7 +42,6 @@ from .measures import (
     load_measure,
     merge_supports,
     metric_cost,
-    validate_cost,
     _as_float,
     _finite_vector,
     _place,
@@ -67,10 +69,21 @@ def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
+def _strict(obj):
+    """``obj`` with every non-finite float written as "inf", "-inf" or "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _emit(report: dict, args, started: float) -> None:
     if args.timing:
         report["timing_s"] = time.perf_counter() - started
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -143,7 +156,7 @@ def cmd_compute(args) -> int:
         certified = certified and sol.certified
     if args.what in ("entropy", "all"):
         value = relative_entropy(mu, nu)
-        results["entropy"] = {"value": value if np.isfinite(value) else "inf"}
+        results["entropy"] = {"value": value}
         certificates["entropy"] = {"exact": True}
     if args.what in ("transport", "all"):
         ts = transport_cost(mu, nu, cost)
@@ -157,7 +170,7 @@ def cmd_compute(args) -> int:
         g = results["gamma"]["value"]
         r = results["entropy"]["value"]
         w = results["transport"]["value"]
-        cap = w if r == "inf" else min(r, w)
+        cap = min(r, w)
         results["inequality"] = {
             "divergence_leq_min_entropy_transport":
                 bool(results["gamma"]["dual_value"] <= cap * (1 + 1e-12) + 1e-300),
@@ -331,8 +344,8 @@ def cmd_verify(args) -> int:
     ps = PointSet(inputs["points"])
     mu = DiscreteMeasure(ps, _as_float(inputs["mu"], "mu", 1))
     nu = DiscreteMeasure(ps, _as_float(inputs["nu"], "nu", 1))
-    cost = validate_cost(_as_float(inputs["cost"], "cost", 2),
-                         _as_float(inputs.get("scale_b", 1.0), "scale_b"))
+    cost = CostMatrix(_as_float(inputs["cost"], "cost", 2),
+                      _as_float(inputs.get("scale_b", 1.0), "scale_b"))
     results = _json_object(saved["results"], 'report "results"')
     payload = _json_object(results["gamma"], 'report "results"."gamma"')
     gamma = DiscreteMeasure(ps, _as_float(payload["gamma_star"], "gamma_star", 1))

@@ -507,14 +507,19 @@ def ar1_quadratic_rate(model: GaussianAR1, b: float) -> float:
 
 
 def ar1_max_quadratic_rate(model: GaussianAR1) -> Ar1Peak:
-    """Peak of k(b): b* = (1 - alpha)/(2 sigma^2), k* = (1 - alpha)^2/(2 sigma^2)."""
-    sigma2 = model.sigma ** 2
-    b_star = (1.0 - model.alpha) / (2.0 * sigma2)
-    k_star = (1.0 - model.alpha) ** 2 / (2.0 * sigma2)
-    hi = (1.0 - 1e-9) / (2.0 * sigma2)
-    search_b, search_k = _golden_max(lambda b: ar1_quadratic_rate(model, b),
-                                     1e-12, hi, tol=1e-13 / sigma2)
-    return Ar1Peak(b_star=b_star, k_star=k_star, search_b=search_b, search_k=search_k)
+    """Peak of k(b): b* = (1 - alpha)/(2 sigma^2), k* = (1 - alpha)^2/(2 sigma^2).
+
+    The search runs over x = 2 b sigma^2 on the fixed interval
+    (1e-12, 1 - 1e-9), where 2 sigma^2 k = x (1 - alpha^2 / (1 - x)) does not
+    depend on sigma, and maps its maximizer back to b."""
+    two_sigma2 = 2.0 * model.sigma ** 2
+    b_star = (1.0 - model.alpha) / two_sigma2
+    k_star = (1.0 - model.alpha) ** 2 / two_sigma2
+    x, _ = _golden_max(lambda x: x * (1.0 - model.alpha ** 2 / (1.0 - x)),
+                       1e-12, 1.0 - 1e-9, tol=1e-13)
+    search_b = x / two_sigma2
+    return Ar1Peak(b_star=b_star, k_star=k_star, search_b=search_b,
+                   search_k=ar1_quadratic_rate(model, search_b))
 
 
 def ar1_quadratic_representable(model: GaussianAR1, cost_fn: QuadraticFunction) -> bool:

@@ -5,15 +5,15 @@ ordered collection of pairwise-distinct points. Points are either coordinate
 tuples in R^d (which enables the built-in euclidean / manhattan ground costs)
 or opaque labels (in which case the cost matrix must be supplied explicitly).
 
-Ground costs are metrics. :class:`CostMatrix` and :func:`cost_violations`
-share one structural rule: finite entries; symmetry, a zero diagonal and no
-entry below zero, each within ``COST_RTOL * (1 + max c)``; strictly positive
-off-diagonal entries. :func:`validate_cost` adds the triangle inequality within
-``TRIANGLE_RTOL * (1 + max c)``, which makes the c-transform in
-:func:`project_lipschitz` a genuine projection onto the Lipschitz class; strict
-positivity off the diagonal makes that class separate any two distinct
-probability vectors. Every Lipschitz-feasibility verdict allows an excess of
-``LIP_ATOL * (1 + max |g|)``.
+Ground costs are metrics. :class:`CostMatrix` accepts an explicit matrix
+with no :func:`cost_violations`, one rule in two steps. The structural rule:
+finite entries; symmetry, a zero diagonal and no entry below zero, each
+within ``COST_RTOL * (1 + max c)``; strictly positive off-diagonal entries.
+Then the triangle inequality within ``TRIANGLE_RTOL * (1 + max c)``, which
+makes the c-transform in :func:`project_lipschitz` a genuine projection onto
+the Lipschitz class; strict positivity off the diagonal makes that class
+separate any two distinct probability vectors. Every Lipschitz-feasibility
+verdict allows an excess of ``LIP_ATOL * (1 + max |g|)``.
 
 Each type derives its data once, in its constructor: a :class:`PointSet`
 holds the position of every point, and a :class:`CostMatrix` holds its
@@ -36,7 +36,8 @@ scaled in place: a metric cost computes it from its coordinates and stores
 no n x n array, an explicit cost gathers it from its stored matrix. A pass
 holds a few blocks at a time, never an n x n temporary. Only exports read
 ``entries`` or ``scaled`` whole. An explicit matrix is checked whole, one
-mask per property of the structural rule.
+mask per property of the structural rule, then one n x n pass per middle
+point of the triangle inequality.
 
 All types are immutable after construction (arrays are frozen copies), so
 instances can be shared freely across threads.
@@ -63,7 +64,6 @@ __all__ = [
     "SignedMeasure",
     "CostMatrix",
     "LipschitzFunction",
-    "validate_cost",
     "cost_violations",
     "metric_cost",
     "merge_supports",
@@ -345,12 +345,11 @@ class CostMatrix:
     Every solver reads the scaled cost ``scale_b * c`` through :meth:`block`,
     a few rows and columns at a time. A cost has one of two sources:
 
-    - explicit: ``CostMatrix(entries, scale_b)`` applies the structural rule
-      of the module docstring to a square matrix, raising
-      :class:`CostValidationError`, and stores a copy with its entries
-      clamped at zero and a +0.0 diagonal; :meth:`block` gathers from that
-      copy. The O(n^3) triangle-inequality check is performed by
-      :func:`validate_cost`.
+    - explicit: ``CostMatrix(entries, scale_b)`` applies the rule of the
+      module docstring, the structural rule and then the O(n^3) triangle
+      check, raising :class:`CostValidationError` with the list of
+      :func:`cost_violations`. It stores a copy with its entries clamped at
+      zero and a +0.0 diagonal; :meth:`block` gathers from that copy.
     - coordinates: :func:`metric_cost` keeps the points' coordinates and the
       metric, and :meth:`block` computes each block from them. No n x n array
       is stored; the euclidean and manhattan metrics satisfy the rule's
@@ -374,7 +373,7 @@ class CostMatrix:
     def __init__(self, entries, scale_b: float = 1.0):
         scale = _positive_scale(scale_b)
         c = np.asarray(entries, dtype=float)
-        if violations := _structure_violations(c):
+        if violations := cost_violations(c):
             raise CostValidationError(violations)
         self.__dict__.update(entries=_canonical(c), scale_b=scale)
 
@@ -431,17 +430,17 @@ def _positive_scale(scale_b) -> float:
 
 
 def _canonical(c: np.ndarray) -> np.ndarray:
-    """A frozen copy of a matrix that passes the structural rule, with its
-    entries clamped at zero and a +0.0 diagonal."""
+    """A frozen copy of an accepted matrix, with its entries clamped at
+    zero and a +0.0 diagonal."""
     c = np.maximum(c, 0.0)
     np.fill_diagonal(c, 0.0)
     return _freeze(c)
 
 
 def _accepted_cost(scale_b, source: dict) -> CostMatrix:
-    """A :class:`CostMatrix` over a source that has passed the structural
-    rule: ``{"entries": matrix}`` or ``{"_coords": x, "_metric": name}``,
-    with ``_walk`` and ``_rank`` when x is 1-D."""
+    """A :class:`CostMatrix` over an accepted source: ``{"entries": matrix}``
+    or ``{"_coords": x, "_metric": name}``, with ``_walk`` and ``_rank`` when
+    x is 1-D."""
     cost = object.__new__(CostMatrix)
     cost.__dict__.update(source, scale_b=_positive_scale(scale_b))
     return cost
@@ -501,14 +500,14 @@ def _metric_violations(x: np.ndarray, metric: str, order: np.ndarray | None) -> 
 
 
 def cost_violations(entries) -> list[CostViolation]:
-    """Collect every metric-property violation of a candidate cost matrix.
+    """Every violation of the rule that :class:`CostMatrix` applies.
 
-    First the structural rule of :class:`CostMatrix`: finite entries;
-    symmetry, zero diagonal and no negative entry within
-    ``COST_RTOL * (1 + max c)``; strictly positive off-diagonal entries. On a
-    matrix that passes, the triangle inequality c[i][k] <= c[i][j] + c[j][k]
-    within ``TRIANGLE_RTOL * (1 + max c)``. Witnesses: (i, j) for pairs, (i,)
-    for the diagonal, (i, j, k) for triangles; at most ``MAX_REPORTS`` a kind.
+    First the structural rule: finite entries; symmetry, zero diagonal and
+    no negative entry within ``COST_RTOL * (1 + max c)``; strictly positive
+    off-diagonal entries. On a matrix that passes, the triangle inequality
+    c[i][k] <= c[i][j] + c[j][k] within ``TRIANGLE_RTOL * (1 + max c)``.
+    Witnesses: (i, j) for pairs, (i,) for the diagonal, (i, j, k) for
+    triangles; at most ``MAX_REPORTS`` a kind. An empty list accepts.
     """
     c = np.asarray(entries, dtype=float)
     if out := _structure_violations(c):
@@ -523,21 +522,6 @@ def cost_violations(entries) -> list[CostViolation]:
             if len(out) >= MAX_REPORTS:
                 return out
     return out
-
-
-def validate_cost(entries, scale_b: float = 1.0) -> CostMatrix:
-    """Validate a candidate ground cost and wrap it in a :class:`CostMatrix`.
-
-    Accepts a matrix with no :func:`cost_violations`: the structural rule at
-    ``COST_RTOL`` and the triangle inequality at ``TRIANGLE_RTOL``, both
-    relative to ``1 + max c``. Otherwise raises :class:`CostValidationError`
-    carrying the violation list with witness indices. The structural rule
-    runs once.
-    """
-    c = np.asarray(entries, dtype=float)
-    if violations := cost_violations(c):
-        raise CostValidationError(violations)
-    return _accepted_cost(scale_b, {"entries": _canonical(c)})
 
 
 def metric_cost(point_set: PointSet, metric: str = "euclidean", scale_b: float = 1.0) -> CostMatrix:
@@ -747,8 +731,8 @@ def load_cost(source, point_set: PointSet) -> CostMatrix:
     """Load a ground cost for ``point_set``.
 
     Accepts ``{"metric": "euclidean" | "manhattan", "scale_b": b}`` (computed
-    from coordinates) or ``{"matrix": [[...]], "scale_b": b}`` (explicit
-    matrix, fully validated including the triangle inequality).
+    from coordinates) or ``{"matrix": [[...]], "scale_b": b}`` (an explicit
+    matrix, accepted by the rule of :class:`CostMatrix`).
     """
     obj = _load_json(source)
     if not isinstance(obj, dict):
@@ -762,7 +746,7 @@ def load_cost(source, point_set: PointSet) -> CostMatrix:
             raise ValidationError(
                 f"cost matrix shape {m.shape} does not match point set of size {point_set.n}"
             )
-        return validate_cost(m, scale)
+        return CostMatrix(m, scale)
     raise ValidationError('cost specification needs "metric" or "matrix"')
 
 

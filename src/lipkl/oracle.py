@@ -17,25 +17,7 @@ import numpy as np
 from .divergences import transport_simplex
 from .measures import CostMatrix, DiscreteMeasure, ValidationError, _require_same_point_set
 
-__all__ = ["OracleConfig", "OracleValue", "grid_divergence", "line_transport_cost"]
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Grid resolution and the largest support the oracle will enumerate.
-
-    Enumeration cost grows like resolution**-(support-1); the defaults are
-    1e-3 for two-point targets and 1e-2 for three-point targets.
-    """
-
-    grid_resolution: float = 1e-3
-    max_support: int = 3
-
-    def __post_init__(self):
-        if not (0 < self.grid_resolution <= 0.1):
-            raise ValidationError("grid_resolution must lie in (0, 0.1]")
-        if not (1 <= self.max_support <= 4):
-            raise ValidationError("max_support must lie in 1..4")
+__all__ = ["OracleValue", "grid_divergence", "line_transport_cost"]
 
 
 @dataclass(frozen=True)
@@ -61,12 +43,14 @@ def grid_divergence(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     cost: CostMatrix,
-    config: OracleConfig | None = None,
 ) -> OracleValue:
     """Exhaustive-search value of the inf-convolution on a simplex grid.
 
     Minimizes W(mu, gamma) + R(gamma || nu) over all grid measures gamma
-    supported in supp(nu). The reported ``error_bound`` is the local
+    supported in supp(nu). Enumeration cost grows like
+    resolution**-(support-1): the grid resolution is 1e-3 for a support of
+    at most two points and 1e-2 for three, and a larger support raises
+    :class:`ValidationError`. The reported ``error_bound`` is the local
     Lipschitz modulus of the objective at the argmin (transport potential
     spread plus log-density spread, floored at resolution/10) times the grid
     mesh; it is rigorous whenever the true optimizer keeps every coordinate
@@ -75,18 +59,14 @@ def grid_divergence(
     _require_same_point_set(mu, nu)
     cols = nu.support
     k = cols.size
-    if config is None:
-        config = OracleConfig(grid_resolution=1e-3 if k <= 2 else 1e-2)
-    if k > config.max_support:
-        raise ValidationError(
-            f"support of nu has {k} points; oracle is limited to {config.max_support}"
-        )
+    if k > 3:
+        raise ValidationError(f"support of nu has {k} points; oracle is limited to 3")
     rows = mu.support
     a = mu.weights[rows]
     w = nu.weights[cols]
     C = cost.block(rows, cols)
 
-    res = config.grid_resolution
+    res = 1e-3 if k <= 2 else 1e-2
     steps = int(round(1.0 / res))
     grid = _simplex_grid(k, steps)
 

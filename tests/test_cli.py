@@ -24,6 +24,15 @@ def run_cli(args):
     return code, buf.getvalue()
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def parse_report(text):
+    """A report read as strict JSON: Infinity, -Infinity and NaN raise."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 @pytest.fixture
 def fixtures(tmp_path):
     files = {}
@@ -59,7 +68,7 @@ def test_compute_gamma_certified(fixtures):
                          "--nu", fixtures["nu.json"], "--cost", "euclidean",
                          "--scale-b", "10", "--what", "gamma"])
     assert code == EXIT_OK
-    report = json.loads(out)
+    report = parse_report(out)
     cert = report["certificates"]["gamma"]
     assert cert["certified"]
     assert cert["gibbs_residual"] <= 1e-8
@@ -72,10 +81,19 @@ def test_compute_all_inequality(fixtures):
                          "--nu", fixtures["nu.json"], "--cost", "euclidean",
                          "--what", "all"])
     assert code == EXIT_OK
-    report = json.loads(out)
+    report = parse_report(out)
     assert report["results"]["inequality"]["divergence_leq_min_entropy_transport"]
     assert report["results"]["entropy"]["value"] != "inf"
     assert report["results"]["transport"]["value"] >= 0
+    # mu's point carries no mass of nu: the entropy is infinite, written "inf".
+    code, out = run_cli(["compute", "--mu", fixtures["mu.json"],
+                         "--nu", fixtures["nu.json"], "--cost", "euclidean",
+                         "--what", "all"])
+    assert code == EXIT_OK
+    res = parse_report(out)["results"]
+    assert res["entropy"]["value"] == "inf"
+    assert res["inequality"]["min_entropy_transport"] == res["transport"]["value"]
+    assert res["inequality"]["divergence_leq_min_entropy_transport"]
 
 
 def test_compute_uncertified_exit_code(fixtures, tmp_path):
@@ -93,7 +111,7 @@ def test_compute_uncertified_exit_code(fixtures, tmp_path):
             "--tol", "1e-300", "--max-iter", "4"]
     code, out = run_cli(args)
     assert code == EXIT_UNCERTIFIED
-    report = json.loads(out)
+    report = parse_report(out)
     assert not report["certificates"]["gamma"]["certified"]
     assert report["results"]["gamma"]["duality_gap"] > 0
     code, _ = run_cli(args + ["--allow-uncertified"])
@@ -103,7 +121,7 @@ def test_compute_uncertified_exit_code(fixtures, tmp_path):
 def test_compute_grid_fixture_matches_closed_form(fixtures):
     code, out = run_cli(["benchmark", "--scale-b", "10", "--grid", "1000"])
     assert code == EXIT_OK
-    report = json.loads(out)
+    report = parse_report(out)
     assert report["results"]["value"] == pytest.approx(2.302630, abs=1e-2)
     assert report["results"]["error"] <= 1e-2
 
@@ -118,7 +136,7 @@ def test_compute_on_grid_measure_files(fixtures, tmp_path):
     code, out = run_cli(["compute", "--mu", fixtures["mu.json"], "--nu", str(grid),
                          "--cost", "euclidean", "--scale-b", "10", "--what", "gamma"])
     assert code == EXIT_OK
-    report = json.loads(out)
+    report = parse_report(out)
     assert report["results"]["gamma"]["value"] == pytest.approx(2.302630, abs=1e-2)
     assert report["certificates"]["gamma"]["certified"]
 
@@ -140,7 +158,7 @@ def test_verify_round_trip(fixtures, tmp_path):
     assert code == EXIT_OK
     code, out = run_cli(["verify", "--report", report_path])
     assert code == EXIT_OK
-    assert json.loads(out)["results"]["optimal"]
+    assert parse_report(out)["results"]["optimal"]
 
 
 def test_sweep_modes(fixtures, tmp_path):
@@ -186,7 +204,7 @@ def test_derivative_command(fixtures):
                          "--nu", fixtures["nu.json"], "--rho", fixtures["rho.json"],
                          "--cost", "euclidean", "--scale-b", "0.5"])
     assert code == EXIT_OK
-    report = json.loads(out)
+    report = parse_report(out)
     assert report["config"] == {"epsilon": 1e-4}
     res = report["results"]
     assert abs(res["analytic"] - res["finite_diff"]) <= 1e-2 * max(1, abs(res["analytic"]))
@@ -199,7 +217,7 @@ def test_derivative_zero_direction(fixtures, tmp_path):
                          "--nu", fixtures["nu.json"], "--rho", str(zero),
                          "--cost", "euclidean"])
     assert code == EXIT_OK
-    res = json.loads(out)["results"]
+    res = parse_report(out)["results"]
     assert res["analytic"] == 0.0
     assert abs(res["finite_diff"]) <= 1e-9
 
@@ -212,7 +230,7 @@ def test_derivative_sums_a_repeated_rho_point(fixtures, tmp_path):
                          "--nu", fixtures["nu.json"], "--rho", str(rho),
                          "--cost", "euclidean", "--scale-b", "10"])
     assert code == EXIT_OK
-    assert json.loads(out)["inputs"]["rho"] == [0.5, 0.0, -0.5]
+    assert parse_report(out)["inputs"]["rho"] == [0.5, 0.0, -0.5]
 
 
 def test_derivative_infeasible_direction_exits_3(fixtures):
@@ -237,7 +255,7 @@ def test_markov_bound_identical_kernels(fixtures):
     code, out = run_cli(["markov", "bound", "--p", fixtures["pkernel.json"],
                          "--q", fixtures["pkernel.json"], "--f", fixtures["f.json"]])
     assert code == EXIT_OK
-    report = json.loads(out)
+    report = parse_report(out)
     assert report["config"] == {}
     res = report["results"]
     assert res["holds"]
@@ -250,7 +268,7 @@ def test_markov_bound_shifted_support(fixtures):
     code, out = run_cli(["markov", "bound", "--p", fixtures["pkernel.json"],
                          "--q", fixtures["qkernel.json"], "--f", fixtures["f.json"]])
     assert code == EXIT_OK
-    res = json.loads(out)["results"]
+    res = parse_report(out)["results"]
     assert res["holds"]
     assert all(math.isfinite(cls["rhs"]) for cls in res["classes"])
 
@@ -259,27 +277,49 @@ def test_markov_membership(fixtures):
     code, out = run_cli(["markov", "membership", "--p", fixtures["pkernel.json"],
                          "--f", fixtures["f.json"]])
     assert code == EXIT_OK
-    res = json.loads(out)["results"]
+    res = parse_report(out)["results"]
     assert res["representable"]
     np.testing.assert_allclose(res["g"], [0.0, 0.3, -0.2], atol=1e-9)
     assert res["a"] == pytest.approx(0.15, abs=1e-9)
+    # Two recurrent classes leave the Newton inverse without a solution: its
+    # residual and Lipschitz excess are infinite, and the report used to
+    # print them as Infinity, which is not JSON.
+    kernel = Path(fixtures["dir"]) / "two_classes.json"
+    kernel.write_text(json.dumps({"states": [[0.0], [1.0], [2.0]],
+                                  "P": [[1, 0, 0], [0, 1, 0], [0.5, 0, 0.5]],
+                                  "cost": {"metric": "euclidean"}}))
+    code, out = run_cli(["markov", "membership", "--p", str(kernel),
+                         "--f", fixtures["f.json"]])
+    assert code == EXIT_UNCERTIFIED
+    report = parse_report(out)
+    assert report["certificates"] == {"lipschitz_excess": "inf", "residual": "inf"}
+    assert not report["results"]["representable"]
+    assert report["results"]["jacobian_rank"] == 2
 
 
 def test_markov_gaussian(fixtures):
     code, out = run_cli(["markov", "gaussian", "--alpha", "0.5", "--sigma", "1",
                          "--quad", "0.1"])
     assert code == EXIT_OK
-    res = json.loads(out)["results"]
+    res = parse_report(out)["results"]
     assert res["b_star"] == 0.25 and res["k_star"] == 0.125
     assert res["risk_quadratic"]["quadratic"] == pytest.approx(0.06875, abs=1e-15)
     assert res["representable"]
+    # At sigma = 1e7 the search interval in b was inverted, and the report
+    # printed search_k as -Infinity.
+    code, out = run_cli(["markov", "gaussian", "--alpha", "0.5", "--sigma", "1e7"])
+    assert code == EXIT_OK
+    report = parse_report(out)
+    res = report["results"]
+    assert abs(res["search_k"] - res["k_star"]) <= 1e-12 * res["k_star"]
+    assert report["certificates"]["golden_section_error"] <= 1e-12 * res["k_star"]
 
 
 def test_markov_flags_go_after_the_subcommand(fixtures):
     gaussian = ["gaussian", "--alpha", "0.5", "--sigma", "1"]
     code, out = run_cli(["markov"] + gaussian + ["--timing"])
     assert code == EXIT_OK
-    assert "timing_s" in json.loads(out)
+    assert "timing_s" in parse_report(out)
     # Given before the subcommand, the flag used to be overwritten by the
     # subcommand's default without a word.
     with pytest.raises(SystemExit) as exc:
@@ -418,7 +458,7 @@ def test_console_entry_point(fixtures):
          "--alpha", "0.5", "--sigma", "1"],
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["results"]["k_star"] == 0.125
+    assert parse_report(proc.stdout)["results"]["k_star"] == 0.125
 
 
 def test_import_leaves_scipy_special_unloaded():

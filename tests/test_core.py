@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lipkl import (
+    CostMatrix,
     DiscreteMeasure,
     PointSet,
     ValidationError,
@@ -375,10 +376,8 @@ def test_warm_start_over_nu_support_is_rejected():
 
 
 def test_label_points_with_explicit_cost():
-    from lipkl import validate_cost
-
     ps = PointSet(("sunny", "cloudy", "rain"))
-    cost = validate_cost([[0, 1, 2], [1, 0, 1], [2, 1, 0]], scale_b=0.5)
+    cost = CostMatrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]], scale_b=0.5)
     mu = DiscreteMeasure(ps, [0.7, 0.2, 0.1])
     nu = DiscreteMeasure(ps, [0.1, 0.2, 0.7])
     sol = divergence(mu, nu, cost, tol=1e-12)

@@ -451,6 +451,12 @@ def test_ar1_peak_other_parameters():
     assert peak.b_star == pytest.approx(0.0125, abs=1e-15)
     assert peak.k_star == pytest.approx(0.00125, abs=1e-15)
     assert abs(peak.search_k - peak.k_star) <= 1e-8
+    # The search interval in b used to end below its fixed lower end for
+    # sigma above about 7.1e5: search_k read -1.15e-11 at 7e5 and -inf at 1e7.
+    for alpha, sigma in [(0.5, 7e5), (0.5, 1e7), (0.9, 1e150)]:
+        peak = ar1_max_quadratic_rate(GaussianAR1(alpha, sigma))
+        assert abs(peak.search_k - peak.k_star) <= 1e-12 * peak.k_star
+        assert abs(peak.search_b - peak.b_star) <= 1e-6 * peak.b_star
 
 
 def test_ar1_rate_diverges_at_the_boundary():

@@ -19,7 +19,6 @@ from lipkl import (
     merge_supports,
     metric_cost,
     project_lipschitz,
-    validate_cost,
 )
 from lipkl import measures
 from lipkl.measures import lipschitz_violation, measure_to_dict
@@ -135,16 +134,22 @@ def test_signed_measure_mass():
 def test_absolute_value_metric_is_valid():
     x = np.array([0.0, 0.5, 1.0])
     entries = np.abs(x[:, None] - x[None, :])
-    cost = validate_cost(entries)
+    cost = CostMatrix(entries)
     assert cost.n == 3
 
 
 def test_triangle_violation_witness():
-    entries = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-    violations = cost_violations(entries)
-    assert any(v.kind == "triangle" and v.indices == (0, 1, 2) for v in violations)
-    with pytest.raises(CostValidationError):
-        validate_cost(entries)
+    # [[0, 1, 3], [1, 0, 1], [3, 1, 0]] passes the structural rule alone; the
+    # constructor used to accept it, and a solve from point 0 to point 2 then
+    # failed with a Lipschitz violation of its potential.
+    for far in (5.0, 3.0):
+        entries = np.array([[0.0, 1.0, far], [1.0, 0.0, 1.0], [far, 1.0, 0.0]])
+        violations = cost_violations(entries)
+        assert [(v.kind, v.indices) for v in violations] == [
+            ("triangle", (0, 1, 2)), ("triangle", (2, 1, 0))]
+        with pytest.raises(CostValidationError) as err:
+            CostMatrix(entries)
+        assert err.value.violations == violations
 
 
 def test_squared_euclidean_rejected():
@@ -171,19 +176,20 @@ def test_violation_kinds(entries, kind):
     assert any(v.kind == kind for v in err.value.violations)
 
 
-def test_validate_cost_applies_the_constructor_rule():
+def test_cost_matrix_checks_the_structure_at_its_own_tolerance():
     # An asymmetry of 1e-10 is inside the triangle tolerance but outside the
     # structural one, so it is reported as a violation with its witness.
     with pytest.raises(CostValidationError) as err:
-        validate_cost([[0.0, 1.0, 1.0], [1.0 + 1e-10, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        CostMatrix([[0.0, 1.0, 1.0], [1.0 + 1e-10, 0.0, 1.0], [1.0, 1.0, 0.0]])
     assert [(v.kind, v.indices) for v in err.value.violations] == [("asymmetry", (0, 1))]
-    # Any strictly positive off-diagonal entry is allowed, as in CostMatrix.
-    assert validate_cost([[0.0, 1e-10], [1e-10, 0.0]]).n == 2
+    # Any strictly positive off-diagonal entry is allowed.
+    assert CostMatrix([[0.0, 1e-10], [1e-10, 0.0]]).n == 2
 
 
 def reference_cost_rule(entries):
-    """The structural rule written out one check per pass: the canonical
-    entries, or None when the matrix is rejected."""
+    """The rule written out one check per pass, the triangle inequality by
+    brute force over every (i, j, k): the canonical entries, or None when the
+    matrix is rejected."""
     c = np.asarray(entries, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1] or not np.all(np.isfinite(c)):
         return None
@@ -195,6 +201,12 @@ def reference_cost_rule(entries):
             or c.min(initial=0.0) < -tol
             or (n > 1 and (c + np.eye(n) * (cmax + 1.0)).min() <= 0)):
         return None
+    tri = 1e-9 * (1.0 + cmax)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if c[i, k] - (c[i, j] + c[j, k]) > tri:
+                    return None
     c = np.maximum(c, 0.0)
     np.fill_diagonal(c, 0.0)
     return c
@@ -262,7 +274,7 @@ def test_random_distance_matrices_validate(metric, d):
     for _ in range(8):
         ps = random_point_set(rng, int(rng.integers(2, 12)), d)
         cost = metric_cost(ps, metric)
-        validate_cost(cost.entries)  # must not raise
+        CostMatrix(cost.entries)  # must not raise
 
 
 def test_load_cost_runs_the_structural_rule_once(monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 
 from lipkl import (
     DiscreteMeasure,
-    OracleConfig,
     PointSet,
     ValidationError,
     divergence,
@@ -17,20 +16,6 @@ from lipkl import (
 )
 
 from conftest import random_instance
-
-
-def test_config_bounds():
-    with pytest.raises(ValidationError):
-        OracleConfig(grid_resolution=0.2)
-    with pytest.raises(ValidationError):
-        OracleConfig(max_support=5)
-    with pytest.raises(ValidationError):
-        grid_divergence(
-            DiscreteMeasure.from_points([0.0], [1.0]),
-            DiscreteMeasure.from_points([0.0], [1.0]),
-            metric_cost(PointSet((0.0,)), "euclidean"),
-            OracleConfig(max_support=0),  # invalid config itself
-        )
 
 
 def test_zero_at_equal_two_point():
@@ -73,7 +58,7 @@ def test_support_limit_enforced():
     nu = DiscreteMeasure.from_points([0.0, 1.0, 2.0, 3.0], [0.25] * 4)
     cost = metric_cost(nu.point_set, "euclidean", 1.0)
     with pytest.raises(ValidationError, match="support"):
-        grid_divergence(nu, nu, cost, OracleConfig(grid_resolution=0.05, max_support=3))
+        grid_divergence(nu, nu, cost)
 
 
 def test_oracle_never_below_solver_bracket(rng):
