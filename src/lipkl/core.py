@@ -44,9 +44,10 @@ step, which is what lets the solver certify gaps near machine precision.
 Guesses are drawn from both the certificate LP's plan and the mirror
 iterate's own coupling (the latter tracks exponentially small masses at the
 correct order, which the log(gamma/nu) candidate cannot). The support
-forest is rooted and its components labelled by the same walk that roots
-the transport simplex's basis tree (``divergences._rooted_walk``), and every
-component's constant comes from one bincount pass over those labels.
+forest is rooted and its components labelled by one whole-forest walk
+(``divergences._rooted_walk``, whose arithmetic the transport simplex's
+pivots repeat on the subtrees they re-hang), and every component's constant
+comes from one bincount pass over those labels.
 
 Certificate rounds run at mirror iterations 1, 2, 4, 8, ... and once on the
 last iterate: early rounds catch solves whose structure is visible at once,

@@ -7,15 +7,18 @@ The north-west start sets its dual potentials as it lays its staircase, so
 an LP that is optimal at the start returns after one reduced-cost check,
 with no basis tree and no tree walk. That is every LP on sorted points with
 an |x - y| cost, a Monge matrix (Hoffman, "On simple linear programming
-problems", 1963), and every LP with one row or one column. Each pivot
-roots the basis tree in one walk that yields parent pointers, depths, dual
-potentials and component labels, checks that the basis spans (one
-component), and reads the pivot cycle off the parent pointers (Ahuja,
-Magnanti & Orlin, *Network Flows*, 1993, ch. 11). The same walk roots and
-labels the components of the structure closure's support forest. This is
-exact up to floating-point arithmetic and produces a dual certificate: at
-the returned plan and potential, complementary slackness holds and the dual
-objective equals the primal value.
+problems", 1963), and every LP with one row or one column. Otherwise the
+staircase is rooted at row 0 (parent pointers and depths), and each pivot
+reads its cycle off the parent pointers, then re-hangs only the subtree
+that the leaving cell cuts off from the entering cell's other end, setting
+that subtree's parents, depths and potentials (Ahuja, Magnanti & Orlin,
+*Network Flows*, 1993, ch. 11). Every node keeps the values a walk of the
+whole tree from row 0 would give it, since its root path fixes them. The
+structure closure roots and labels its support forest by one such
+whole-forest walk, :func:`_rooted_walk`. This is exact up to floating-point
+arithmetic and produces a dual certificate: at the returned plan and
+potential, complementary slackness holds and the dual objective equals the
+primal value.
 """
 
 from __future__ import annotations
@@ -139,6 +142,11 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     Totals that differ by less than the 1e-9 tolerance give a plan that
     carries the smaller one: row sums at most ``a`` and column sums at most
     ``b``, so the side with the larger total falls short by the gap.
+
+    Pivots follow Bland's rule. Each one swaps the leaving cell for the
+    entering cell in the basis tree and re-walks only the subtree that the
+    leaving cell cut off, so after every pivot the potentials are those of
+    a walk of the whole tree from row 0, bit for bit.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -167,12 +175,19 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
         if not neg[first]:
             return X, u, v
         if tree is None:
-            # Basis tree on nodes 0..m-1 (rows) and m..m+n-1 (columns).
+            # Basis tree on nodes 0..m-1 (rows) and m..m+n-1 (columns),
+            # rooted at row 0. Each staircase cell after the first brings in
+            # one new node, a row that has no cell yet or else its column,
+            # and hangs it from the cell's other end.
             tree = [set() for _ in range(m + n)]
+            parent, depth = [-1] * (m + n), [0] * (m + n)
             for i, j in basis:
+                if i and not tree[i]:
+                    parent[i], depth[i] = m + j, depth[m + j] + 1
+                else:
+                    parent[m + j], depth[m + j] = i, depth[i] + 1
                 tree[i].add(m + j)
                 tree[m + j].add(i)
-            parent, depth, _, _ = _rooted_walk(tree, cost, m)
         ei, ej = divmod(first, n)
         # The entering cell closes one cycle: walk its row and column up to
         # their common ancestor. Signs alternate from the entering cell, so
@@ -199,9 +214,21 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
         tree[m + lj].remove(li)
         tree[ei].add(m + ej)
         tree[m + ej].add(ei)
-        parent, depth, pot, comp = _rooted_walk(tree, cost, m)
-        if any(comp):
-            raise RuntimeError("transport basis is not spanning; numerical breakdown")
+        # The leaving cell cuts off the subtree below it, which holds the
+        # entering end on its side of the cycle; re-hang that subtree from
+        # the other end. No other node's root path changes.
+        node, top = (ei, m + ej) if leave in sides[0] else (m + ej, ei)
+        parent[node] = top
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            up = parent[node]
+            depth[node] = depth[up] + 1
+            pot[node] = (cost[node][up - m] if up >= m else cost[up][node - m]) - pot[up]
+            for other in tree[node]:
+                if other != up:
+                    parent[other] = node
+                    stack.append(other)
     raise RuntimeError("transport simplex failed to terminate (pivot limit reached)")
 
 

@@ -511,13 +511,15 @@ def ar1_max_quadratic_rate(model: GaussianAR1) -> Ar1Peak:
 
     The search runs over x = 2 b sigma^2 on the fixed interval
     (1e-12, 1 - 1e-9), where 2 sigma^2 k = x (1 - alpha^2 / (1 - x)) does not
-    depend on sigma, and maps its maximizer back to b."""
-    two_sigma2 = 2.0 * model.sigma ** 2
-    b_star = (1.0 - model.alpha) / two_sigma2
-    k_star = (1.0 - model.alpha) ** 2 / two_sigma2
+    depend on sigma, and maps its maximizer back to b. Each division by
+    2 sigma^2 halves first: 2 sigma^2 itself overflows for sigma above about
+    9.49e153, where sigma^2 and b* are still finite."""
+    sigma2 = model.sigma ** 2
+    b_star = (1.0 - model.alpha) / 2.0 / sigma2
+    k_star = (1.0 - model.alpha) ** 2 / 2.0 / sigma2
     x, _ = _golden_max(lambda x: x * (1.0 - model.alpha ** 2 / (1.0 - x)),
                        1e-12, 1.0 - 1e-9, tol=1e-13)
-    search_b = x / two_sigma2
+    search_b = x / 2.0 / sigma2
     return Ar1Peak(b_star=b_star, k_star=k_star, search_b=search_b,
                    search_k=ar1_quadratic_rate(model, search_b))
 

@@ -265,6 +265,9 @@ def test_simplex_certificate_degenerate(rng):
         ([0.25] * 4, [0.25] * 4),
         ([0.5, 0.5], [0.125, 0.375, 0.25, 0.25]),
         ([0.125, 0.375, 0.25, 0.25], [0.5, 0.5]),
+        # On random costs most of the ~300 pivots move no mass, so their
+        # re-hung subtrees hang under zero-flow cells.
+        ([1 / 16] * 16, [1 / 16] * 16),
     ]
     for a, b in cases:
         a, b = np.array(a), np.array(b)
@@ -305,11 +308,36 @@ def test_simplex_returns_an_optimal_start_without_a_tree_walk(rng, monkeypatch):
         assert_simplex_certificate(a, b, 3.0 * np.abs(x[:, None] - y[None, :]))
     assert_simplex_certificate(np.ones(1), rng.dirichlet(np.ones(50)), rng.uniform(0, 3, (1, 50)))
     assert walks == []
-    # A start that is not optimal pivots, walking the tree once per pivot
-    # and once before the first.
-    C = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert_simplex_certificate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), C)
-    assert len(walks) == 2
+    # A start that is not optimal pivots: the north-west diagonal moves to
+    # the anti-diagonal, and each pivot re-hangs only the subtree it cuts
+    # off, with no whole-tree walk.
+    a, C = np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 1.0]])
+    assert_simplex_certificate(a, a, C)
+    assert (transport_simplex(a, a, C)[0] == np.array([[0.0, 0.5], [0.5, 0.0]])).all()
+    assert walks == []
+
+
+def test_simplex_potentials_are_the_whole_tree_walk_of_the_final_basis(rng):
+    # Without degeneracy the final basis is the support of X, and the
+    # re-hung potentials must equal a walk of that tree from row 0 in every
+    # bit: each node's potential is fixed by its root path.
+    checked = 0
+    while checked < 60:
+        m, n = (int(k) for k in rng.integers(2, 13, size=2))
+        a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+        C = rng.uniform(0.0, 3.0, (m, n))
+        X, u, v = transport_simplex(a, b, C)
+        rows, cols = np.nonzero(X > 0)
+        if rows.size != m + n - 1:
+            continue
+        tree = [[] for _ in range(m + n)]
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            tree[i].append(m + j)
+            tree[m + j].append(i)
+        _, _, pot, comp = _rooted_walk(tree, C.tolist(), m)
+        assert not any(comp)
+        assert u.tolist() == pot[:m] and v.tolist() == pot[m:]
+        checked += 1
 
 
 def test_rooted_walk_roots_and_labels_each_component_at_its_lowest_node(rng):

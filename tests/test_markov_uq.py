@@ -453,10 +453,13 @@ def test_ar1_peak_other_parameters():
     assert abs(peak.search_k - peak.k_star) <= 1e-8
     # The search interval in b used to end below its fixed lower end for
     # sigma above about 7.1e5: search_k read -1.15e-11 at 7e5 and -inf at 1e7.
-    for alpha, sigma in [(0.5, 7e5), (0.5, 1e7), (0.9, 1e150)]:
+    # At 1e154, 2 sigma^2 overflows although sigma^2 and b* are finite, and
+    # every field read 0.0.
+    for alpha, sigma in [(0.5, 7e5), (0.5, 1e7), (0.9, 1e150), (0.5, 1e154)]:
         peak = ar1_max_quadratic_rate(GaussianAR1(alpha, sigma))
         assert abs(peak.search_k - peak.k_star) <= 1e-12 * peak.k_star
         assert abs(peak.search_b - peak.b_star) <= 1e-6 * peak.b_star
+    assert peak.b_star == pytest.approx(2.5e-309, rel=1e-12, abs=0.0)
 
 
 def test_ar1_rate_diverges_at_the_boundary():
