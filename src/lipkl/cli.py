@@ -250,6 +250,7 @@ def cmd_markov(args) -> int:
     started = time.perf_counter()
     if args.markov_what == "gaussian":
         model = GaussianAR1(alpha=args.alpha, sigma=args.sigma)
+        inputs = {"alpha": args.alpha, "sigma": args.sigma}
         peak = ar1_max_quadratic_rate(model)
         results = {
             "b_star": peak.b_star,
@@ -258,6 +259,7 @@ def cmd_markov(args) -> int:
             "search_k": peak.search_k,
         }
         if args.quad is not None:
+            inputs.update(quad=args.quad, lin=args.lin, growth=args.growth)
             q = QuadraticFunction(args.quad, args.lin, 0.0)
             image, valid = ar1_risk_quadratic(model, q, args.growth)
             results["risk_quadratic"] = {
@@ -269,7 +271,7 @@ def cmd_markov(args) -> int:
             results["representable"] = ar1_quadratic_representable(model, q)
         report = {
             "command": "markov gaussian",
-            "inputs_digest": _digest({"alpha": args.alpha, "sigma": args.sigma}),
+            "inputs_digest": _digest(inputs),
             "config": {},
             "results": results,
             "certificates": {"golden_section_error": abs(peak.search_k - peak.k_star)},

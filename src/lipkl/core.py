@@ -45,9 +45,11 @@ Guesses are drawn from both the certificate LP's plan and the mirror
 iterate's own coupling (the latter tracks exponentially small masses at the
 correct order, which the log(gamma/nu) candidate cannot). The support
 forest is rooted and its components labelled by one whole-forest walk
-(``divergences._rooted_walk``, whose arithmetic the transport simplex's
-pivots repeat on the subtrees they re-hang), and every component's constant
-comes from one bincount pass over those labels.
+(``divergences._rooted_walk``; the transport simplex keeps its own basis
+tree and shares no code with it). A column the guess leaves loose joins the
+component of the row that prices it, and every component's constant comes
+from a bincount pass over the labels: one pass, or two when a column was
+loose.
 
 Certificate rounds run at mirror iterations 1, 2, 4, 8, ... and once on the
 last iterate: early rounds catch solves whose structure is visible at once,
@@ -167,6 +169,11 @@ class _Workspace:
         self.a = mu.weights[self.rows]
         self.logw = np.log(nu.weights[self.cols])
 
+    @cached_property
+    def _cost_lists(self) -> list:
+        """``C_rc`` as nested lists, the form the forest walk reads."""
+        return self.C_rc.tolist()
+
     def evaluate(self, g_cols: np.ndarray) -> _Candidate:
         """Price one dual candidate given raw potential values on the columns.
 
@@ -207,14 +214,15 @@ class _Workspace:
         each connected component of the bipartite support graph the
         potential profile is determined up to one constant, and the constant
         is fixed by mass balance: the Gibbs weights of the component's
-        columns must sum to the mu mass of its rows. Columns left unattached
-        (their true inflow sits below the guess's flow threshold, e.g. Gibbs
-        mass ~ e^{-b c} at large scales) are pinned by the reverse
-        c-transform g_j = max_i (u_i - b c_ij), which is their optimality
-        condition given the row potentials, with their Gibbs mass deducted
-        from the source component's budget (a small fixed-point loop). When
-        the guessed support matches an optimal structure this lands the
-        exact optimizer regardless of how converged the guess was.
+        columns must sum to the mu mass of its rows. A column the mask
+        leaves unattached (its true inflow sits below the guess's flow
+        threshold, e.g. Gibbs mass ~ e^{-b c} at large scales) joins the
+        component of the row that prices it, argmax_i (g_i - b c_ij) under
+        the first balance, as if the mask held that edge; a second balance
+        over every column then counts its Gibbs mass in that component.
+        There is no fixed point: one forest walk and at most two balance
+        passes. When the guessed support matches an optimal structure this
+        lands the exact optimizer regardless of how converged the guess was.
 
         The output depends on the mask alone, so a solve skips a mask it has
         closed before, and skips pricing an output it has priced before.
@@ -227,48 +235,36 @@ class _Workspace:
             forest[m + j].append(i)
         # Rows have the lowest node numbers, so every component with a row is
         # rooted at one (potential 0) and labelled before the rest, which are
-        # single loose columns: the components that hold rows are 0..p-1.
-        # Each also holds a column (its rows' argmax), so every label occurs
-        # in both bincounts below.
-        _, _, pot, comp = _rooted_walk(forest, self.C_rc.tolist(), m)
-        val_rows = np.array(pot[:m])
-        val_cols = -np.array(pot[m:])
+        # single loose columns. Each row component also holds a column (its
+        # rows' argmax), so the balance over the attached columns prices
+        # every one, and a loose column takes its pricing row's label before
+        # the balance over all columns.
+        pot, comp = _rooted_walk(forest, self._cost_lists, m)
+        pot = np.array(pot)
         comp = np.array(comp)
-        attached = keep.any(axis=0)
+        val_rows = pot[:m]
+        val_cols = -pot[m:]
         comp_of_row = comp[:m]
-        comp_of_col = comp[m:][attached]
-        p = int(comp_of_row.max()) + 1
-        masses = np.bincount(comp_of_row, weights=self.a)
-        z = val_cols[attached] + self.logw[attached]
-        peak = np.full(p, -np.inf)
-        np.maximum.at(peak, comp_of_col, z)
-        norms = peak + np.log(np.bincount(comp_of_col, weights=np.exp(z - peak[comp_of_col])))
-        shifts = np.log(masses) - norms
-        g = np.empty(k)
-        loose = np.flatnonzero(~attached)
-        if loose.size:
-            # A loose column's Gibbs weight rides on the component of the row
-            # that prices it, so deduct it from that component's mass budget;
-            # the deduction feeds back into the row potentials, hence the
-            # small fixed-point loop (contraction rate ~ loose mass).
+        comp_of_col = comp[m:]
+        log_masses = np.log(np.bincount(comp_of_row, weights=self.a))
+
+        def shifts(cols) -> np.ndarray:
+            """Each component's constant, balancing its columns among ``cols``."""
+            z = val_cols[cols] + self.logw[cols]
+            labels = comp_of_col[cols]
+            peak = np.full(log_masses.size, -np.inf)
+            np.maximum.at(peak, labels, z)
+            norms = peak + np.log(np.bincount(labels, weights=np.exp(z - peak[labels])))
+            return log_masses - norms
+
+        attached = keep.any(axis=0)
+        if not attached.all():
+            loose = np.flatnonzero(~attached)
             reach = val_rows[:, None] - self.C_rc[:, loose]
-            for _ in range(100):
-                priced = reach + shifts[comp_of_row][:, None]
-                g_loose = priced.max(axis=0)
-                source = comp_of_row[priced.argmax(axis=0)]
-                spent = np.bincount(source, weights=np.exp(g_loose + self.logw[loose]),
-                                    minlength=p)
-                remaining = masses - spent
-                if np.any(remaining <= 0):
-                    break
-                new_shifts = np.log(remaining) - norms
-                done = np.abs(new_shifts - shifts).max() < 1e-15
-                shifts = new_shifts
-                if done:
-                    break
-            g[loose] = (reach + shifts[comp_of_row][:, None]).max(axis=0)
-        g[attached] = val_cols[attached] + shifts[comp_of_col]
-        return g
+            source = (reach + shifts(attached)[comp_of_row][:, None]).argmax(axis=0)
+            val_cols[loose] = reach[source, np.arange(loose.size)]
+            comp_of_col[loose] = comp_of_row[source]
+        return val_cols + shifts(slice(None))[comp_of_col]
 
 
 def divergence(

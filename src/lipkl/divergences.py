@@ -270,33 +270,28 @@ def _northwest_corner(a: list, b: list, cost: list):
 
 def _rooted_walk(tree, cost, m):
     """Root every component of a bipartite forest (nodes below ``m`` are
-    rows, the rest columns) at its lowest-numbered node: parent, depth,
-    potential and component label of each node, with potential 0 at a root
-    and u_i + v_j = C_ij on every tree edge, each fixed by its unique root
+    rows, the rest columns) at its lowest-numbered node: potential and
+    component label of each node, with potential 0 at a root and
+    u_i + v_j = C_ij on every tree edge, each fixed by its unique root
     path. Components are numbered 0, 1, ... in the order of their roots.
     """
     size = len(tree)
-    parent = [-1] * size
-    depth = [-1] * size
     pot = [0.0] * size
-    comp = [0] * size
+    comp = [-1] * size
     label = 0
     for root in range(size):
-        if depth[root] >= 0:
+        if comp[root] >= 0:
             continue
-        depth[root] = 0
         comp[root] = label
         stack = [root]
         while stack:
             node = stack.pop()
             for other in tree[node]:
-                if depth[other] >= 0:
+                if comp[other] >= 0:
                     continue
-                parent[other] = node
-                depth[other] = depth[node] + 1
                 comp[other] = label
                 edge = cost[node][other - m] if other >= m else cost[other][node - m]
                 pot[other] = edge - pot[node]
                 stack.append(other)
         label += 1
-    return parent, depth, pot, comp
+    return pot, comp

@@ -76,6 +76,23 @@ def test_compute_gamma_certified(fixtures):
     assert len(report["results"]["gamma"]["gamma_star"]) == 3
 
 
+def test_compute_include_plan(fixtures):
+    argv = ["compute", "--mu", fixtures["mu.json"], "--nu", fixtures["nu.json"],
+            "--cost", "euclidean", "--scale-b", "10", "--what", "gamma"]
+    code, out = run_cli(argv)
+    assert code == EXIT_OK
+    assert "plan" not in parse_report(out)["results"]["gamma"]
+    code, out = run_cli(argv + ["--include-plan"])
+    assert code == EXIT_OK
+    report = parse_report(out)
+    gamma = report["results"]["gamma"]
+    plan = np.array(gamma["plan"])
+    n = len(report["inputs"]["points"])
+    assert plan.shape == (n, n)
+    assert np.abs(plan.sum(axis=1) - report["inputs"]["mu"]).max() <= 1e-12
+    assert np.abs(plan.sum(axis=0) - gamma["gamma_star"]).max() <= 1e-12
+
+
 def test_compute_all_inequality(fixtures):
     code, out = run_cli(["compute", "--mu", fixtures["mu2.json"],
                          "--nu", fixtures["nu.json"], "--cost", "euclidean",
@@ -313,6 +330,22 @@ def test_markov_gaussian(fixtures):
     res = report["results"]
     assert abs(res["search_k"] - res["k_star"]) <= 1e-12 * res["k_star"]
     assert report["certificates"]["golden_section_error"] <= 1e-12 * res["k_star"]
+
+
+def test_markov_gaussian_digest_covers_the_quadratic():
+    def digest(*flags):
+        code, out = run_cli(["markov", "gaussian", "--alpha", "0.5", "--sigma", "1"] + list(flags))
+        assert code == EXIT_OK
+        return parse_report(out)["inputs_digest"]
+
+    # --lin and --growth change risk_quadratic, so they must change the
+    # digest; the digest used to cover alpha and sigma alone.
+    base = digest("--quad", "0.1")
+    assert len({base, digest("--quad", "0.1", "--lin", "0.2"),
+                digest("--quad", "0.1", "--growth", "0.3"), digest("--quad", "0.2")}) == 4
+    assert base == digest("--quad", "0.1", "--lin", "0", "--growth", "0")
+    # Without --quad the digest is the one of alpha and sigma, as before.
+    assert digest() == digest("--lin", "0.2") != base
 
 
 def test_markov_flags_go_after_the_subcommand(fixtures):

@@ -349,6 +349,26 @@ def test_structure_closure_over_two_components_and_a_loose_column():
     assert cand.primal == pytest.approx(divergence(mu, nu, cost, tol=1e-12).value, abs=1e-12)
 
 
+@pytest.mark.parametrize("b", [0.5, 1.0, 3.0, 10.0])
+def test_structure_closure_loose_column_heavier_than_its_row(b):
+    # The loose column (point 0.01, nu mass 0.5) is priced by row 0 (point 0,
+    # mu mass 0.5), whose attached column holds only 0.05: the loose Gibbs
+    # mass exceeds row 0's budget once the attached balance is fixed. A
+    # closure that deducted it from that budget stopped with a candidate of
+    # gap 3.3 to 54; joining the column to row 0's component closes exactly.
+    from lipkl.core import _Workspace
+
+    ps = PointSet((0.0, 10.0, 1.0, 10.5, 0.01))
+    cost = metric_cost(ps, "euclidean", b)
+    mu = DiscreteMeasure(ps, [0.5, 0.5, 0.0, 0.0, 0.0])
+    nu = DiscreteMeasure(ps, [0.0, 0.0, 0.05, 0.45, 0.5])
+    ws = _Workspace(mu, nu, cost)
+    keep = np.array([[True, False, False], [False, True, False]])
+    cand = ws.evaluate(ws.structure_closure(keep))
+    assert cand.gap <= 1e-14
+    assert cand.primal == pytest.approx(divergence(mu, nu, cost, tol=1e-12).value, abs=1e-12)
+
+
 def test_uncertifiable_request_is_flagged(rng):
     # One mirror iteration leaves a gap of about 0.04 on this instance.
     mu, nu, cost = random_instance(rng, 12, d=2, scale=1.0)
