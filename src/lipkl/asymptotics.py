@@ -26,6 +26,7 @@ tolerance-padded.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -226,11 +227,14 @@ def point_vs_uniform_benchmark(scale: float, grid_size: int = 1000,
     """Divergence of a point mass at 0 from the uniform grid on [0, 1]."""
     if not (scale > 0):
         raise ValidationError("scale must be positive")
+    if not (isinstance(grid_size, numbers.Integral)
+            or isinstance(grid_size, float) and grid_size.is_integer()):
+        raise ValidationError(f"grid_size must be a whole number, not {grid_size!r}")
     if grid_size < 100:
         raise ValidationError("grid_size must be at least 100")
     n = int(grid_size)
-    points = [((k - 0.5) / n,) for k in range(1, n + 1)] + [(0.0,)]
-    ps = PointSet(tuple(points))
+    grid = (np.arange(1, n + 1) - 0.5) / n
+    ps = PointSet(tuple(zip(grid.tolist())) + ((0.0,),))
     nu_w = np.full(n + 1, 1.0 / n)
     nu_w[-1] = 0.0
     mu_w = np.zeros(n + 1)

@@ -7,11 +7,14 @@ The north-west start sets its dual potentials as it lays its staircase, so
 an LP that is optimal at the start returns after one reduced-cost check,
 with no basis tree and no tree walk. That is every LP on sorted points with
 an |x - y| cost, a Monge matrix (Hoffman, "On simple linear programming
-problems", 1963), and every LP with one row or one column. Otherwise the
-staircase is rooted at row 0 (parent pointers and depths), and each pivot
-reads its cycle off the parent pointers, then re-hangs only the subtree
-that the leaving cell cuts off from the entering cell's other end, setting
-that subtree's parents, depths and potentials (Ahuja, Magnanti & Orlin,
+problems", 1963). An LP with one row or one column, such as one from a point
+mass, has the staircase as its only feasible plan: one numpy pass lays it
+and sets the potentials the start would, bit for bit, with no Python loop
+over its cells. Otherwise the staircase is rooted at row 0 (parent
+pointers and depths), and each pivot reads its cycle off the parent
+pointers, then re-hangs only the subtree that the leaving cell cuts off
+from the entering cell's other end, setting that subtree's parents,
+depths and potentials (Ahuja, Magnanti & Orlin,
 *Network Flows*, 1993, ch. 11). Every node keeps the values a walk of the
 whole tree from row 0 would give it, since its root path fixes them. The
 structure closure roots and labels its support forest by one such
@@ -141,7 +144,13 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     u_i + v_j <= C_ij everywhere and equality on the spanning-tree basis.
     Totals that differ by less than the 1e-9 tolerance give a plan that
     carries the smaller one: row sums at most ``a`` and column sums at most
-    ``b``, so the side with the larger total falls short by the gap.
+    ``b`` (up to the rounding of each sum), so the side with the larger
+    total falls short by the gap.
+
+    With one row or one column the staircase is the only feasible plan, and
+    it is returned from one numpy pass: each cell carries the smaller of
+    its line entry and the mass still ahead of it, with the potentials that
+    the north-west start sets (u_0 = 0).
 
     Pivots follow Bland's rule. Each one swaps the leaving cell for the
     entering cell in the basis tree and re-walks only the subtree that the
@@ -157,6 +166,13 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     total = a.sum()
     if abs(total - b.sum()) > 1e-9 * (1.0 + total):
         raise ValidationError("marginals must have equal total mass")
+    # v_j = C_0j - u_0 and u_i = C_i0 - v_0, as the start sets them, in copies.
+    if m == 1:
+        return _staircase(a[0], b)[None, :], np.zeros(1), C[0] - 0.0
+    if n == 1:
+        u = C[:, 0] - C[0, 0]
+        u[0] = 0.0
+        return _staircase(b[0], a)[:, None], u, C[0] - 0.0
 
     cost = C.tolist()
     X, basis, pot = _northwest_corner(a.tolist(), b.tolist(), cost)
@@ -230,6 +246,14 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
                     parent[other] = node
                     stack.append(other)
     raise RuntimeError("transport simplex failed to terminate (pivot limit reached)")
+
+
+def _staircase(rest: float, line: np.ndarray) -> np.ndarray:
+    """The north-west plan of one line: cell k carries min(line[k], mass
+    ahead of it), where ``rest`` less the earlier entries is ahead, and 0
+    once that runs out. The subtractions are the start's, in its order."""
+    ahead = np.subtract.accumulate(np.concatenate(([rest], line)))[:-1]
+    return np.maximum(np.minimum(line, ahead), 0.0)
 
 
 def _northwest_corner(a: list, b: list, cost: list):

@@ -50,6 +50,7 @@ import numbers
 import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -109,8 +110,18 @@ def _as_point(p):
     return p  # opaque label
 
 
+def _all_float_tuples(points) -> bool:
+    """``points`` is a tuple of tuples of floats, all canonical, checked by
+    two sets of types rather than point by point."""
+    return (type(points) is tuple and set(map(type, points)) == {tuple}
+            and set(map(type, chain.from_iterable(points))) <= {float})
+
+
 def _as_points(points) -> tuple:
-    """Canonical points; a non-sequence or an unhashable point is a ValidationError."""
+    """Canonical points; a non-sequence or an unhashable point is a ValidationError.
+    A tuple of float tuples is canonical already and is returned as given."""
+    if _all_float_tuples(points):
+        return points
     try:
         pts = tuple(_as_point(p) for p in points)
         hash(pts)
@@ -131,28 +142,28 @@ class PointSet:
 
     points: tuple
     _pos: dict = field(init=False, repr=False, compare=False)
+    # Every point is a tuple of floats, and all have one length.
+    is_numeric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = _as_points(self.points)
         if len(pts) == 0:
             raise ValidationError("point set must be nonempty")
-        pos: dict = {}
-        for i, p in enumerate(pts):
-            if pos.setdefault(p, i) != i:
-                raise ValidationError(f"duplicate point at index {i}: {p!r}")
+        pos = dict(zip(pts, range(len(pts))))
+        if len(pos) < len(pts):  # name the first repeat
+            first: dict = {}
+            i = next(i for i, p in enumerate(pts) if first.setdefault(p, i) != i)
+            raise ValidationError(f"duplicate point at index {i}: {pts[i]!r}")
+        numeric = (_all_float_tuples(pts) or all(
+            isinstance(p, tuple) and all(isinstance(x, float) for x in p) for p in pts
+        )) and len(set(map(len, pts))) == 1
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "is_numeric", numeric)
 
     @property
     def n(self) -> int:
         return len(self.points)
-
-    @property
-    def is_numeric(self) -> bool:
-        """Every point is a tuple of floats, and all have one length."""
-        return all(
-            isinstance(p, tuple) and all(isinstance(x, float) for x in p) for p in self.points
-        ) and len({len(p) for p in self.points}) == 1
 
     @property
     def dimension(self) -> int:

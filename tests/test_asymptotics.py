@@ -249,3 +249,25 @@ def test_benchmark_validates_inputs():
         point_vs_uniform_benchmark(-1.0)
     with pytest.raises(ValidationError):
         point_vs_uniform_benchmark(1.0, 50)
+
+
+@pytest.mark.parametrize("grid_size", [150.7, math.inf, math.nan])
+def test_benchmark_rejects_a_grid_size_that_is_not_whole(grid_size):
+    # 150.7 used to run a 150-point grid; inf and nan raised OverflowError
+    # and a bare ValueError from int().
+    with pytest.raises(ValidationError, match=rf"grid_size must be a whole number, not {grid_size!r}"):
+        point_vs_uniform_benchmark(1.0, grid_size)
+
+
+def test_benchmark_grid_is_the_midpoint_grid_and_accepts_whole_floats(monkeypatch):
+    import lipkl.asymptotics
+
+    built = []
+    monkeypatch.setattr(lipkl.asymptotics, "PointSet", lambda pts: built.append(PointSet(pts)) or built[-1])
+    reports = [point_vs_uniform_benchmark(1.0, size) for size in (150, 150.0, np.int64(150))]
+    assert reports[0] == reports[1] == reports[2] and reports[0].grid_size == 150
+    # The grid's bits are those of the per-point comprehension it replaced.
+    n = 150
+    expected = tuple(((k - 0.5) / n,) for k in range(1, n + 1)) + ((0.0,),)
+    for ps in built:
+        assert ps.points == expected and ps.is_numeric

@@ -301,7 +301,7 @@ def test_simplex_returns_an_optimal_start_without_a_tree_walk(rng, monkeypatch):
     walk = lipkl.divergences._rooted_walk
     monkeypatch.setattr(lipkl.divergences, "_rooted_walk", lambda *a: walks.append(a) or walk(*a))
     # A sorted |x - y| cost is a Monge matrix, so the north-west start is
-    # optimal; so is any start with one row or one column.
+    # optimal; an LP with one row or one column has no other feasible plan.
     for m, n in ((12, 12), (5, 9), (1, 3000), (40, 1)):
         x, y = np.sort(rng.uniform(0, 1, m)), np.sort(rng.uniform(0, 1, n))
         a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
@@ -315,6 +315,59 @@ def test_simplex_returns_an_optimal_start_without_a_tree_walk(rng, monkeypatch):
     assert_simplex_certificate(a, a, C)
     assert (transport_simplex(a, a, C)[0] == np.array([[0.0, 0.5], [0.5, 0.0]])).all()
     assert walks == []
+
+
+def staircase_reference(a, b, C):
+    """The north-west start's loop on a one-line LP: the staircase laid cell
+    by cell, and the potentials it sets as each cell joins."""
+    m, n = C.shape
+    X, pot = np.zeros((m, n)), [0.0] * (m + n)
+    pot[m] = C[0, 0] - pot[0]
+    i = j = 0
+    ra, rb = a[0], b[0]
+    while True:
+        t = min(ra, rb)
+        X[i, j] = t
+        ra -= t
+        rb -= t
+        if i == m - 1 and j == n - 1:
+            return X, np.array(pot[:m]), np.array(pot[m:])
+        if i < m - 1:
+            i += 1
+            ra = a[i]
+            pot[i] = C[i, j] - pot[m + j]
+        else:
+            j += 1
+            rb = b[j]
+            pot[m + j] = C[i, j] - pot[i]
+
+
+def test_one_line_lps_match_the_staircase_loop_bit_for_bit(rng):
+    lines = [rng.dirichlet(np.ones(k)) if k % 2 else np.full(k, 1.0 / k) for k in (1, 2, 3, 7, 50, 400)]
+    # Entries below the gap: a shorter total runs out before the last cell.
+    lines.append(np.array([0.25, 0.75, 2e-14, 3e-14]))
+    checked = 0
+    for line in lines:
+        k = line.size
+        for tied in (False, True):
+            C = (rng.integers(0, 3, (1, k)) if tied else rng.uniform(0.0, 3.0, (1, k))).astype(float)
+            for apart in (-1e-13, 0.0, 1e-13):
+                rest = np.array([line.sum() + apart])
+                for a, b, cost in ((rest, line, C), (line, rest, C.T.copy())):
+                    X, u, v = transport_simplex(a, b, cost)
+                    X_ref, u_ref, v_ref = staircase_reference(a, b, cost)
+                    for got, ref in ((X, X_ref), (u, u_ref), (v, v_ref)):
+                        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+                    # The plan carries the smaller total: no line exceeds its
+                    # marginal beyond the rounding of k float sums.
+                    slack = 1.0 + k * np.finfo(float).eps
+                    assert (X >= 0).all()
+                    assert (X.sum(axis=1) <= a * slack).all() and (X.sum(axis=0) <= b * slack).all()
+                    assert abs(X.sum() - min(a.sum(), b.sum())) <= 1e-15 * k
+                    checked += 1
+    assert checked == 7 * 2 * 3 * 2
+    # The last line's shorter total leaves its last cell empty.
+    assert transport_simplex(np.array([1.0 - 1e-13]), lines[-1], np.ones((1, 4)))[0][0, -1] == 0.0
 
 
 def test_simplex_potentials_are_the_whole_tree_walk_of_the_final_basis(rng):
@@ -367,8 +420,8 @@ def test_simplex_raises_on_a_basis_that_does_not_span(monkeypatch):
 
     monkeypatch.setattr(lipkl.divergences, "_northwest_corner", short_basis)
     # Dropping the last corner cell cuts off the last column of a 2 x 2
-    # basis, but the last row of a 2 x 1 basis: not the last node, since the
-    # one column stays with row 0.
-    for a, b in (([0.5, 0.5], [0.5, 0.5]), ([0.5, 0.5], [1.0])):
+    # basis, but row 2 of the 3 x 2 staircase (0, 0), (1, 0), (1, 1), (2, 1):
+    # not the last node, since column 1 stays with row 1.
+    for a, b in (([0.5, 0.5], [0.5, 0.5]), ([1 / 3] * 3, [0.5, 0.5])):
         with pytest.raises(RuntimeError, match="not spanning"):
             transport_simplex(np.array(a), np.array(b), np.ones((len(a), len(b))))

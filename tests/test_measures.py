@@ -86,6 +86,30 @@ def test_points_canonicalize_to_python_floats(point, canonical):
         assert got is point  # an already canonical point is kept as given
 
 
+def test_point_set_fast_path_agrees_with_the_per_point_path(rng):
+    coords = rng.uniform(-1.0, 1.0, (40, 2))
+    canonical = tuple(map(tuple, coords.tolist()))
+    fast = PointSet(canonical)
+    assert fast.points is canonical  # kept as given, no per-point pass
+    for points in (coords.tolist(), coords, (tuple(p) for p in coords), list(canonical)):
+        ps = PointSet(points)
+        assert ps.points == fast.points
+        assert [type(x) for p in ps.points for x in p] == [float] * 80
+        assert ps.is_numeric and fast.is_numeric
+        assert [ps.index(p) for p in coords] == [fast.index(p) for p in coords] == list(range(40))
+    # Mixed lengths and labels are not numeric on either path.
+    for points in (((0.0,), (1.0, 2.0)), [[0.0], [1.0, 2.0]]):
+        assert not PointSet(points).is_numeric
+    assert not PointSet(((0.0,), "a")).is_numeric
+    # The duplicate error names the first repeated index on both paths.
+    rows = [[0.0], [1.0], [0.0]]
+    for points in (((0.0,), (1.0,), (0.0,)), rows, np.array(rows), (p for p in rows)):
+        with pytest.raises(ValidationError, match=r"duplicate point at index 2: \(0\.0,\)"):
+            PointSet(points)
+    with pytest.raises(ValidationError, match=r"duplicate point at index 2: \(1\.0,\)"):
+        PointSet(((0.0,), (1.0,), (1.0,), (0.0,)))
+
+
 def test_measure_weights_validated():
     ps = PointSet((0.0, 1.0))
     with pytest.raises(ValidationError, match="negative"):
