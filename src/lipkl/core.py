@@ -54,9 +54,13 @@ loose.
 Certificate rounds run at mirror iterations 1, 2, 4, 8, ... and once on the
 last iterate: early rounds catch solves whose structure is visible at once,
 and doubling keeps the pricing cost within a constant factor of the descent
-steps on slow solves. A round skips what the solve has done before: a
-support mask already closed (keyed on the mask), and a closure output
-already priced (keyed on the output).
+steps on slow solves. A round skips what the solve has done before, each
+keyed on the bytes of its input: a flow already laddered (every mask it
+gives has been tried; the best candidate's flow comes back whenever the
+iterate's candidate is still the best), a support mask already closed, a
+forest walk already balanced (its potentials and labels fix the closure's
+output), and a closure output already priced. Candidates are still priced
+in the same order, so every result is the same to the bit.
 """
 
 from __future__ import annotations
@@ -141,6 +145,7 @@ class _Candidate:
     gap: float
     dual: float
     primal: float
+    lse: float               # log sum e^g dnu of g_full
     g_full: np.ndarray       # tightened potential on the whole point set
     gamma: np.ndarray        # Gibbs tilt of g_full on nu's support columns
     flow: np.ndarray         # optimal plan between mu rows and gamma columns
@@ -150,7 +155,16 @@ class _Candidate:
 # cutoff is treated as a vanishing (non-tight) edge when closing the
 # first-order conditions; the ladder brackets the separation between true
 # support flows and the noise of a not-yet-converged iterate.
-_STRUCT_THRESHOLDS = (1e-12, 1e-9, 1e-7, 1e-5, 1e-3)
+_STRUCT_THRESHOLDS = np.array((1e-12, 1e-9, 1e-7, 1e-5, 1e-3))[:, None, None]
+
+
+def _support_guesses(flow: np.ndarray) -> np.ndarray:
+    """The guessed supports of one flow, one boolean mask per threshold,
+    loosest first: the entries above that share of the peak entry, and each
+    row's largest entry, so that no row mass goes missing."""
+    keeps = flow > _STRUCT_THRESHOLDS * float(flow.max())
+    keeps[:, np.arange(flow.shape[0]), flow.argmax(axis=1)] = True
+    return keeps
 
 
 class _Workspace:
@@ -168,6 +182,7 @@ class _Workspace:
         self.C_rc = cost.block(self.rows, self.cols)
         self.a = mu.weights[self.rows]
         self.logw = np.log(nu.weights[self.cols])
+        self._walks: set[bytes] = set()
 
     @cached_property
     def _cost_lists(self) -> list:
@@ -183,29 +198,35 @@ class _Workspace:
         """
         g_full = _c_transform(g_cols, self.cost, self.cols)
         gc = g_full[self.cols]
-        lse = float(np.logaddexp.reduce(gc + self.logw))
+        z = gc + self.logw
+        lse = float(np.logaddexp.reduce(z))
         dual = float(self.mu.weights @ g_full) - lse
-        gamma = np.exp(gc + self.logw - lse)
-        gamma = gamma / gamma.sum()
+        gamma = np.exp(z - lse)
+        gamma /= gamma.sum()
 
         # Columns can underflow to exact zero at extreme scales; price the
-        # transport on the positive block only.
-        pos = gamma > 0
-        sub = self.C_rc[:, pos]
-        f_sub, _, _ = transport_simplex(self.a, gamma[pos], sub)
-        wass = float((sub * f_sub).sum())
-        flow = np.zeros_like(self.C_rc)
-        flow[:, pos] = f_sub
+        # transport on the positive block only. Most tilts are positive
+        # throughout, and then the block is C_rc itself.
+        if gamma.min() > 0:
+            flow, _, _ = transport_simplex(self.a, gamma, self.C_rc)
+            wass = float((self.C_rc * flow).sum())
+        else:
+            pos = gamma > 0
+            sub = self.C_rc[:, pos]
+            f_sub, _, _ = transport_simplex(self.a, gamma[pos], sub)
+            wass = float((sub * f_sub).sum())
+            flow = np.zeros_like(self.C_rc)
+            flow[:, pos] = f_sub
         # gamma @ (gc - lse) evaluates R(gamma || nu), nonnegative by Gibbs'
         # inequality; clamp the one-ulp fp undershoot at coincidence.
         rel_ent = max(float(gamma @ (gc - lse)), 0.0)
         primal = wass + rel_ent
         return _Candidate(
-            gap=primal - dual, dual=dual, primal=primal,
+            gap=primal - dual, dual=dual, primal=primal, lse=lse,
             g_full=g_full, gamma=gamma, flow=flow,
         )
 
-    def structure_closure(self, keep: np.ndarray) -> np.ndarray:
+    def structure_closure(self, keep: np.ndarray) -> np.ndarray | None:
         """Close the first-order conditions over a guessed support structure.
 
         ``keep`` is a boolean rows x columns mask, the guessed support of the
@@ -213,19 +234,17 @@ class _Workspace:
         the potential differences are pinned by g_i - g_j = b c_ij, so within
         each connected component of the bipartite support graph the
         potential profile is determined up to one constant, and the constant
-        is fixed by mass balance: the Gibbs weights of the component's
-        columns must sum to the mu mass of its rows. A column the mask
-        leaves unattached (its true inflow sits below the guess's flow
-        threshold, e.g. Gibbs mass ~ e^{-b c} at large scales) joins the
-        component of the row that prices it, argmax_i (g_i - b c_ij) under
-        the first balance, as if the mask held that edge; a second balance
-        over every column then counts its Gibbs mass in that component.
-        There is no fixed point: one forest walk and at most two balance
-        passes. When the guessed support matches an optimal structure this
-        lands the exact optimizer regardless of how converged the guess was.
+        is fixed by mass balance (:meth:`_balance`). There is no fixed
+        point: one forest walk and at most two balance passes. When the
+        guessed support matches an optimal structure this lands the exact
+        optimizer regardless of how converged the guess was.
 
         The output depends on the mask alone, so a solve skips a mask it has
-        closed before, and skips pricing an output it has priced before.
+        closed before. It depends on the mask only through the walk's
+        potentials and labels (which also tell the attached columns: a loose
+        column is a component of its own, labelled after every row's), so a
+        mask whose walk this workspace has balanced before returns None: its
+        output would repeat one already returned.
         """
         m, k = keep.shape
         # Edges come row-major: every node lists its neighbours ascending.
@@ -235,13 +254,32 @@ class _Workspace:
             forest[m + j].append(i)
         # Rows have the lowest node numbers, so every component with a row is
         # rooted at one (potential 0) and labelled before the rest, which are
-        # single loose columns. Each row component also holds a column (its
-        # rows' argmax), so the balance over the attached columns prices
-        # every one, and a loose column takes its pricing row's label before
-        # the balance over all columns.
+        # single loose columns.
         pot, comp = _rooted_walk(forest, self._cost_lists, m)
         pot = np.array(pot)
         comp = np.array(comp)
+        key = pot.tobytes() + comp.tobytes()
+        if key in self._walks:
+            return None
+        self._walks.add(key)
+        return self._balance(pot, comp, keep.any(axis=0))
+
+    def _balance(self, pot: np.ndarray, comp: np.ndarray, attached: np.ndarray) -> np.ndarray:
+        """The closure's potential on the columns, from the walk's potentials
+        ``pot`` and component labels ``comp`` (rows, then columns) and the
+        columns the mask ``attached``.
+
+        Each component's constant is fixed by mass balance: the Gibbs weights
+        of its columns must sum to the mu mass of its rows. Each row
+        component also holds a column (its rows' argmax), so the balance over
+        the attached columns prices every one. A column the mask leaves
+        unattached (its true inflow sits below the guess's flow threshold,
+        e.g. Gibbs mass ~ e^{-b c} at large scales) joins the component of
+        the row that prices it, argmax_i (g_i - b c_ij) under that first
+        balance, as if the mask held that edge; a second balance over every
+        column then counts its Gibbs mass in that component.
+        """
+        m = self.a.size
         val_rows = pot[:m]
         val_cols = -pot[m:]
         comp_of_row = comp[:m]
@@ -257,7 +295,6 @@ class _Workspace:
             norms = peak + np.log(np.bincount(labels, weights=np.exp(z - peak[labels])))
             return log_masses - norms
 
-        attached = keep.any(axis=0)
         if not attached.all():
             loose = np.flatnonzero(~attached)
             reach = val_rows[:, None] - self.C_rc[:, loose]
@@ -310,33 +347,40 @@ def divergence(
             best = cand
         return cand
 
-    # Solve-wide skips: masks already closed, and closure outputs already
-    # priced (pricing one again cannot change best or best_dual). Distinct
-    # masks often close to a bit-identical g: 495 of 1 083 closures in one
-    # round of the markov-12 benchmark, 33 of 248 in one of solve-2d.
+    # Solve-wide skips: flows already laddered (their masks are all closed),
+    # masks already closed, and closure outputs already priced (pricing one
+    # again cannot change best or best_dual). Distinct masks often close to
+    # a bit-identical g: 506 of 1 083 closures in round 0 of the markov-12
+    # benchmark at seed 0, 461 of them on a walk already balanced (which
+    # :meth:`_Workspace.structure_closure` skips), and 33 of 248 (24) in
+    # solve-2d.
+    ladders: set[bytes] = set()
     masks: set[bytes] = set()
     closed: set[bytes] = set()
 
     def closure_ladder(flow: np.ndarray) -> None:
         """Try the support guesses of one flow at every threshold."""
-        peak = float(flow.max())
-        top = (np.arange(flow.shape[0]), flow.argmax(axis=1))
-        for rel in _STRUCT_THRESHOLDS:
+        key = flow.tobytes()
+        if key in ladders:
+            return
+        ladders.add(key)
+        for keep in _support_guesses(flow):
             if best.gap <= tol:
                 return
-            # Each row keeps its largest entry, so no row mass goes missing.
-            keep = flow > rel * peak
-            keep[top] = True
-            if keep.tobytes() in masks:
+            key = keep.tobytes()
+            if key in masks:
                 continue
-            masks.add(keep.tobytes())
+            masks.add(key)
             g = ws.structure_closure(keep)
-            if g.tobytes() in closed:
+            if g is None:
                 continue
-            closed.add(g.tobytes())
+            key = g.tobytes()
+            if key in closed:
+                continue
+            closed.add(key)
             consider(g)
 
-    def certificate_round(gamma_iterate: np.ndarray, pi_iterate: np.ndarray) -> None:
+    def certificate_round(ratio_iterate: np.ndarray, pi_iterate: np.ndarray) -> None:
         """Price the current iterate plus the structure-closure candidates.
 
         The iterate's own semi-coupling is the most trustworthy support
@@ -344,7 +388,7 @@ def divergence(
         iterate noise on near-zero columns, while the log-space coupling
         tracks even exponentially small masses at the right order.
         """
-        cand = consider(np.log(np.maximum(gamma_iterate, _TINY)) - ws.logw)
+        cand = consider(ratio_iterate)
         closure_ladder(pi_iterate)
         closure_ladder(cand.flow)
         closure_ladder(best.flow)
@@ -357,29 +401,33 @@ def divergence(
         consider(g0[ws.cols])
 
     # Primal state in log space, seeded from the best candidate's tilt.
-    log_pi = np.log(ws.a)[:, None] + np.log(np.maximum(best.gamma, _TINY))[None, :]
+    log_a = np.log(ws.a)[:, None]
+    log_pi = log_a + np.log(np.maximum(best.gamma, _TINY))[None, :]
     eta = 1.0
     iterations = 0
 
-    def objective(log_p: np.ndarray) -> tuple[float, np.ndarray]:
+    def objective(log_p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """The objective at the coupling e^log_p, that coupling, and
+        log(gamma / nu) of its column sums gamma, which both the descent
+        step and the iterate's candidate read."""
         p = np.exp(log_p)
         gamma = p.sum(axis=0)
-        val = float((ws.C_rc * p).sum() + gamma @ (np.log(np.maximum(gamma, _TINY)) - ws.logw))
-        return val, gamma
+        ratio = np.log(np.maximum(gamma, _TINY)) - ws.logw
+        return float((ws.C_rc * p).sum() + gamma @ ratio), p, ratio
 
-    f_cur, gamma_cur = objective(log_pi)
+    f_cur, pi_cur, ratio_cur = objective(log_pi)
     last = False
     while best.gap > tol and not last:
-        grad = ws.C_rc + (np.log(np.maximum(gamma_cur, _TINY)) - ws.logw + 1.0)[None, :]
+        grad = ws.C_rc + (ratio_cur + 1.0)[None, :]
         grad -= grad.min(axis=1, keepdims=True)
         accepted = False
         trial_eta = min(eta * 2.0, _MAX_STEP)
         while trial_eta > 1e-12 and iterations < max_iter:
             trial = log_pi - trial_eta * grad
-            trial -= np.logaddexp.reduce(trial, axis=1, keepdims=True) - np.log(ws.a)[:, None]
-            f_new, gamma_new = objective(trial)
+            trial -= np.logaddexp.reduce(trial, axis=1, keepdims=True) - log_a
+            f_new, pi_new, ratio_new = objective(trial)
             if f_new <= f_cur + 1e-12 * (1.0 + abs(f_cur)):
-                log_pi, f_cur, gamma_cur, eta = trial, f_new, gamma_new, trial_eta
+                log_pi, f_cur, pi_cur, ratio_cur, eta = trial, f_new, pi_new, ratio_new, trial_eta
                 iterations += 1
                 accepted = True
                 break
@@ -388,7 +436,7 @@ def divergence(
         # the budget is spent or the objective is flat to machine precision.
         last = not accepted or iterations >= max_iter
         if last or iterations.bit_count() == 1:
-            certificate_round(gamma_cur, np.exp(log_pi))
+            certificate_round(ratio_cur, pi_cur)
 
     return _assemble(ws, best, best_dual, iterations, tol)
 
@@ -396,8 +444,7 @@ def divergence(
 def _assemble(ws: _Workspace, cand: _Candidate, best_dual: float,
               iterations: int, tol: float) -> DivergenceSolution:
     n = ws.mu.point_set.n
-    shift = _log_mgf(cand.g_full, ws.nu)
-    g_norm = cand.g_full - shift
+    g_norm = cand.g_full - cand.lse
     gamma_full = np.zeros(n)
     gamma_full[ws.cols] = cand.gamma
     gap = max(cand.gap, 0.0)

@@ -163,8 +163,8 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     m, n = C.shape
     if a.shape != (m,) or b.shape != (n,):
         raise ValidationError("marginal shapes do not match the cost matrix")
-    total = a.sum()
-    if abs(total - b.sum()) > 1e-9 * (1.0 + total):
+    total = float(a.sum())
+    if abs(total - float(b.sum())) > 1e-9 * (1.0 + total):
         raise ValidationError("marginals must have equal total mass")
     # v_j = C_0j - u_0 and u_i = C_i0 - v_0, as the start sets them, in copies.
     if m == 1:

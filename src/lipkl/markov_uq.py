@@ -37,7 +37,8 @@ maximum (1 - alpha)^2 / (2 sigma^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,7 +92,6 @@ class FiniteKernel:
     states: PointSet
     matrix: np.ndarray
     cost: CostMatrix
-    _log_p: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.matrix, dtype=float)
@@ -109,11 +109,15 @@ class FiniteKernel:
             raise ValidationError(f"row {i} sums to {rows[i]!r}, not 1")
         if self.cost.n != n:
             raise ValidationError("cost matrix size does not match the state set")
-        p = _freeze(p.copy())
-        object.__setattr__(self, "matrix", p)
-        # log p, with -inf exactly on the forbidden transitions.
-        log_p = np.where(p > 0, np.log(np.maximum(p, 1e-300)), -np.inf)
-        object.__setattr__(self, "_log_p", _freeze(log_p))
+        object.__setattr__(self, "matrix", _freeze(p.copy()))
+
+    @cached_property
+    def _log_p(self) -> np.ndarray:
+        """log p, with -inf exactly on the forbidden transitions; built on
+        first use (the risk map and the Newton inverse read it, the
+        alternative kernel of a bound never does)."""
+        p = self.matrix
+        return _freeze(np.where(p > 0, np.log(np.maximum(p, 1e-300)), -np.inf))
 
     @property
     def n(self) -> int:

@@ -120,8 +120,11 @@ def _all_float_tuples(points) -> bool:
 def _as_points(points) -> tuple:
     """Canonical points; a non-sequence or an unhashable point is a ValidationError.
     A tuple of float tuples is canonical already and is returned as given."""
-    if _all_float_tuples(points):
-        return points
+    return points if _all_float_tuples(points) else _canonical_points(points)
+
+
+def _canonical_points(points) -> tuple:
+    """Each point canonicalized by :func:`_as_point`, one at a time."""
     try:
         pts = tuple(_as_point(p) for p in points)
         hash(pts)
@@ -146,7 +149,9 @@ class PointSet:
     is_numeric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = _as_points(self.points)
+        # One scan of a canonical tuple serves both the points and is_numeric.
+        canonical = _all_float_tuples(self.points)
+        pts = self.points if canonical else _canonical_points(self.points)
         if len(pts) == 0:
             raise ValidationError("point set must be nonempty")
         pos = dict(zip(pts, range(len(pts))))
@@ -154,9 +159,7 @@ class PointSet:
             first: dict = {}
             i = next(i for i, p in enumerate(pts) if first.setdefault(p, i) != i)
             raise ValidationError(f"duplicate point at index {i}: {pts[i]!r}")
-        numeric = (_all_float_tuples(pts) or all(
-            isinstance(p, tuple) and all(isinstance(x, float) for x in p) for p in pts
-        )) and len(set(map(len, pts))) == 1
+        numeric = (canonical or _all_float_tuples(pts)) and len(set(map(len, pts))) == 1
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "is_numeric", numeric)

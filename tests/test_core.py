@@ -6,6 +6,7 @@ import pytest
 from lipkl import (
     CostMatrix,
     DiscreteMeasure,
+    FiniteKernel,
     PointSet,
     ValidationError,
     cumulant_duality_check,
@@ -329,6 +330,161 @@ def test_budget_stop_prices_the_last_iterate_once(monkeypatch):
     sol = divergence(mu, nu, metric_cost(ps, "euclidean", 1.0), tol=1e-300, max_iter=8)
     assert not sol.certified and sol.iterations == 8
     assert len(set(priced)) == len(priced)
+
+
+def pinned_instances() -> dict:
+    """Small solves whose results are pinned bit for bit below: rows of an
+    ergodic bound on a 6-state banded kernel and its shifted alternative
+    (ergodic_bound solves each state's row this way), and random 2-D pairs,
+    one with a nu atom 30 away from mu, whose Gibbs mass underflows to
+    exact zero in some candidates."""
+    gen = np.random.default_rng(7)
+
+    def band(lo, hi):
+        m = np.zeros((6, 6))
+        for x in range(6):
+            cols = [y for y in range(x + lo, x + hi + 1) if 0 <= y < 6]
+            m[x, cols] = gen.dirichlet(np.full(len(cols), 5.0))
+        return m
+
+    states = PointSet(tuple((float(x),) for x in np.arange(6) + gen.uniform(-0.2, 0.2, 6)))
+    cost = metric_cost(states, "euclidean", 3.0)
+    p = FiniteKernel(states, band(-2, 2), cost)
+    q = FiniteKernel(states, band(-1, 3), cost)
+    out = {f"markov row {x}": (q.row(x), p.row(x), cost) for x in (0, 2, 5)}
+    for n, b in ((5, 1.0), (8, 10.0)):
+        ps = PointSet(tuple(map(tuple, gen.uniform(0.0, 1.0, (n, 2)))))
+        mu = DiscreteMeasure(ps, gen.dirichlet(np.ones(n)))
+        nu = DiscreteMeasure(ps, gen.dirichlet(np.ones(n)))
+        out[f"2-D n={n} b={b:g}"] = (mu, nu, metric_cost(ps, "euclidean", b))
+    coords = gen.uniform(0.0, 1.0, (6, 2))
+    coords[5] += 30.0
+    ps = PointSet(tuple(map(tuple, coords)))
+    mu = DiscreteMeasure(ps, np.append(gen.dirichlet(np.ones(5)), 0.0))
+    nu = DiscreteMeasure(ps, gen.dirichlet(np.ones(6)))
+    out["2-D far atom"] = (mu, nu, metric_cost(ps, "euclidean", 40.0))
+    return out
+
+
+# value, dual_value, iterations and the flow's shape and entries, as float.hex.
+PINNED = {
+    "markov row 0": (
+        "0x1.88f7a083b8c60p-2", "0x1.88f7a083b8c60p-2", 1, (4, 3), [
+            "0x1.9367bd213a8f6p-2", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x1.b028e4d2e6f25p-3", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-55",
+            "0x1.e157939a89ba1p-3", "0x0.0p+0", "0x0.0p+0", "0x1.47b00d501a34dp-3",
+        ]),
+    "markov row 2": (
+        "0x1.c162a48e32ac2p-1", "0x1.c162a48e32ac2p-1", 4, (5, 5), [
+            "0x1.01d4b67a68a97p-8", "0x1.cefa07ff5f2e3p-3", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.23c759155381bp-3", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.47a5230a3d9a0p-2",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x1.2d2bead6c8b41p-3", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x1.48b9c84c36229p-3",
+        ]),
+    "markov row 5": (
+        "0x1.d2b93b41a5921p-3", "0x1.d2b93b41a5921p-3", 1, (2, 3), [
+            "0x1.9bc08f04821d3p-8", "0x1.515a54fec9522p-2", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x1.541b54629252bp-1",
+        ]),
+    "2-D n=5 b=1": (
+        "0x1.5a30a8c055af6p-3", "0x1.5a30a8c055af6p-3", 1, (5, 5), [
+            "0x1.38c3f0763dd57p-10", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x1.7104eaa45da91p-4", "0x1.97584bc3f527ap-8", "0x0.0p+0",
+            "0x1.1035003fbe728p-2", "0x1.69a5c6bcca7e8p-6", "0x0.0p+0", "0x0.0p+0",
+            "0x1.2dba73c41f82ep-2", "0x0.0p+0", "0x1.ce787348c2978p-5", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x1.3ecf130e27502p-4", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.7c37f9362b7e1p-3",
+        ]),
+    "2-D n=8 b=10": (
+        "0x1.7963984675968p-2", "0x1.7963984675961p-2", 8, (8, 8), [
+            "0x1.c7a6ffab37662p-3", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.1354eab916217p-5",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x1.4412c2a435809p-5", "0x1.5877a9da453f2p-5", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x1.7a198f6dedb18p-3", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x1.75dbd3f0652dbp-4", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.eeb159c4d0278p-3",
+            "0x1.cc259deb7c81ap-5", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.e80ef97118e32p-7", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-56",
+            "0x0.0p+0", "0x1.6000000000000p-55", "0x1.2e3c009406861p-4",
+        ]),
+    "2-D far atom": (
+        "0x1.c87ae85ce594dp+0", "0x1.c87ae85ce5738p+0", 1, (5, 6), [
+            "0x1.9f3c3671c814ap-4", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x1.916bc8915649bp-2", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x1.8000000000000p-52", "0x1.8000000000000p-50",
+            "0x1.6893f0104d042p-5", "0x1.9400000000000p-50", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.75a7a17da797ep-3", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x1.1ededb115a405p-2", "0x0.0p+0",
+        ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_solves_repeat_bit_for_bit(name):
+    # The solver skips work whose result it already has (flows laddered,
+    # masks closed, walks balanced, outputs priced); none of the skips may
+    # change a bit of what it returns.
+    value, dual, iterations, shape, flow = PINNED[name]
+    mu, nu, cost = pinned_instances()[name]
+    sol = divergence(mu, nu, cost, tol=1e-10)
+    assert sol.certified
+    assert (sol.value.hex(), sol.dual_value.hex(), sol.iterations) == (value, dual, iterations)
+    assert sol.flow.shape == shape
+    assert [float(x).hex() for x in sol.flow.ravel()] == flow
+
+
+def test_solve_never_ladders_a_flow_twice(monkeypatch):
+    # Every mask of a flow laddered once is closed or skipped, so a flow
+    # that comes back (the best candidate's, when the iterate's candidate
+    # is still the best) builds no masks again. On this instance four
+    # certificate rounds ask for twelve ladders, and three repeat a flow.
+    import lipkl.core
+
+    flows = []
+    guesses = lipkl.core._support_guesses
+
+    def recording(flow):
+        flows.append(flow.tobytes())
+        return guesses(flow)
+
+    monkeypatch.setattr(lipkl.core, "_support_guesses", recording)
+    sol = divergence(*pinned_instances()["2-D n=8 b=10"], tol=1e-10)
+    assert sol.iterations == 8
+    assert len(flows) == len(set(flows)) == 9
+
+
+def test_solve_never_balances_a_walk_twice(monkeypatch):
+    # A closure's output depends on its mask only through the walk, so a
+    # walk that a new mask repeats is not balanced or priced again.
+    from lipkl.core import _Workspace
+
+    walks, skipped = [], []
+    balance, closure = _Workspace._balance, _Workspace.structure_closure
+
+    def recording_balance(self, pot, comp, attached):
+        walks.append(pot.tobytes() + comp.tobytes())
+        return balance(self, pot, comp, attached)
+
+    def recording_closure(self, keep):
+        g = closure(self, keep)
+        skipped.append(g is None)
+        return g
+
+    monkeypatch.setattr(_Workspace, "_balance", recording_balance)
+    monkeypatch.setattr(_Workspace, "structure_closure", recording_closure)
+    for name in ("markov row 2", "2-D n=8 b=10"):
+        walks.clear()
+        skipped.clear()
+        assert divergence(*pinned_instances()[name], tol=1e-10).certified
+        assert len(walks) == len(set(walks)) == skipped.count(False)
+        assert skipped.count(True) == 5
 
 
 def test_structure_closure_over_two_components_and_a_loose_column():

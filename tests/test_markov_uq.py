@@ -96,6 +96,29 @@ def test_kernel_validation():
         FiniteKernel(ps, np.array([[np.nan, 1.0], [0.5, 0.5]]), cost)
 
 
+def test_kernel_builds_its_log_on_first_use(rng):
+    # A bound reads log p of the nominal kernel only; the alternative's is
+    # n^2 floats that no step of the bound uses.
+    p, q = make_kernel(rng, 5), make_kernel(rng, 5)
+    q = FiniteKernel(p.states, q.matrix, p.cost)
+    assert "_log_p" not in vars(p) and "_log_p" not in vars(q)
+    g = feasible_potential(rng, p)
+    f = risk_map(p, g, 0.1)
+    assert ergodic_bound(p, q, f).holds
+    assert "_log_p" in vars(p) and "_log_p" not in vars(q)
+    # The risk map reads the same bits as the eager formula it replaced.
+    m = p.matrix
+    log_p = np.where(m > 0, np.log(np.maximum(m, 1e-300)), -np.inf)
+    assert not p._log_p.flags.writeable
+    assert p._log_p.tobytes() == log_p.tobytes()
+    eager = -np.logaddexp.reduce(log_p - g[None, :], axis=1) - g + 0.1
+    assert f.tobytes() == eager.tobytes()
+    # A forbidden transition keeps an exact -inf.
+    ps = PointSet((0.0, 1.0))
+    k = FiniteKernel(ps, np.array([[1.0, 0.0], [0.5, 0.5]]), metric_cost(ps, "euclidean", 1.0))
+    assert k._log_p[0, 1] == -np.inf and k._log_p[0, 0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Risk map
 

@@ -86,6 +86,41 @@ def test_points_canonicalize_to_python_floats(point, canonical):
         assert got is point  # an already canonical point is kept as given
 
 
+def test_point_set_scans_a_canonical_tuple_once(rng, monkeypatch):
+    # One scan of a tuple of float tuples serves both the points and
+    # is_numeric; grid workloads build such a set of thousands of points.
+    import lipkl.measures
+
+    scans = []
+    scan = lipkl.measures._all_float_tuples
+    monkeypatch.setattr(lipkl.measures, "_all_float_tuples",
+                        lambda points: scans.append(points) or scan(points))
+    canonical = tuple(map(tuple, rng.uniform(-1.0, 1.0, (50, 2)).tolist()))
+    ps = PointSet(canonical)
+    assert ps.points is canonical and ps.is_numeric
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize("points, numeric", [
+    (("a", "b"), False),
+    ((True, False), False),
+    (("a", (True, 1.0)), False),
+    (((0.0,), (1.0, 2.0)), False),
+    ([[0.0], [1.0, 2.0]], False),
+    (((0.0,), "a"), False),
+    (((1.0, "a"), (2.0, "b")), False),
+    ((0, 1, 2), True),
+    (((1, 2), (3, 4)), True),
+    ([[0, 1.5], [2, 3]], True),
+    (np.arange(6.0).reshape(3, 2), True),
+    (np.arange(3), True),
+    (((0.0, 1.0), (2.0, 3.0)), True),
+    (((), ), True),
+])
+def test_point_set_is_numeric_on_every_input_kind(points, numeric):
+    assert PointSet(points).is_numeric is numeric
+
+
 def test_point_set_fast_path_agrees_with_the_per_point_path(rng):
     coords = rng.uniform(-1.0, 1.0, (40, 2))
     canonical = tuple(map(tuple, coords.tolist()))
