@@ -59,14 +59,18 @@ keyed on the bytes of its input: a flow already laddered (every mask it
 gives has been tried; the best candidate's flow comes back whenever the
 iterate's candidate is still the best), a support mask already closed, a
 forest walk already balanced (its potentials and labels fix the closure's
-output), and a closure output already priced. Candidates are still priced
-in the same order, so every result is the same to the bit.
+output), and a closure output already priced. A closure output gets its
+transport LP only when weak duality leaves it a chance: every primal value
+lies at or above every feasible dual value, so a candidate whose dual falls
+more than the best gap below the best dual can neither become the best
+candidate nor raise the best dual. The candidates that can are priced in
+the same order, so every result is the same to the bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -120,7 +124,9 @@ class DivergenceSolution:
     i.e. g = log(d measure / d nu) on the support of nu, extended off the
     support by its maximal Lipschitz extension. ``flow`` is the transport
     plan from mu to ``measure`` on ``rows`` x ``cols``, the supports of mu
-    and nu; ``plan`` is the whole n x n plan, built on first access.
+    and nu, built on each access from its nonzero entries (an LP's basic
+    plan has at most |rows| + |cols| - 1), which are all the solution keeps
+    of it; ``plan`` is the whole n x n plan, built on first access.
     """
 
     value: float
@@ -128,12 +134,19 @@ class DivergenceSolution:
     duality_gap: float
     measure: DiscreteMeasure
     potential: LipschitzFunction
-    flow: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     iterations: int
     certified: bool
     tol: float
+    _flow_at: np.ndarray = field(repr=False)   # flat positions of flow's nonzero bits
+    _flow_of: np.ndarray = field(repr=False)   # flow's entries there
+
+    @property
+    def flow(self) -> np.ndarray:
+        flow = np.zeros((self.rows.size, self.cols.size))
+        flow.flat[self._flow_at] = self._flow_of
+        return flow
 
     @cached_property
     def plan(self) -> np.ndarray:
@@ -189,18 +202,22 @@ class _Workspace:
         """``C_rc`` as nested lists, the form the forest walk reads."""
         return self.C_rc.tolist()
 
-    def evaluate(self, g_cols: np.ndarray) -> _Candidate:
+    def evaluate(self, g_cols: np.ndarray, floor: float = -math.inf) -> _Candidate | None:
         """Price one dual candidate given raw potential values on the columns.
 
         The candidate is tightened by c-transform (making it feasible), its
         Gibbs tilt becomes the primal measure, and the transport part is
         priced exactly by the network simplex. Shift-invariant in g_cols.
+        A candidate whose dual value falls below ``floor`` returns None
+        before the simplex runs.
         """
         g_full = _c_transform(g_cols, self.cost, self.cols)
         gc = g_full[self.cols]
         z = gc + self.logw
         lse = float(np.logaddexp.reduce(z))
         dual = float(self.mu.weights @ g_full) - lse
+        if dual < floor:
+            return None
         gamma = np.exp(z - lse)
         gamma /= gamma.sum()
 
@@ -329,8 +346,14 @@ def divergence(
         returned flagged ``certified=False`` with its current gap.
     initial_potential : optional
         Warm-start potential (array over the point set or a
-        LipschitzFunction); any feasible guess can only improve the dual
-        bracket, which is what makes scale sweeps exactly monotone.
+        LipschitzFunction) with finite values; any feasible guess can only
+        improve the dual bracket, which is what makes scale sweeps exactly
+        monotone.
+
+    Every candidate's dual value is computed, but the transport LP that
+    prices its primal runs only on the zero start, the warm start, each
+    certificate round's mirror iterate, and those structure-closure
+    candidates whose dual lies within the best gap of the best dual.
     """
     if not (tol > 0):
         raise ValidationError("tol must be positive")
@@ -339,9 +362,11 @@ def divergence(
     best: _Candidate | None = None
     best_dual = -math.inf
 
-    def consider(g_cols) -> _Candidate:
+    def consider(g_cols, floor: float = -math.inf) -> _Candidate | None:
         nonlocal best, best_dual
-        cand = ws.evaluate(np.asarray(g_cols, dtype=float))
+        cand = ws.evaluate(np.asarray(g_cols, dtype=float), floor)
+        if cand is None:
+            return None
         best_dual = max(best_dual, cand.dual)
         if best is None or cand.gap < best.gap:
             best = cand
@@ -353,7 +378,8 @@ def divergence(
     # a bit-identical g: 506 of 1 083 closures in round 0 of the markov-12
     # benchmark at seed 0, 461 of them on a walk already balanced (which
     # :meth:`_Workspace.structure_closure` skips), and 33 of 248 (24) in
-    # solve-2d.
+    # solve-2d. A new closure output that weak duality rules out gets no LP
+    # either (below), so its flow never reaches a ladder.
     ladders: set[bytes] = set()
     masks: set[bytes] = set()
     closed: set[bytes] = set()
@@ -378,7 +404,11 @@ def divergence(
             if key in closed:
                 continue
             closed.add(key)
-            consider(g)
+            # Weak duality puts every primal at or above best_dual, so a
+            # candidate whose dual sits more than best.gap below it can
+            # neither become best nor raise best_dual: it gets no LP. The
+            # relative 1e-12 allows for rounding in the computed brackets.
+            consider(g, best_dual - best.gap - 1e-12 * (1.0 + abs(best_dual)))
 
     def certificate_round(ratio_iterate: np.ndarray, pi_iterate: np.ndarray) -> None:
         """Price the current iterate plus the structure-closure candidates.
@@ -398,6 +428,8 @@ def divergence(
         g0 = _potential_values(initial_potential)
         if g0.shape != (mu.point_set.n,):
             raise ValidationError("initial potential has the wrong length")
+        if not np.isfinite(g0).all():
+            raise ValidationError("initial potential must be finite")
         consider(g0[ws.cols])
 
     # Primal state in log space, seeded from the best candidate's tilt.
@@ -461,12 +493,14 @@ def _assemble(ws: _Workspace, cand: _Candidate, best_dual: float,
         duality_gap=gap,
         measure=DiscreteMeasure(ws.mu.point_set, gamma_full),
         potential=LipschitzFunction(g_norm, ws.cost),
-        flow=cand.flow,
         rows=ws.rows,
         cols=ws.cols,
         iterations=iterations,
         certified=gap <= tol,
         tol=tol,
+        # Nonzero bits, so that a -0.0 comes back as it was.
+        _flow_at=(at := np.flatnonzero(cand.flow.view(np.int64))),
+        _flow_of=cand.flow.ravel()[at],
     )
 
 

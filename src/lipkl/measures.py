@@ -144,7 +144,6 @@ class PointSet:
     """
 
     points: tuple
-    _pos: dict = field(init=False, repr=False, compare=False)
     # Every point is a tuple of floats, and all have one length.
     is_numeric: bool = field(init=False, repr=False, compare=False)
 
@@ -154,15 +153,19 @@ class PointSet:
         pts = self.points if canonical else _canonical_points(self.points)
         if len(pts) == 0:
             raise ValidationError("point set must be nonempty")
-        pos = dict(zip(pts, range(len(pts))))
-        if len(pos) < len(pts):  # name the first repeat
+        if len(set(pts)) < len(pts):  # name the first repeat
             first: dict = {}
             i = next(i for i, p in enumerate(pts) if first.setdefault(p, i) != i)
             raise ValidationError(f"duplicate point at index {i}: {pts[i]!r}")
         numeric = (canonical or _all_float_tuples(pts)) and len(set(map(len, pts))) == 1
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "is_numeric", numeric)
+
+    @cached_property
+    def _pos(self) -> dict:
+        """Each point's index, built on the first lookup: a point set made
+        for a solve never looks a point up."""
+        return dict(zip(self.points, range(len(self.points))))
 
     @property
     def n(self) -> int:
@@ -188,7 +191,9 @@ class PointSet:
         return len(self.points)
 
 
-@dataclass(frozen=True)
+# Measures and potentials are slotted: a caller that keeps many solutions keeps
+# no instance dict per measure or potential.
+@dataclass(frozen=True, slots=True)
 class DiscreteMeasure:
     """Probability vector over a :class:`PointSet`.
 
@@ -598,7 +603,7 @@ def _lipschitz_tol(values: np.ndarray) -> float:
     return LIP_ATOL * (1.0 + float(np.abs(values).max(initial=0.0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LipschitzFunction:
     """Function on a point set satisfying g(x) - g(y) <= b*c(x,y) for all pairs."""
 

@@ -20,6 +20,7 @@ from lipkl import (
     transport_cost,
     verify_optimizers,
 )
+from lipkl.measures import _lipschitz_tol, lipschitz_violation
 
 from conftest import random_instance, random_measure, random_point_set
 
@@ -322,14 +323,73 @@ def test_budget_stop_prices_the_last_iterate_once(monkeypatch):
     priced = []
     evaluate = _Workspace.evaluate
 
-    def recording(self, g_cols):
+    def recording(self, g_cols, floor=-math.inf):
         priced.append(g_cols.tobytes())
-        return evaluate(self, g_cols)
+        return evaluate(self, g_cols, floor)
 
     monkeypatch.setattr(_Workspace, "evaluate", recording)
     sol = divergence(mu, nu, metric_cost(ps, "euclidean", 1.0), tol=1e-300, max_iter=8)
     assert not sol.certified and sol.iterations == 8
     assert len(set(priced)) == len(priced)
+
+
+def test_closures_without_an_lp_could_not_have_won(rng, monkeypatch):
+    # A closure candidate whose dual sits more than the best gap below the
+    # best dual gets no LP. Priced after the fact, none of them would have
+    # lowered the best gap or raised the best dual.
+    from lipkl.core import _Workspace
+
+    evaluate = _Workspace.evaluate
+    best = {}                 # workspace -> [best gap, best dual]
+    counts = [0, 0]           # candidates, LPs
+
+    def checking(self, g_cols, floor=-math.inf):
+        cand = evaluate(self, g_cols, floor)
+        gap_dual = best.setdefault(self, [math.inf, -math.inf])
+        counts[0] += 1
+        if cand is None:
+            full = evaluate(self, g_cols)
+            assert not full.gap < gap_dual[0]
+            assert full.dual <= gap_dual[1]
+        else:
+            counts[1] += 1
+            gap_dual[0] = min(gap_dual[0], cand.gap)
+            gap_dual[1] = max(gap_dual[1], cand.dual)
+        return cand
+
+    monkeypatch.setattr(_Workspace, "evaluate", checking)
+    for k in range(40):
+        n = int(rng.integers(3, 17))
+        partial = k % 3 == 0
+        mu, nu, cost = random_instance(
+            rng, n, d=2, scale=float(10 ** rng.uniform(-1, 2)),
+            mu_support=int(rng.integers(1, n + 1)) if partial else None,
+            nu_support=int(rng.integers(1, n + 1)) if partial else None)
+        divergence(mu, nu, cost)
+    assert counts[1] < counts[0]
+
+
+def test_returned_brackets_recheck_without_an_lp(rng):
+    # The returned solution carries its own bracket: the primal from its flow
+    # and measure, the marginals of its flow, and a feasible potential whose
+    # dual value closes the gap on certified solves.
+    for k in range(200):
+        n = int(rng.integers(3, 13))
+        mu, nu, cost = random_instance(
+            rng, n, d=int(rng.integers(1, 3)), scale=float(10 ** rng.uniform(-1, 2)),
+            mu_support=int(rng.integers(1, n + 1)) if k % 3 == 0 else None,
+            nu_support=int(rng.integers(1, n + 1)) if k % 4 == 0 else None)
+        sol = divergence(mu, nu, cost, max_iter=4 if k % 5 == 4 else 100_000)
+        transport = float((cost.block(sol.rows, sol.cols) * sol.flow).sum())
+        primal = transport + relative_entropy(sol.measure, nu)
+        assert abs(primal - sol.value) <= 1e-13 * abs(sol.value)
+        np.testing.assert_allclose(sol.flow.sum(axis=1), mu.weights[sol.rows], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sol.flow.sum(axis=0), sol.measure.weights[sol.cols],
+                                   rtol=0, atol=1e-12)
+        excess, _ = lipschitz_violation(sol.potential.values, cost)
+        assert excess <= _lipschitz_tol(sol.potential.values)
+        if sol.certified:
+            assert dual_objective(sol.potential, mu, nu) >= sol.value - sol.tol
 
 
 def pinned_instances() -> dict:
@@ -549,6 +609,17 @@ def test_warm_start_over_nu_support_is_rejected():
     assert nu.support.size < ps.n
     with pytest.raises(ValidationError, match="wrong length"):
         divergence(mu, nu, cost, initial_potential=np.zeros(nu.support.size))
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+def test_non_finite_warm_start_is_rejected(bad):
+    # A NaN or -inf on nu's support used to surface as RuntimeWarnings and
+    # then the LP's "marginals must have equal total mass".
+    ps = PointSet((0.0, 1.0, 2.0))
+    mu = DiscreteMeasure(ps, [0.5, 0.5, 0.0])
+    nu = DiscreteMeasure(ps, [0.0, 0.5, 0.5])
+    with pytest.raises(ValidationError, match="initial potential"):
+        divergence(mu, nu, metric_cost(ps, "euclidean", 1.0), initial_potential=[0.0, bad, 0.0])
 
 
 def test_label_points_with_explicit_cost():
