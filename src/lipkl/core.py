@@ -378,8 +378,10 @@ def divergence(
     # a bit-identical g: 506 of 1 083 closures in round 0 of the markov-12
     # benchmark at seed 0, 461 of them on a walk already balanced (which
     # :meth:`_Workspace.structure_closure` skips), and 33 of 248 (24) in
-    # solve-2d. A new closure output that weak duality rules out gets no LP
-    # either (below), so its flow never reaches a ladder.
+    # solve-2d. A new closure output gets no LP either when its dual lies
+    # more than best.gap below best_dual: every primal lies at or above
+    # best_dual, so it could neither become best nor raise best_dual, and
+    # its flow never reaches a ladder.
     ladders: set[bytes] = set()
     masks: set[bytes] = set()
     closed: set[bytes] = set()
@@ -404,10 +406,8 @@ def divergence(
             if key in closed:
                 continue
             closed.add(key)
-            # Weak duality puts every primal at or above best_dual, so a
-            # candidate whose dual sits more than best.gap below it can
-            # neither become best nor raise best_dual: it gets no LP. The
-            # relative 1e-12 allows for rounding in the computed brackets.
+            # The weak-duality floor, less a relative 1e-12 for rounding in
+            # the computed brackets.
             consider(g, best_dual - best.gap - 1e-12 * (1.0 + abs(best_dual)))
 
     def certificate_round(ratio_iterate: np.ndarray, pi_iterate: np.ndarray) -> None:
