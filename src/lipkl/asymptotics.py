@@ -234,7 +234,7 @@ def point_vs_uniform_benchmark(scale: float, grid_size: int = 1000,
         raise ValidationError("grid_size must be at least 100")
     n = int(grid_size)
     grid = (np.arange(1, n + 1) - 0.5) / n
-    ps = PointSet(tuple(zip(grid.tolist())) + ((0.0,),))
+    ps = PointSet(np.append(grid, 0.0))
     nu_w = np.full(n + 1, 1.0 / n)
     nu_w[-1] = 0.0
     mu_w = np.zeros(n + 1)

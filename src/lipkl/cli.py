@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import sys
@@ -66,6 +65,8 @@ EXIT_VALIDATION = 3
 
 
 def _digest(obj) -> str:
+    import hashlib  # loads OpenSSL; only reports that carry a digest pay for it
+
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 

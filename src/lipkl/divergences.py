@@ -84,14 +84,18 @@ class TransportSolution:
     def marginal_residual(self, mu: DiscreteMeasure, gamma: DiscreteMeasure) -> float:
         """Worst gap between the plan's marginals and ``mu``, ``gamma``, read
         from ``flow`` in the order numpy sums :attr:`plan`, so that the last
-        bits agree: each row summed inside a zero row of length n, and the
-        columns accumulated row after row."""
+        bits agree. The columns accumulate row after row, as a column of the
+        plan does (``flow.sum(axis=0)`` would sum a one-column flow
+        pairwise). A row with at most two nonzero entries sums exactly in
+        any order; only a row with more is summed inside a zero line of
+        length n, as the plan's row is."""
         n = self.potential.cost.n
         row, col, line = np.zeros(n), np.zeros(n), np.zeros(n)
-        for i, f in zip(self.rows, self.flow):
-            line[self.cols] = f
-            row[i] = line.sum()
-            col[self.cols] += f
+        col[self.cols] = np.cumsum(self.flow, axis=0)[-1]
+        row[self.rows] = self.flow.sum(axis=1)
+        for k in np.flatnonzero(np.count_nonzero(self.flow, axis=1) > 2):
+            line[self.cols] = self.flow[k]
+            row[self.rows[k]] = line.sum()
         return float(max(np.abs(row - mu.weights).max(), np.abs(col - gamma.weights).max()))
 
     def complementary_slackness_residual(self, cost: CostMatrix) -> float:

@@ -408,7 +408,7 @@ def ergodic_bound(p_kernel: FiniteKernel, q_kernel: FiniteKernel, f,
     entropy term. With multiple recurrent classes in q, every class is
     checked.
     """
-    if p_kernel.states.points != q_kernel.states.points:
+    if p_kernel.states != q_kernel.states:  # identity first, then the coordinate arrays
         raise ValidationError("kernels must share the same state set")
     inverse = invert_risk_map(p_kernel, f)
     if not inverse.representable:

@@ -15,9 +15,12 @@ the Lipschitz class; strict positivity off the diagonal makes that class
 separate any two distinct probability vectors. Every Lipschitz-feasibility
 verdict allows an excess of ``LIP_ATOL * (1 + max |g|)``.
 
-Each type derives its data once, in its constructor: a :class:`PointSet`
-holds the position of every point, and a :class:`CostMatrix` holds its
-accepted source, an explicit matrix or the coordinates of a metric cost.
+Each type derives its data once, in its constructor: a numeric
+:class:`PointSet` holds its coordinates as one frozen (d, n) array, read
+from its input in one numpy pass and shared by every metric cost built on
+it (the position of each point is built on the first lookup), and a
+:class:`CostMatrix` holds its accepted source, an explicit matrix or the
+coordinates of a metric cost.
 Every weight vector read from points and weights (duplicate points in a
 file, merged supports, a perturbation direction) is placed by ``_place``,
 which sums weights onto a point set in the given order.
@@ -48,7 +51,7 @@ from __future__ import annotations
 import json
 import numbers
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -110,85 +113,146 @@ def _as_point(p):
     return p  # opaque label
 
 
-def _all_float_tuples(points) -> bool:
-    """``points`` is a tuple of tuples of floats, all canonical, checked by
-    two sets of types rather than point by point."""
-    return (type(points) is tuple and set(map(type, points)) == {tuple}
-            and set(map(type, chain.from_iterable(points))) <= {float})
+def _numeric_array(x: np.ndarray) -> bool:
+    """``x`` holds numbers on one axis, or on two with at least one column."""
+    return x.dtype.kind in "fiu" and (x.ndim == 1 or x.ndim == 2 and x.shape[1] > 0)
 
 
-def _as_points(points) -> tuple:
-    """Canonical points; a non-sequence or an unhashable point is a ValidationError.
-    A tuple of float tuples is canonical already and is returned as given."""
-    return points if _all_float_tuples(points) else _canonical_points(points)
+def _as_columns(x: np.ndarray) -> np.ndarray:
+    """A numeric array of points as (n, d) floats: scalars become 1-D points."""
+    return np.asarray(x[:, None] if x.ndim == 1 else x, dtype=float)
 
 
-def _canonical_points(points) -> tuple:
-    """Each point canonicalized by :func:`_as_point`, one at a time."""
+def _read_points(points) -> tuple[np.ndarray | None, tuple | None]:
+    """``(x, None)`` for numeric points, x their (n, d) float coordinates, else
+    ``(None, labels)`` with each label canonicalized by :func:`_as_point`.
+    A non-sequence or an unhashable point is a ValidationError.
+
+    A numeric ndarray is read as it is. Any other sequence is read by one
+    ``np.array`` call when numpy infers a numeric array and no coordinate
+    is a bool or a 0-d array, which numpy would read as a number but
+    :func:`_as_point` does not. Otherwise the points are read one by one,
+    and are numeric when every point is a float tuple of one length."""
+    if isinstance(points, np.ndarray) and _numeric_array(points):
+        return _as_columns(points), None
     try:
-        pts = tuple(_as_point(p) for p in points)
+        pts = tuple(points)
+        try:
+            x = np.array(pts)
+        except (ValueError, TypeError, OverflowError):  # ragged, or no common numeric type
+            x = None
+        if x is not None and _numeric_array(x):
+            kinds = set(map(type, chain.from_iterable(pts) if x.ndim == 2 else pts))
+            if kinds.isdisjoint((bool, np.bool_, np.ndarray)):
+                return _as_columns(x), None
+        pts = tuple(map(_as_point, pts))
         hash(pts)
     except TypeError:
         raise ValidationError(f"points must be a list of points: {reprlib.repr(points)}") from None
-    return pts
+    numeric = (pts and set(map(type, pts)) == {tuple}
+               and set(map(type, chain.from_iterable(pts))) <= {float}
+               and len(set(map(len, pts))) == 1)
+    return (np.array(pts, dtype=float), None) if numeric else (None, pts)
 
 
-@dataclass(frozen=True)
+def _as_points(points) -> tuple:
+    """Canonical points; a non-sequence or an unhashable point is a ValidationError."""
+    x, labels = _read_points(points)
+    return labels if x is None else tuple(map(tuple, x.tolist()))
+
+
+def _first_repeat(x: np.ndarray) -> int | None:
+    """Index of the first of the (d, n) points ``x`` that equals an earlier
+    one, else None. One lexsort groups equal points (+0.0 stands in for
+    -0.0, which compares equal), each group in index order."""
+    d, n = x.shape
+    order = np.lexsort(x + 0.0) if d else np.arange(n)
+    repeat = (x[:, order[1:]] == x[:, order[:-1]]).all(axis=0)
+    return int(order[1:][repeat].min()) if repeat.any() else None
+
+
 class PointSet:
     """Ordered, pairwise-distinct support points.
 
-    Numeric points are stored as float tuples; anything else is kept as an
-    opaque hashable label. Deduplication throughout the package uses exact
-    equality of the canonical form, so callers wanting fuzzy merging should
-    round coordinates before constructing measures.
+    A numeric point set (every point a number or a sequence of numbers, all
+    of one length) holds its coordinates once, as a frozen (d, n) float
+    array; :attr:`points` builds their canonical float tuples on each read,
+    and :attr:`coords` is a read-only (n, d) view of the array. Anything
+    else is kept as a tuple of opaque hashable labels. Deduplication
+    throughout the package uses exact equality of the canonical form (0.0
+    and -0.0 are one point), so callers wanting fuzzy merging should round
+    coordinates before constructing measures. Point sets compare equal when
+    their points do; two numeric sets compare their arrays.
     """
 
-    points: tuple
-    # Every point is a tuple of floats, and all have one length.
-    is_numeric: bool = field(init=False, repr=False, compare=False)
+    n: int  # the number of points
 
-    def __post_init__(self):
-        # One scan of a canonical tuple serves both the points and is_numeric.
-        canonical = _all_float_tuples(self.points)
-        pts = self.points if canonical else _canonical_points(self.points)
-        if len(pts) == 0:
+    def __init__(self, points):
+        x, labels = _read_points(points)
+        n = len(labels) if x is None else len(x)
+        if n == 0:
             raise ValidationError("point set must be nonempty")
-        if len(set(pts)) < len(pts):  # name the first repeat
-            first: dict = {}
-            i = next(i for i, p in enumerate(pts) if first.setdefault(p, i) != i)
-            raise ValidationError(f"duplicate point at index {i}: {pts[i]!r}")
-        numeric = (canonical or _all_float_tuples(pts)) and len(set(map(len, pts))) == 1
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "is_numeric", numeric)
+        if x is None:
+            if len(set(labels)) < n:  # name the first repeat
+                first: dict = {}
+                i = next(i for i, p in enumerate(labels) if first.setdefault(p, i) != i)
+                raise ValidationError(f"duplicate point at index {i}: {labels[i]!r}")
+        else:
+            x = _freeze(np.array(x.T, order="C"))
+            if (i := _first_repeat(x)) is not None:
+                raise ValidationError(f"duplicate point at index {i}: {tuple(x[:, i].tolist())!r}")
+        self.__dict__.update(_x=x, _labels=labels, n=n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PointSet is immutable; cannot set {name!r}")
+
+    @property
+    def points(self) -> tuple:
+        return self._labels if self._x is None else tuple(map(tuple, self._x.T.tolist()))
+
+    @property
+    def is_numeric(self) -> bool:
+        return self._x is not None
 
     @cached_property
     def _pos(self) -> dict:
         """Each point's index, built on the first lookup: a point set made
         for a solve never looks a point up."""
-        return dict(zip(self.points, range(len(self.points))))
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
+        return dict(zip(self.points, range(self.n)))
 
     @property
     def dimension(self) -> int:
-        if not self.is_numeric:
+        if self._x is None:
             raise ValidationError("point set has non-numeric labels")
-        return len(self.points[0])
+        return self._x.shape[0]
 
     @property
     def coords(self) -> np.ndarray:
-        """(n, d) array of coordinates. Raises for label point sets."""
-        if not self.is_numeric:
+        """Read-only (n, d) view of the coordinates. Raises for label point sets."""
+        if self._x is None:
             raise ValidationError("point set has non-numeric labels; no coordinates")
-        return np.asarray(self.points, dtype=float)
+        return self._x.T
 
     def index(self, point) -> int:
         return _position(self, _as_point(point))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.n
+
+    def __eq__(self, other):
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        if self is other:
+            return True
+        if self._x is not None and other._x is not None:
+            return np.array_equal(self._x, other._x)
+        return self.points == other.points
+
+    def __hash__(self) -> int:
+        return hash(self.points)
+
+    def __repr__(self) -> str:
+        return f"PointSet(points={self.points!r})"
 
 
 # Measures and potentials are slotted: a caller that keeps many solutions keeps
@@ -553,7 +617,7 @@ def metric_cost(point_set: PointSet, metric: str = "euclidean", scale_b: float =
     """
     if not isinstance(metric, str) or metric not in _NORMS:
         raise ValidationError(f"unknown metric {metric!r}")
-    x = _freeze(np.ascontiguousarray(point_set.coords.T))
+    x = point_set.coords.T  # the point set's own (d, n) array
     scale = _positive_scale(scale_b)
     order = np.argsort(x[0]) if len(x) == 1 else None
     with np.errstate(over="ignore", invalid="ignore"):  # reported as not_finite
@@ -721,7 +785,9 @@ def merge_supports(mu: DiscreteMeasure, nu: DiscreteMeasure):
 
 
 def _points_list(ps: PointSet) -> list:
-    """Points as JSON lists: coordinate tuples become lists, labels stay."""
+    """Points as JSON lists: coordinates become lists, labels stay."""
+    if ps.is_numeric:
+        return ps.coords.tolist()
     return [list(p) if isinstance(p, tuple) else p for p in ps.points]
 
 
@@ -783,5 +849,5 @@ def _load_json(source):
 
 
 def _require_same_point_set(a, b) -> None:
-    if a.point_set.points != b.point_set.points:
+    if a.point_set != b.point_set:  # identity first, then the coordinate arrays
         raise ValidationError("measures must live on the same point set; merge supports first")

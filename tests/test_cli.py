@@ -504,3 +504,13 @@ def test_import_leaves_scipy_special_unloaded():
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL, 3.7 MiB of resident memory; only a report's
+    # inputs digest needs it, not `lipkl sweep` or `--help`.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lipkl.cli; print('hashlib' in sys.modules)"],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"

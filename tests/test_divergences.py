@@ -213,24 +213,27 @@ def test_slackness_residual_matches_the_dense_formula():
 
 
 def test_residuals_read_the_flow_not_the_plan():
-    # The benchmark's one-row LP: a point mass at 0 against a 2 000-point grid.
-    # The dense plan would hold 30.5 MiB.
+    # The benchmark's one-row LP: a point mass at 0 against a 2 000-point grid,
+    # and the one-column LP back. The dense plan would hold 30.5 MiB. The
+    # one-column flow's pairwise sum (flow.sum(axis=0)) misses the plan's
+    # column sum by 5.4e-14; the residual must read the plan's bits.
     n = 2000
     ps = PointSet(tuple(((k - 0.5) / n,) for k in range(1, n + 1)) + ((0.0,),))
     mu = DiscreteMeasure(ps, np.eye(n + 1)[n])
     nu = DiscreteMeasure(ps, np.append(np.full(n, 1.0 / n), 0.0))
     cost = metric_cost(ps, "euclidean", 10.0)
-    tracemalloc.start()
-    try:
-        sol = transport_cost(mu, nu, cost)
-        residuals = (sol.marginal_residual(mu, nu), sol.complementary_slackness_residual(cost))
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held < 2**20
-    assert "plan" not in vars(sol)
-    assert max(residuals) <= 1e-12
-    assert residuals == (dense_marginal_residual(sol, mu, nu), dense_slackness_residual(sol, cost))
+    for src, dst, shape in ((mu, nu, (1, n)), (nu, mu, (n, 1))):
+        tracemalloc.start()
+        try:
+            sol = transport_cost(src, dst, cost)
+            residuals = (sol.marginal_residual(src, dst), sol.complementary_slackness_residual(cost))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
+        assert sol.flow.shape == shape and "plan" not in vars(sol)
+        assert max(residuals) <= 1e-12
+        assert residuals == (dense_marginal_residual(sol, src, dst), dense_slackness_residual(sol, cost))
 
 
 # ---------------------------------------------------------------------------

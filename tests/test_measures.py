@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ def test_point_set_scalar_points_become_1d():
         (np.float64(0.0), np.float64(0.5), np.float64(1.0)),
         ([0.0], [0.5], [1]),
         ((0.0,), (0.5,), (1.0,)),
+        np.array([0.0, 0.5, 1.0]),
     ]:
         ps = PointSet(points)
         assert ps.dimension == 1
@@ -82,23 +84,68 @@ def test_points_canonicalize_to_python_floats(point, canonical):
     if isinstance(got, tuple):
         assert [type(x) for x in got] == [type(x) for x in canonical]
     assert ps.index(point) == 0
-    if type(point) is tuple and all(type(x) is float for x in point):
-        assert got is point  # an already canonical point is kept as given
+    # A numeric set builds its tuples from its coordinate array on every
+    # read and keeps none; a label set keeps its tuple.
+    assert ps.points == ps.points
+    assert (ps.points is ps.points) is not ps.is_numeric
 
 
-def test_point_set_scans_a_canonical_tuple_once(rng, monkeypatch):
-    # One scan of a tuple of float tuples serves both the points and
-    # is_numeric; grid workloads build such a set of thousands of points.
-    import lipkl.measures
+def test_point_set_reads_every_input_kind_into_one_array(rng):
+    coords = rng.uniform(-1.0, 1.0, (50, 2))
+    canonical = tuple(map(tuple, coords.tolist()))
+    sets = [PointSet(points) for points in (canonical, coords.tolist(), (tuple(p) for p in coords),
+                                            coords, list(coords))]
+    for ps in sets:
+        assert ps == sets[0] and hash(ps) == hash(sets[0])
+        assert ps.points == canonical
+        assert ps.coords.shape == (50, 2) and ps.coords.tobytes() == coords.tobytes()
+        assert [ps.index(p) for p in canonical] == list(range(50))
+    # Each set holds its own copy: the caller's array stays writeable and
+    # changing it changes no set.
+    coords[0] = 5.0
+    assert sets[3].points == canonical
+    # A set over other points, or the same points in another order, differs.
+    assert PointSet(canonical[::-1]) != sets[0]
+    assert PointSet(canonical[:-1]) != sets[0]
 
-    scans = []
-    scan = lipkl.measures._all_float_tuples
-    monkeypatch.setattr(lipkl.measures, "_all_float_tuples",
-                        lambda points: scans.append(points) or scan(points))
-    canonical = tuple(map(tuple, rng.uniform(-1.0, 1.0, (50, 2)).tolist()))
-    ps = PointSet(canonical)
-    assert ps.points is canonical and ps.is_numeric
-    assert len(scans) == 1
+
+@pytest.mark.parametrize("rows, repeat", [
+    ([[0.0], [1.0], [-0.0]], r"2: \(-0\.0,\)"),
+    ([[-0.0, 1.0], [0.0, 2.0], [0.0, 1.0]], r"2: \(0\.0, 1\.0\)"),
+    ([[3.0, 1.0], [0.0, 2.0], [0.0, 2.0], [3.0, 1.0]], r"2: \(0\.0, 2\.0\)"),
+    ([[1.0, -0.0], [0.0, 1.0], [2.0, 2.0], [1.0, 0.0], [0.0, 1.0]], r"3: \(1\.0, 0\.0\)"),
+])
+def test_duplicate_error_on_an_array_names_the_first_repeat(rows, repeat):
+    # 0.0 and -0.0 are one point; the error names the first index whose
+    # point appeared earlier, as the per-point path does.
+    for points in (np.array(rows), rows, tuple(map(tuple, rows))):
+        with pytest.raises(ValidationError, match=r"duplicate point at index " + repeat):
+            PointSet(points)
+
+
+def test_coords_are_a_read_only_view_that_the_metric_cost_shares(rng):
+    for points in (np.linspace(0.0, 1.0, 5), rng.uniform(0.0, 1.0, (5, 3))):
+        ps = PointSet(points)
+        with pytest.raises(ValueError):
+            ps.coords[0, 0] = 3.0
+        for metric in ("euclidean", "manhattan"):
+            cost = metric_cost(ps, metric, 2.0).with_scale(3.0)
+            assert cost._coords.shape == ps.coords.shape[::-1]
+            assert np.shares_memory(cost._coords, ps.coords)
+
+
+def test_a_10000_point_line_holds_one_array():
+    # The tuple form held 779 KiB: 10 000 1-tuples and their floats.
+    n = 10_000
+    grid = (np.arange(n) + 0.5) / n
+    for points in (grid, tuple((x,) for x in grid.tolist())):
+        tracemalloc.start()
+        try:
+            ps = PointSet(points)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ps.n == n and held < 256 * 2**10
 
 
 @pytest.mark.parametrize("points, numeric", [
@@ -125,7 +172,10 @@ def test_point_set_fast_path_agrees_with_the_per_point_path(rng):
     coords = rng.uniform(-1.0, 1.0, (40, 2))
     canonical = tuple(map(tuple, coords.tolist()))
     fast = PointSet(canonical)
-    assert fast.points is canonical  # kept as given, no per-point pass
+    # Exact fractions make numpy infer an object array, so this input is
+    # read point by point.
+    slow = PointSet([tuple(map(Fraction, p)) for p in canonical])
+    assert slow == fast and slow.points == fast.points
     for points in (coords.tolist(), coords, (tuple(p) for p in coords), list(canonical)):
         ps = PointSet(points)
         assert ps.points == fast.points
