@@ -32,7 +32,11 @@ function as the primal measure, and price the transport exactly with the
 network simplex. For a candidate built this way the transport-identity
 residual *is* the duality gap, and the Gibbs relation holds by construction,
 so a certified solve automatically satisfies the first-order optimality
-conditions to the same tolerance.
+conditions to the same tolerance. The zero potential is a candidate too,
+but only its dual side is computed: its dual is a lower bracket and its
+tilt (nu on the columns) seeds the iterate, and nothing would read its
+transport LP. The LP depends on the tilt alone, so each tilt is priced
+once per solve.
 
 Mirror descent alone closes the gap at an O(1/t) crawl, so certificate
 rounds also *close the first-order conditions over a guessed support
@@ -196,31 +200,57 @@ class _Workspace:
         self.a = mu.weights[self.rows]
         self.logw = np.log(nu.weights[self.cols])
         self._walks: set[bytes] = set()
+        self._priced: dict[bytes, tuple[np.ndarray, float]] = {}
 
     @cached_property
     def _cost_lists(self) -> list:
         """``C_rc`` as nested lists, the form the forest walk reads."""
         return self.C_rc.tolist()
 
+    def tilt(self, g_cols: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """The dual side of one candidate given raw potential values on the
+        columns: its dual value, log sum e^g dnu, the tightened potential on
+        the whole point set, and its Gibbs tilt on the columns.
+
+        The candidate is tightened by c-transform, which makes it feasible.
+        Shift-invariant in g_cols.
+        """
+        g_full = _c_transform(g_cols, self.cost, self.cols)
+        z = g_full[self.cols] + self.logw
+        lse = float(np.logaddexp.reduce(z))
+        dual = float(self.mu.weights @ g_full) - lse
+        gamma = np.exp(z - lse)
+        gamma /= gamma.sum()
+        return dual, lse, g_full, gamma
+
     def evaluate(self, g_cols: np.ndarray, floor: float = -math.inf) -> _Candidate | None:
         """Price one dual candidate given raw potential values on the columns.
 
-        The candidate is tightened by c-transform (making it feasible), its
-        Gibbs tilt becomes the primal measure, and the transport part is
-        priced exactly by the network simplex. Shift-invariant in g_cols.
-        A candidate whose dual value falls below ``floor`` returns None
-        before the simplex runs.
+        Its Gibbs tilt (:meth:`tilt`) becomes the primal measure, and the
+        transport part is priced exactly by the network simplex. A candidate
+        whose dual value falls below ``floor`` returns None before the
+        simplex runs.
         """
-        g_full = _c_transform(g_cols, self.cost, self.cols)
-        gc = g_full[self.cols]
-        z = gc + self.logw
-        lse = float(np.logaddexp.reduce(z))
-        dual = float(self.mu.weights @ g_full) - lse
+        dual, lse, g_full, gamma = self.tilt(g_cols)
         if dual < floor:
             return None
-        gamma = np.exp(z - lse)
-        gamma /= gamma.sum()
+        flow, wass = self._transport(gamma)
+        # gamma @ (gc - lse) evaluates R(gamma || nu), nonnegative by Gibbs'
+        # inequality; clamp the one-ulp fp undershoot at coincidence.
+        rel_ent = max(float(gamma @ (g_full[self.cols] - lse)), 0.0)
+        primal = wass + rel_ent
+        return _Candidate(
+            gap=primal - dual, dual=dual, primal=primal, lse=lse,
+            g_full=g_full, gamma=gamma, flow=flow,
+        )
 
+    def _transport(self, gamma: np.ndarray) -> tuple[np.ndarray, float]:
+        """The optimal plan from the mu rows to ``gamma`` and its cost. The
+        LP depends on gamma alone within a solve, and the simplex is
+        deterministic, so a tilt priced before reuses its plan."""
+        key = gamma.tobytes()
+        if key in self._priced:
+            return self._priced[key]
         # Columns can underflow to exact zero at extreme scales; price the
         # transport on the positive block only. Most tilts are positive
         # throughout, and then the block is C_rc itself.
@@ -234,14 +264,8 @@ class _Workspace:
             wass = float((sub * f_sub).sum())
             flow = np.zeros_like(self.C_rc)
             flow[:, pos] = f_sub
-        # gamma @ (gc - lse) evaluates R(gamma || nu), nonnegative by Gibbs'
-        # inequality; clamp the one-ulp fp undershoot at coincidence.
-        rel_ent = max(float(gamma @ (gc - lse)), 0.0)
-        primal = wass + rel_ent
-        return _Candidate(
-            gap=primal - dual, dual=dual, primal=primal, lse=lse,
-            g_full=g_full, gamma=gamma, flow=flow,
-        )
+        self._priced[key] = flow, wass
+        return flow, wass
 
     def structure_closure(self, keep: np.ndarray) -> np.ndarray | None:
         """Close the first-order conditions over a guessed support structure.
@@ -351,9 +375,12 @@ def divergence(
         monotone.
 
     Every candidate's dual value is computed, but the transport LP that
-    prices its primal runs only on the zero start, the warm start, each
-    certificate round's mirror iterate, and those structure-closure
-    candidates whose dual lies within the best gap of the best dual.
+    prices its primal runs only on the warm start, each certificate round's
+    mirror iterate, and those structure-closure candidates whose dual lies
+    within the best gap of the best dual. The zero start contributes its
+    dual and the mirror seed (the warm start's tilt seeds instead when
+    given), and no LP. Each tilt is priced once per solve: a candidate that
+    tilts to a measure priced before reuses its plan.
     """
     if not (tol > 0):
         raise ValidationError("tol must be positive")
@@ -423,18 +450,20 @@ def divergence(
         closure_ladder(cand.flow)
         closure_ladder(best.flow)
 
-    consider(np.zeros(ws.cols.size))
+    # The zero potential's dual is a lower bracket, and its tilt (nu on the
+    # columns) seeds the iterate; its primal would be read by nothing.
+    best_dual, _, _, seed = ws.tilt(np.zeros(ws.cols.size))
     if initial_potential is not None:
         g0 = _potential_values(initial_potential)
         if g0.shape != (mu.point_set.n,):
             raise ValidationError("initial potential has the wrong length")
         if not np.isfinite(g0).all():
             raise ValidationError("initial potential must be finite")
-        consider(g0[ws.cols])
+        seed = consider(g0[ws.cols]).gamma
 
-    # Primal state in log space, seeded from the best candidate's tilt.
+    # Primal state in log space, seeded from a tilt.
     log_a = np.log(ws.a)[:, None]
-    log_pi = log_a + np.log(np.maximum(best.gamma, _TINY))[None, :]
+    log_pi = log_a + np.log(np.maximum(seed, _TINY))[None, :]
     eta = 1.0
     iterations = 0
 
@@ -449,7 +478,7 @@ def divergence(
 
     f_cur, pi_cur, ratio_cur = objective(log_pi)
     last = False
-    while best.gap > tol and not last:
+    while (best is None or best.gap > tol) and not last:
         grad = ws.C_rc + (ratio_cur + 1.0)[None, :]
         grad -= grad.min(axis=1, keepdims=True)
         accepted = False
@@ -499,7 +528,7 @@ def _assemble(ws: _Workspace, cand: _Candidate, best_dual: float,
         certified=gap <= tol,
         tol=tol,
         # Nonzero bits, so that a -0.0 comes back as it was.
-        _flow_at=(at := np.flatnonzero(cand.flow.view(np.int64))),
+        _flow_at=(at := np.arange(cand.flow.size)[cand.flow.view(np.int64).ravel() != 0]),
         _flow_of=cand.flow.ravel()[at],
     )
 

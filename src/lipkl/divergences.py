@@ -159,7 +159,10 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     Pivots follow Bland's rule. Each one swaps the leaving cell for the
     entering cell in the basis tree and re-walks only the subtree that the
     leaving cell cut off, so after every pivot the potentials are those of
-    a walk of the whole tree from row 0, bit for bit.
+    a walk of the whole tree from row 0, bit for bit. The start is priced
+    before the tree is built, so an optimal start builds none. While
+    pivoting the plan is held in nested lists, since each pivot reads and
+    writes a few cells one at a time; it becomes an array at the return.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -182,54 +185,52 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     X, basis, pot = _northwest_corner(a.tolist(), b.tolist(), cost)
     if len(basis) < m + n - 1:
         raise RuntimeError("transport basis is not spanning; numerical breakdown")
-    tree = None  # built only when the start is not optimal
-
     eps = 1e-11 * (1.0 + float(np.abs(C).max(initial=0.0)))
+    u, v, first = _bland_entering(C, pot, m, eps)
+    if first < 0:
+        return X, u, v
+
+    # Basis tree on nodes 0..m-1 (rows) and m..m+n-1 (columns), rooted at
+    # row 0. Each staircase cell after the first brings in one new node, a
+    # row that has no cell yet or else its column, and hangs it from the
+    # cell's other end.
+    tree = [set() for _ in range(m + n)]
+    parent, depth = [-1] * (m + n), [0] * (m + n)
+    for i, j in basis:
+        if i and not tree[i]:
+            parent[i], depth[i] = m + j, depth[m + j] + 1
+        else:
+            parent[m + j], depth[m + j] = i, depth[i] + 1
+        tree[i].add(m + j)
+        tree[m + j].add(i)
+    X = X.tolist()
     for _ in range(40 * (m + n) ** 2 + 1000):
-        u = np.array(pot[:m])
-        v = np.array(pot[m:])
-        # Bland's rule: first cell in row-major order with negative reduced
-        # cost. A basis cell's reduced cost is 0 up to rounding, far inside eps.
-        neg = (C - u[:, None] - v[None, :] < -eps).ravel()
-        first = int(neg.argmax())
-        if not neg[first]:
-            return X, u, v
-        if tree is None:
-            # Basis tree on nodes 0..m-1 (rows) and m..m+n-1 (columns),
-            # rooted at row 0. Each staircase cell after the first brings in
-            # one new node, a row that has no cell yet or else its column,
-            # and hangs it from the cell's other end.
-            tree = [set() for _ in range(m + n)]
-            parent, depth = [-1] * (m + n), [0] * (m + n)
-            for i, j in basis:
-                if i and not tree[i]:
-                    parent[i], depth[i] = m + j, depth[m + j] + 1
-                else:
-                    parent[m + j], depth[m + j] = i, depth[i] + 1
-                tree[i].add(m + j)
-                tree[m + j].add(i)
         ei, ej = divmod(first, n)
         # The entering cell closes one cycle: walk its row and column up to
         # their common ancestor. Signs alternate from the entering cell, so
         # the first, third, ... tree cell from either end loses flow.
-        sides = ([], [])
-        ends = [ei, m + ej]
-        while ends[0] != ends[1]:
-            s = 0 if depth[ends[0]] >= depth[ends[1]] else 1
-            node, up = ends[s], parent[ends[s]]
-            sides[s].append((node, up - m) if node < m else (up, node - m))
-            ends[s] = up
-        minus = sides[0][0::2] + sides[1][0::2]
-        plus = sides[0][1::2] + sides[1][1::2] + [(ei, ej)]
-        theta = min(X[cell] for cell in minus)
+        left, right = [], []
+        p, q = ei, m + ej
+        while p != q:
+            if depth[p] >= depth[q]:
+                up = parent[p]
+                left.append((p, up - m) if p < m else (up, p - m))
+                p = up
+            else:
+                up = parent[q]
+                right.append((q, up - m) if q < m else (up, q - m))
+                q = up
+        minus = left[0::2] + right[0::2]
+        plus = left[1::2] + right[1::2] + [(ei, ej)]
+        theta = min(X[i][j] for i, j in minus)
         # Leaving cell: smallest (i, j) among the minus cells attaining theta.
-        leave = min(cell for cell in minus if X[cell] <= theta)
-        for cell in plus:
-            X[cell] += theta
-        for cell in minus:
-            X[cell] -= theta
-        X[leave] = 0.0
+        leave = min((i, j) for i, j in minus if X[i][j] <= theta)
+        for i, j in plus:
+            X[i][j] += theta
+        for i, j in minus:
+            X[i][j] -= theta
         li, lj = leave
+        X[li][lj] = 0.0
         tree[li].remove(m + lj)
         tree[m + lj].remove(li)
         tree[ei].add(m + ej)
@@ -237,7 +238,7 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
         # The leaving cell cuts off the subtree below it, which holds the
         # entering end on its side of the cycle; re-hang that subtree from
         # the other end. No other node's root path changes.
-        node, top = (ei, m + ej) if leave in sides[0] else (m + ej, ei)
+        node, top = (ei, m + ej) if leave in left else (m + ej, ei)
         parent[node] = top
         stack = [node]
         while stack:
@@ -249,7 +250,24 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
                 if other != up:
                     parent[other] = node
                     stack.append(other)
+        u, v, first = _bland_entering(C, pot, m, eps)
+        if first < 0:
+            return np.array(X), u, v
     raise RuntimeError("transport simplex failed to terminate (pivot limit reached)")
+
+
+def _bland_entering(C: np.ndarray, pot: list, m: int, eps: float):
+    """The potentials ``pot`` as row and column arrays, and Bland's entering
+    cell: the first in row-major order whose reduced cost C_ij - u_i - v_j
+    lies below -eps, as a flat index, or -1 when there is none. A basis
+    cell's reduced cost is 0 up to rounding, far inside eps."""
+    P = np.array(pot)
+    u, v = P[:m], P[m:]
+    R = C - u[:, None]
+    R -= v
+    neg = R < -eps
+    first = int(neg.argmax())
+    return u, v, first if neg.flat[first] else -1
 
 
 def _staircase(rest: float, line: np.ndarray) -> np.ndarray:

@@ -292,8 +292,9 @@ class DiscreteMeasure:
 
     @property
     def support(self) -> np.ndarray:
-        """Indices carrying strictly positive mass."""
-        return np.flatnonzero(self.weights > 0)
+        """Indices carrying strictly positive mass, in an array that owns
+        its data (``np.flatnonzero`` returns a view of a (k, 1) buffer)."""
+        return np.arange(self.weights.size)[self.weights > 0]
 
     def is_absolutely_continuous_wrt(self, other: "DiscreteMeasure") -> bool:
         _require_same_point_set(self, other)

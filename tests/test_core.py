@@ -270,9 +270,13 @@ def test_matches_oracle_on_small_supports(rng):
         assert abs(sol.value - orc.value) <= orc.error_bound + 1e-9
 
 
-def test_solve_never_prices_a_measure_twice(rng, monkeypatch):
+def test_solve_never_prices_a_measure_twice(monkeypatch):
     # Structure closures at different thresholds, and in different rounds,
-    # often land on the same potential; pricing it again buys nothing.
+    # often land on the same potential or tilt, and a budget-bound iterate
+    # can repeat a closure's output; pricing a tilt again buys nothing. The
+    # scan: 64 random 2-D solves, to the default tol and then budget-bound,
+    # where repeats arise (without the per-solve plan cache, 14 of these 64
+    # price some tilt twice).
     import lipkl.core
 
     priced = []
@@ -283,11 +287,77 @@ def test_solve_never_prices_a_measure_twice(rng, monkeypatch):
         return simplex(a, b, C)
 
     monkeypatch.setattr(lipkl.core, "transport_simplex", recording)
-    for b in (1.0, 10.0, 100.0):
-        mu, nu, cost = random_instance(rng, 12, d=2, scale=b)
-        priced.clear()
-        assert divergence(mu, nu, cost).certified
-        assert len(set(priced)) == len(priced)
+    for tol, max_iter in ((1e-8, 100_000), (1e-300, 64)):
+        gen = np.random.default_rng(0)
+        for n in (3, 5, 8, 12):
+            for b in (0.1, 1.0, 10.0, 100.0):
+                for _ in range(4):
+                    mu, nu, cost = random_instance(gen, n, d=2, scale=b)
+                    priced.clear()
+                    sol = divergence(mu, nu, cost, tol=tol, max_iter=max_iter)
+                    assert sol.certified or tol < 1e-8
+                    assert len(set(priced)) == len(priced)
+
+
+def test_cold_solve_prices_no_lp_for_the_zero_start(rng, monkeypatch):
+    # The zero potential's tilt is nu itself. Its dual still counts as a
+    # lower bracket, and its tilt still seeds the iterate, but its LP would
+    # be read by nothing, so a cold solve never hands nu to the simplex.
+    # (With one nu column every tilt is nu, so nu keeps two or more.)
+    import lipkl.core
+
+    priced = []
+    simplex = lipkl.core.transport_simplex
+
+    def recording(a, b, C):
+        priced.append(np.array(b))
+        return simplex(a, b, C)
+
+    monkeypatch.setattr(lipkl.core, "transport_simplex", recording)
+    for k in range(40):
+        n = int(rng.integers(3, 13))
+        mu, nu, cost = random_instance(
+            rng, n, d=int(rng.integers(1, 3)), scale=float(10 ** rng.uniform(-1, 2)),
+            nu_support=int(rng.integers(2, n + 1)) if k % 3 == 0 else None)
+        for max_iter in (1, 100_000):
+            priced.clear()
+            sol = divergence(mu, nu, cost, max_iter=max_iter)
+            w = nu.weights[nu.support]
+            assert not any(b.shape == w.shape and np.allclose(b, w, rtol=1e-12, atol=0)
+                           for b in priced)
+            assert sol.dual_value >= dual_objective(np.zeros(n), mu, nu)
+
+
+@pytest.mark.parametrize("n", [2, 10])
+def test_equal_measures_certify_without_the_zero_start_lp(n):
+    # With mu = nu the zero potential is optimal, but with no LP behind it
+    # the zero start certifies nothing: the iterate's rounds do, at the
+    # brackets (to the bit) that the zero start's LP used to certify at once.
+    if n == 2:
+        nu = DiscreteMeasure.from_points([0.0, 1.0], [0.4, 0.6])
+    else:
+        gen = np.random.default_rng(3)
+        nu = DiscreteMeasure(PointSet(tuple(map(tuple, gen.random((n, 2))))),
+                             gen.dirichlet(np.ones(n)))
+    sol = divergence(nu, nu, metric_cost(nu.point_set, "euclidean", 1.0))
+    assert sol.certified and sol.iterations > 0
+    brackets = {2: (0.0, 0.0), 10: (8.615057405561354e-20, -2.220446049250313e-16)}
+    assert (sol.value, sol.dual_value) == brackets[n]
+
+
+def test_kept_solutions_own_their_index_arrays(rng):
+    # np.flatnonzero returns a view of a (k, 1) buffer of nonzero indices,
+    # which every kept solution would pin through its index arrays.
+    for k in range(10):
+        n = int(rng.integers(3, 10))
+        mu, nu, cost = random_instance(rng, n, d=2, mu_support=n - 1 if k % 2 else None,
+                                       nu_support=n - 1 if k % 3 else None)
+        sol = divergence(mu, nu, cost)
+        assert sol.rows.base is None and sol.cols.base is None and sol._flow_at.base is None
+        assert sol.rows.tobytes() == np.flatnonzero(mu.weights > 0).tobytes()
+        assert sol.cols.tobytes() == np.flatnonzero(nu.weights > 0).tobytes()
+        flow = sol.flow
+        assert sol._flow_at.tobytes() == np.flatnonzero(flow.view(np.int64)).tobytes()
 
 
 def test_solve_never_closes_a_support_mask_twice(rng, monkeypatch):

@@ -17,7 +17,7 @@ from lipkl import (
     relative_entropy,
     transport_cost,
 )
-from lipkl.divergences import _rooted_walk, transport_simplex
+from lipkl.divergences import _northwest_corner, _rooted_walk, transport_simplex
 
 from conftest import random_instance, random_measure, random_point_set
 
@@ -371,6 +371,127 @@ def test_one_line_lps_match_the_staircase_loop_bit_for_bit(rng):
     assert checked == 7 * 2 * 3 * 2
     # The last line's shorter total leaves its last cell empty.
     assert transport_simplex(np.array([1.0 - 1e-13]), lines[-1], np.ones((1, 4)))[0][0, -1] == 0.0
+
+
+def numpy_pivot_reference(a, b, C):
+    """The pivot loop as it ran on a numpy plan: reduced costs (C - u) - v
+    with fresh u and v arrays every pivot, Bland's first negative cell, the
+    cycle walked with one pair of lists indexed by side. An LP with at least
+    two rows and two columns."""
+    m, n = C.shape
+    cost = C.tolist()
+    X, basis, pot = _northwest_corner(a.tolist(), b.tolist(), cost)
+    tree = None
+    eps = 1e-11 * (1.0 + float(np.abs(C).max(initial=0.0)))
+    while True:
+        u = np.array(pot[:m])
+        v = np.array(pot[m:])
+        neg = (C - u[:, None] - v[None, :] < -eps).ravel()
+        first = int(neg.argmax())
+        if not neg[first]:
+            return X, u, v
+        if tree is None:
+            tree = [set() for _ in range(m + n)]
+            parent, depth = [-1] * (m + n), [0] * (m + n)
+            for i, j in basis:
+                if i and not tree[i]:
+                    parent[i], depth[i] = m + j, depth[m + j] + 1
+                else:
+                    parent[m + j], depth[m + j] = i, depth[i] + 1
+                tree[i].add(m + j)
+                tree[m + j].add(i)
+        ei, ej = divmod(first, n)
+        sides = ([], [])
+        ends = [ei, m + ej]
+        while ends[0] != ends[1]:
+            s = 0 if depth[ends[0]] >= depth[ends[1]] else 1
+            node, up = ends[s], parent[ends[s]]
+            sides[s].append((node, up - m) if node < m else (up, node - m))
+            ends[s] = up
+        minus = sides[0][0::2] + sides[1][0::2]
+        plus = sides[0][1::2] + sides[1][1::2] + [(ei, ej)]
+        theta = min(X[cell] for cell in minus)
+        leave = min(cell for cell in minus if X[cell] <= theta)
+        for cell in plus:
+            X[cell] += theta
+        for cell in minus:
+            X[cell] -= theta
+        X[leave] = 0.0
+        li, lj = leave
+        tree[li].remove(m + lj)
+        tree[m + lj].remove(li)
+        tree[ei].add(m + ej)
+        tree[m + ej].add(ei)
+        node, top = (ei, m + ej) if leave in sides[0] else (m + ej, ei)
+        parent[node] = top
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            up = parent[node]
+            depth[node] = depth[up] + 1
+            pot[node] = (cost[node][up - m] if up >= m else cost[up][node - m]) - pot[up]
+            for other in tree[node]:
+                if other != up:
+                    parent[other] = node
+                    stack.append(other)
+
+
+def cost_on_the_threshold(rng, a, b, C):
+    """C with one non-basic cost of the north-west start moved onto the
+    pricing threshold: the cell's reduced cost lies below -eps when taken
+    as (C - u) - v and not when taken as (C - v) - u, or the reverse. None
+    when no cost within 64 ulps of the threshold splits the two orders on
+    any non-basic cell."""
+    m, n = C.shape
+    _, basis, pot = _northwest_corner(a.tolist(), b.tolist(), C.tolist())
+    top = float(np.abs(C).max())
+    eps = 1e-11 * (1.0 + top)
+    free = [(i, j) for i in range(m) for j in range(n) if (i, j) not in basis]
+    for k in rng.permutation(len(free)).tolist():
+        i, j = free[k]
+        u, v = pot[i], pot[m + j]
+        c = math.nextafter(u + v - eps, -math.inf)
+        for _ in range(64):
+            if abs(c) < top and ((c - u) - v < -eps) != ((c - v) - u < -eps):
+                C = C.copy()
+                C[i, j] = c
+                return C
+            c = math.nextafter(c, math.inf)
+    return None
+
+
+def test_list_pivots_match_the_numpy_pivot_loop_bit_for_bit(rng):
+    # Sizes 2 to 20, log-uniform. Random and integer-tied costs; marginals on
+    # a common grid of 1/k, whose partial sums coincide and leave zero-flow
+    # basic cells; totals apart by up to 1e-10; and Monge costs with one cell
+    # moved onto the pricing threshold, where only (C - u) - v, in that
+    # order, prices as the loop did.
+    on_threshold = 0
+    for case in range(2000):
+        m, n = (int(2 * 10 ** x + 0.5) for x in rng.uniform(0.0, 1.0, size=2))
+        if case % 4 == 1:
+            k = int(rng.integers(1, 4)) * max(m, n)
+            a = (rng.multinomial(k - m, np.ones(m) / m) + 1.0) / k
+            b = (rng.multinomial(k - n, np.ones(n) / n) + 1.0) / k
+        else:
+            a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+        if case % 5 == 2:
+            b = b * (1.0 + float(rng.uniform(-1e-10, 1e-10)))
+        if case % 3 == 0:
+            C = rng.integers(0, 4, (m, n)).astype(float)
+        elif case % 3 == 1:
+            C = rng.uniform(0.0, 3.0, (m, n))
+        else:
+            x, y = np.sort(rng.uniform(0, 1, m)), np.sort(rng.uniform(0, 1, n))
+            C = 3.0 * np.abs(x[:, None] - y[None, :])
+            moved = cost_on_the_threshold(rng, a, b, C)
+            if moved is not None:
+                C = moved
+                on_threshold += 1
+        got, ref = transport_simplex(a, b, C), numpy_pivot_reference(a, b, C)
+        for x, y in zip(got, ref):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert on_threshold >= 500
 
 
 def test_simplex_potentials_are_the_whole_tree_walk_of_the_final_basis(rng):
