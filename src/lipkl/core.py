@@ -94,6 +94,7 @@ from .measures import (
     ValidationError,
     lipschitz_violation,
     _c_transform,
+    _cached_in,
     _lipschitz_tol,
     _log_mgf,
     _potential_values,
@@ -114,7 +115,7 @@ _TINY = 1e-300          # floor before taking logs of the running marginal
 _MAX_STEP = 4.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DivergenceSolution:
     """Certified solve of the transport-smoothed divergence.
 
@@ -126,11 +127,16 @@ class DivergenceSolution:
     (measure, potential); the pair satisfies the Gibbs relation by
     construction. ``potential`` is normalized so that log sum e^g dnu = 0,
     i.e. g = log(d measure / d nu) on the support of nu, extended off the
-    support by its maximal Lipschitz extension. ``flow`` is the transport
-    plan from mu to ``measure`` on ``rows`` x ``cols``, the supports of mu
-    and nu, built on each access from its nonzero entries (an LP's basic
-    plan has at most |rows| + |cols| - 1), which are all the solution keeps
-    of it; ``plan`` is the whole n x n plan, built on first access.
+    support by its maximal Lipschitz extension.
+
+    ``mu`` and ``nu`` are the measures the solve was given; ``rows`` and
+    ``cols``, their supports, are read from them on each access. ``flow``
+    is the transport plan from mu to ``measure`` on ``rows`` x ``cols``,
+    built on each access from its nonzero entries (an LP's basic plan has
+    at most |rows| + |cols| - 1), which are all the solution keeps of it;
+    ``plan`` is the whole n x n plan, built on first access and kept. The
+    class is slotted, so a caller that keeps many solutions keeps no
+    instance dict per solution.
     """
 
     value: float
@@ -138,13 +144,24 @@ class DivergenceSolution:
     duality_gap: float
     measure: DiscreteMeasure
     potential: LipschitzFunction
-    rows: np.ndarray
-    cols: np.ndarray
     iterations: int
     certified: bool
     tol: float
-    _flow_at: np.ndarray = field(repr=False)   # flat positions of flow's nonzero bits
-    _flow_of: np.ndarray = field(repr=False)   # flow's entries there
+    mu: DiscreteMeasure = field(repr=False, compare=False)
+    nu: DiscreteMeasure = field(repr=False, compare=False)
+    # Flat int32 positions of flow's nonzero bits (a flow of 2^31 cells would
+    # take 16 GiB), and flow's entries there.
+    _flow_at: np.ndarray = field(repr=False)
+    _flow_of: np.ndarray = field(repr=False)
+    _plan: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.mu.support
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self.nu.support
 
     @property
     def flow(self) -> np.ndarray:
@@ -152,7 +169,7 @@ class DivergenceSolution:
         flow.flat[self._flow_at] = self._flow_of
         return flow
 
-    @cached_property
+    @_cached_in("_plan")
     def plan(self) -> np.ndarray:
         return _dense_plan(self.measure.point_set.n, self.rows, self.cols, self.flow)
 
@@ -522,13 +539,13 @@ def _assemble(ws: _Workspace, cand: _Candidate, best_dual: float,
         duality_gap=gap,
         measure=DiscreteMeasure(ws.mu.point_set, gamma_full),
         potential=LipschitzFunction(g_norm, ws.cost),
-        rows=ws.rows,
-        cols=ws.cols,
         iterations=iterations,
         certified=gap <= tol,
         tol=tol,
+        mu=ws.mu,
+        nu=ws.nu,
         # Nonzero bits, so that a -0.0 comes back as it was.
-        _flow_at=(at := np.arange(cand.flow.size)[cand.flow.view(np.int64).ravel() != 0]),
+        _flow_at=(at := np.flatnonzero(cand.flow.view(np.int64)).astype(np.int32)),
         _flow_of=cand.flow.ravel()[at],
     )
 

@@ -1,8 +1,10 @@
 """Exact relative entropy and exact discrete Kantorovich transport.
 
 The transport LP is solved by a network simplex on the bipartite transport
-graph (a transportation simplex): north-west-corner initial basis, Bland's
-rule for the entering cell, lowest-index tie break for the leaving cell.
+graph (a transportation simplex): north-west-corner initial basis, Dantzig's
+rule for the entering cell (the most negative reduced cost) with a fall-back
+to Bland's rule in long degenerate runs, lowest-index tie break for the
+leaving cell.
 The north-west start sets its dual potentials as it lays its staircase, so
 an LP that is optimal at the start returns after one reduced-cost check,
 with no basis tree and no tree walk. That is every LP on sorted points with
@@ -156,13 +158,25 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     its line entry and the mass still ahead of it, with the potentials that
     the north-west start sets (u_0 = 0).
 
-    Pivots follow Bland's rule. Each one swaps the leaving cell for the
-    entering cell in the basis tree and re-walks only the subtree that the
-    leaving cell cut off, so after every pivot the potentials are those of
-    a walk of the whole tree from row 0, bit for bit. The start is priced
-    before the tree is built, so an optimal start builds none. While
-    pivoting the plan is held in nested lists, since each pivot reads and
-    writes a few cells one at a time; it becomes an array at the return.
+    The entering cell is Dantzig's: the most negative reduced cost
+    C_ij - u_i - v_j, the first in row-major order on ties, entering only
+    below -eps. The leaving cell is the lowest (i, j) among the cycle's
+    minus cells that attain the step theta. Once m + n pivots in a row have
+    been degenerate (theta = 0), the entering cell is Bland's instead, the
+    first negative in row-major order, until the next pivot that moves mass.
+    So the simplex terminates: a pivot with theta > 0 lowers the cost, so no
+    basis repeats across such pivots, and a degenerate run is finite, since
+    Dantzig's part of it is at most m + n pivots and Bland's smallest-index
+    rule for entering and leaving cells admits no cycle (Bland, "New finite
+    pivoting rules for the simplex method", *Math. Oper. Res.* 2, 1977).
+
+    Each pivot swaps the leaving cell for the entering cell in the basis
+    tree and re-walks only the subtree that the leaving cell cut off, so
+    after every pivot the potentials are those of a walk of the whole tree
+    from row 0, bit for bit. The start is priced before the tree is built,
+    so an optimal start builds none. While pivoting the plan is held in
+    nested lists, since each pivot reads and writes a few cells one at a
+    time; it becomes an array at the return.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -186,8 +200,8 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     if len(basis) < m + n - 1:
         raise RuntimeError("transport basis is not spanning; numerical breakdown")
     eps = 1e-11 * (1.0 + float(np.abs(C).max(initial=0.0)))
-    u, v, first = _bland_entering(C, pot, m, eps)
-    if first < 0:
+    u, v, enter = _entering(C, pot, m, eps, False)
+    if enter < 0:
         return X, u, v
 
     # Basis tree on nodes 0..m-1 (rows) and m..m+n-1 (columns), rooted at
@@ -204,8 +218,9 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
         tree[i].add(m + j)
         tree[m + j].add(i)
     X = X.tolist()
+    degenerate = 0  # pivots in a row with theta = 0
     for _ in range(40 * (m + n) ** 2 + 1000):
-        ei, ej = divmod(first, n)
+        ei, ej = divmod(enter, n)
         # The entering cell closes one cycle: walk its row and column up to
         # their common ancestor. Signs alternate from the entering cell, so
         # the first, third, ... tree cell from either end loses flow.
@@ -250,24 +265,29 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
                 if other != up:
                     parent[other] = node
                     stack.append(other)
-        u, v, first = _bland_entering(C, pot, m, eps)
-        if first < 0:
+        degenerate = degenerate + 1 if theta == 0.0 else 0
+        u, v, enter = _entering(C, pot, m, eps, degenerate >= m + n)
+        if enter < 0:
             return np.array(X), u, v
     raise RuntimeError("transport simplex failed to terminate (pivot limit reached)")
 
 
-def _bland_entering(C: np.ndarray, pot: list, m: int, eps: float):
-    """The potentials ``pot`` as row and column arrays, and Bland's entering
-    cell: the first in row-major order whose reduced cost C_ij - u_i - v_j
-    lies below -eps, as a flat index, or -1 when there is none. A basis
-    cell's reduced cost is 0 up to rounding, far inside eps."""
+def _entering(C: np.ndarray, pot: list, m: int, eps: float, bland: bool):
+    """The potentials ``pot`` as row and column arrays, and the entering
+    cell as a flat index, or -1 when no reduced cost C_ij - u_i - v_j lies
+    below -eps: the first most negative one (Dantzig), or with ``bland`` the
+    first negative one in row-major order. A basis cell's reduced cost is 0
+    up to rounding, far inside eps."""
     P = np.array(pot)
     u, v = P[:m], P[m:]
     R = C - u[:, None]
     R -= v
-    neg = R < -eps
-    first = int(neg.argmax())
-    return u, v, first if neg.flat[first] else -1
+    if bland:
+        neg = R < -eps
+        enter = int(neg.argmax())
+        return u, v, enter if neg.flat[enter] else -1
+    enter = int(R.argmin())
+    return u, v, enter if R.flat[enter] < -eps else -1
 
 
 def _staircase(rest: float, line: np.ndarray) -> np.ndarray:

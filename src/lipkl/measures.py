@@ -43,7 +43,10 @@ mask per property of the structural rule, then one n x n pass per middle
 point of the triangle inequality.
 
 All types are immutable after construction (arrays are frozen copies), so
-instances can be shared freely across threads.
+instances can be shared freely across threads. Point sets, measures, costs
+and potentials are slotted, so a caller that keeps many solves keeps no
+instance dict per object; what a point set or a cost builds on first
+access is kept in a slot.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ import json
 import numbers
 import reprlib
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -98,6 +100,31 @@ class ValidationError(ValueError):
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _set_slots(obj, **values) -> None:
+    """Set every slot of an immutable slotted ``obj``: to ``values`` where
+    it names one, else to None."""
+    for name in type(obj).__slots__:
+        object.__setattr__(obj, name, values.get(name))
+
+
+def _cached_in(slot: str):
+    """A cached property of an immutable slotted class: the decorated method
+    builds the value on the first read, and it is kept in the slot
+    ``slot``, which holds None until then."""
+
+    def cached(build):
+        def get(self):
+            value = getattr(self, slot)
+            if value is None:
+                value = build(self)
+                object.__setattr__(self, slot, value)
+            return value
+
+        return property(get, doc=build.__doc__)
+
+    return cached
 
 
 def _as_point(p):
@@ -183,8 +210,13 @@ class PointSet:
     and -0.0 are one point), so callers wanting fuzzy merging should round
     coordinates before constructing measures. Point sets compare equal when
     their points do; two numeric sets compare their arrays.
+
+    The class is slotted, so a caller that keeps many point sets keeps no
+    instance dict per set; the position of each point is built into a slot
+    on the first lookup.
     """
 
+    __slots__ = ("n", "_x", "_labels", "_pos_cache")
     n: int  # the number of points
 
     def __init__(self, points):
@@ -201,10 +233,13 @@ class PointSet:
             x = _freeze(np.array(x.T, order="C"))
             if (i := _first_repeat(x)) is not None:
                 raise ValidationError(f"duplicate point at index {i}: {tuple(x[:, i].tolist())!r}")
-        self.__dict__.update(_x=x, _labels=labels, n=n)
+        _set_slots(self, _x=x, _labels=labels, n=n)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PointSet is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return PointSet, (self._labels if self._x is None else self._x.T,)
 
     @property
     def points(self) -> tuple:
@@ -214,7 +249,7 @@ class PointSet:
     def is_numeric(self) -> bool:
         return self._x is not None
 
-    @cached_property
+    @_cached_in("_pos_cache")
     def _pos(self) -> dict:
         """Each point's index, built on the first lookup: a point set made
         for a solve never looks a point up."""
@@ -229,9 +264,7 @@ class PointSet:
     @property
     def coords(self) -> np.ndarray:
         """Read-only (n, d) view of the coordinates. Raises for label point sets."""
-        if self._x is None:
-            raise ValidationError("point set has non-numeric labels; no coordinates")
-        return self._x.T
+        return _coordinates(self).T
 
     def index(self, point) -> int:
         return _position(self, _as_point(point))
@@ -255,8 +288,6 @@ class PointSet:
         return f"PointSet(points={self.points!r})"
 
 
-# Measures and potentials are slotted: a caller that keeps many solutions keeps
-# no instance dict per measure or potential.
 @dataclass(frozen=True, slots=True)
 class DiscreteMeasure:
     """Probability vector over a :class:`PointSet`.
@@ -348,6 +379,14 @@ def _finite_vector(values, n: int, what: str) -> np.ndarray:
     return v
 
 
+def _coordinates(ps: PointSet) -> np.ndarray:
+    """The point set's own frozen (d, n) coordinate array; a
+    ValidationError for a label point set."""
+    if ps._x is None:
+        raise ValidationError("point set has non-numeric labels; no coordinates")
+    return ps._x
+
+
 def _position(ps: PointSet, p) -> int:
     """Index of the canonical point ``p`` in ``ps``, else a ValidationError."""
     try:
@@ -421,6 +460,13 @@ def _structure_violations(c: np.ndarray) -> list[CostViolation]:
 
 
 _NORMS = {"euclidean": np.square, "manhattan": np.abs}
+# What a cost is accepted from, in CostMatrix slots: an explicit matrix
+# (``_entries``), or the (d, n) coordinates of a metric cost, row k holding
+# coordinate k of every point, and the metric's name; for d == 1 also the
+# points from left to right (row 0 of ``_walk``) and from right to left (row
+# 1), and each point's position in row 0 (``_rank``). A metric cost builds
+# ``_entries`` only when ``entries`` is read.
+_COST_SOURCE = ("_entries", "_coords", "_metric", "_walk", "_rank")
 
 
 class CostMatrix:
@@ -444,40 +490,40 @@ class CostMatrix:
     ``entries`` is the unit-scale matrix and ``scaled = scale_b * entries``
     (``entries`` itself at ``scale_b == 1``). Each is built on first access
     and cached; only exports read them. :meth:`with_scale` shares the
-    accepted source and checks nothing again.
+    accepted source and checks nothing again. The class is slotted, and
+    every cache it builds on first access (``entries``, ``scaled`` and the
+    line sweeps' arrays) is kept in a slot.
     """
 
-    _coords: np.ndarray | None = None  # (d, n): row k holds coordinate k of every point
-    _metric: str | None = None
-    # d == 1: the points from left to right (row 0) and from right to left
-    # (row 1), and each point's position in row 0.
-    _walk: np.ndarray | None = None
-    _rank: np.ndarray | None = None
+    __slots__ = ("scale_b", *_COST_SOURCE, "_scaled", "_sweep_cache")
 
     def __init__(self, entries, scale_b: float = 1.0):
         scale = _positive_scale(scale_b)
         c = np.asarray(entries, dtype=float)
         if violations := cost_violations(c):
             raise CostValidationError(violations)
-        self.__dict__.update(entries=_canonical(c), scale_b=scale)
+        _set_slots(self, _entries=_canonical(c), scale_b=scale)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"CostMatrix is immutable; cannot set {name!r}")
 
+    def __reduce__(self):
+        return _accepted_cost, (self.scale_b, self._source())
+
     @property
     def n(self) -> int:
-        return len(self.entries) if self._coords is None else self._coords.shape[1]
+        return len(self._entries) if self._coords is None else self._coords.shape[1]
 
-    @cached_property
+    @_cached_in("_entries")
     def entries(self) -> np.ndarray:
-        # An explicit cost stores its matrix under this name at construction.
+        # An explicit cost stores its matrix in this slot at construction.
         return _freeze(_distances(self._coords, self._metric, slice(None), slice(None)))
 
-    @cached_property
+    @_cached_in("_scaled")
     def scaled(self) -> np.ndarray:
         return self.entries if self.scale_b == 1.0 else _freeze(self.scale_b * self.entries)
 
-    @cached_property
+    @_cached_in("_sweep_cache")
     def _sweep(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """What the line sweeps of :func:`_c_transform` read, derived once per
         scale: the coordinates along ``_walk``, -b x along its row 0 and
@@ -502,8 +548,10 @@ class CostMatrix:
     def with_scale(self, scale_b: float) -> "CostMatrix":
         """This cost at scale ``scale_b``. The accepted source is shared, and
         no check runs again."""
-        return _accepted_cost(scale_b, {k: v for k, v in self.__dict__.items()
-                                        if k not in ("scale_b", "scaled", "_sweep")})
+        return _accepted_cost(scale_b, self._source())
+
+    def _source(self) -> dict:
+        return {name: getattr(self, name) for name in _COST_SOURCE}
 
 
 def _positive_scale(scale_b) -> float:
@@ -522,11 +570,11 @@ def _canonical(c: np.ndarray) -> np.ndarray:
 
 
 def _accepted_cost(scale_b, source: dict) -> CostMatrix:
-    """A :class:`CostMatrix` over an accepted source: ``{"entries": matrix}``
+    """A :class:`CostMatrix` over an accepted source: ``{"_entries": matrix}``
     or ``{"_coords": x, "_metric": name}``, with ``_walk`` and ``_rank`` when
     x is 1-D."""
     cost = object.__new__(CostMatrix)
-    cost.__dict__.update(source, scale_b=_positive_scale(scale_b))
+    _set_slots(cost, **source, scale_b=_positive_scale(scale_b))
     return cost
 
 
@@ -618,7 +666,7 @@ def metric_cost(point_set: PointSet, metric: str = "euclidean", scale_b: float =
     """
     if not isinstance(metric, str) or metric not in _NORMS:
         raise ValidationError(f"unknown metric {metric!r}")
-    x = point_set.coords.T  # the point set's own (d, n) array
+    x = _coordinates(point_set)
     scale = _positive_scale(scale_b)
     order = np.argsort(x[0]) if len(x) == 1 else None
     with np.errstate(over="ignore", invalid="ignore"):  # reported as not_finite

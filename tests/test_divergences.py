@@ -181,18 +181,28 @@ def dense_slackness_residual(sol, cost):
     return float(np.abs(gap[mask]).max())
 
 
-def test_plans_are_built_on_access_from_the_support_block():
+def test_plans_are_built_on_access_from_the_support_block(monkeypatch):
+    import lipkl.core
+    import lipkl.divergences
+
+    built = []
+    dense_plan = lipkl.divergences._dense_plan
+    for module in (lipkl.core, lipkl.divergences):
+        monkeypatch.setattr(module, "_dense_plan", lambda *a: built.append(a) or dense_plan(*a))
     ps = PointSet((0.0, 0.25, 0.5, 1.0))
     mu = DiscreteMeasure(ps, [0.5, 0.0, 0.5, 0.0])
     nu = DiscreteMeasure(ps, [0.0, 0.3, 0.0, 0.7])
     cost = metric_cost(ps, "euclidean", 2.0)
-    for sol in (transport_cost(mu, nu, cost), divergence(mu, nu, cost)):
-        assert "plan" not in vars(sol)
+    for solve in (transport_cost, divergence):
+        sol = solve(mu, nu, cost)
         assert sol.flow.shape == (2, 2)
+        assert built == []  # neither the solve nor the flow builds the plan
         dense = np.zeros((4, 4))
         dense[np.ix_([0, 2], [1, 3])] = sol.flow
         assert sol.plan.tobytes() == dense.tobytes()
         assert sol.plan is sol.plan
+        assert len(built) == 1
+        built.clear()
 
 
 def test_slackness_residual_matches_the_dense_formula():
@@ -268,7 +278,7 @@ def test_simplex_certificate_degenerate(rng):
         ([0.25] * 4, [0.25] * 4),
         ([0.5, 0.5], [0.125, 0.375, 0.25, 0.25]),
         ([0.125, 0.375, 0.25, 0.25], [0.5, 0.5]),
-        # On random costs most of the ~300 pivots move no mass, so their
+        # On random costs most of the ~50 pivots move no mass, so their
         # re-hung subtrees hang under zero-flow cells.
         ([1 / 16] * 16, [1 / 16] * 16),
     ]
@@ -373,23 +383,31 @@ def test_one_line_lps_match_the_staircase_loop_bit_for_bit(rng):
     assert transport_simplex(np.array([1.0 - 1e-13]), lines[-1], np.ones((1, 4)))[0][0, -1] == 0.0
 
 
-def numpy_pivot_reference(a, b, C):
-    """The pivot loop as it ran on a numpy plan: reduced costs (C - u) - v
-    with fresh u and v arrays every pivot, Bland's first negative cell, the
-    cycle walked with one pair of lists indexed by side. An LP with at least
-    two rows and two columns."""
+def numpy_pivot_reference(a, b, C, pivots=None):
+    """The pivot loop on a numpy plan: reduced costs (C - u) - v with fresh
+    u and v arrays every pivot; Dantzig's entering cell, the first cell at
+    the least reduced cost, or Bland's, the first negative one, once m + n
+    pivots in a row have moved no mass and until one does; the cycle walked
+    with one pair of lists indexed by side. An LP with at least two rows
+    and two columns. ``pivots``, a list, gets one entry per pivot: whether
+    Bland's rule chose its entering cell."""
     m, n = C.shape
     cost = C.tolist()
     X, basis, pot = _northwest_corner(a.tolist(), b.tolist(), cost)
     tree = None
     eps = 1e-11 * (1.0 + float(np.abs(C).max(initial=0.0)))
+    stalled = 0
     while True:
         u = np.array(pot[:m])
         v = np.array(pot[m:])
-        neg = (C - u[:, None] - v[None, :] < -eps).ravel()
-        first = int(neg.argmax())
-        if not neg[first]:
+        reduced = (C - u[:, None] - v[None, :]).ravel()
+        negative = np.flatnonzero(reduced < -eps)
+        if negative.size == 0:
             return X, u, v
+        bland = stalled >= m + n
+        first = int(negative[0] if bland else np.flatnonzero(reduced == reduced.min())[0])
+        if pivots is not None:
+            pivots.append(bland)
         if tree is None:
             tree = [set() for _ in range(m + n)]
             parent, depth = [-1] * (m + n), [0] * (m + n)
@@ -411,6 +429,7 @@ def numpy_pivot_reference(a, b, C):
         minus = sides[0][0::2] + sides[1][0::2]
         plus = sides[0][1::2] + sides[1][1::2] + [(ei, ej)]
         theta = min(X[cell] for cell in minus)
+        stalled = stalled + 1 if theta == 0 else 0
         leave = min(cell for cell in minus if X[cell] <= theta)
         for cell in plus:
             X[cell] += theta
@@ -434,6 +453,45 @@ def numpy_pivot_reference(a, b, C):
                 if other != up:
                     parent[other] = node
                     stack.append(other)
+
+
+# With uniform marginals 1/10 the identity plan is optimal on this integer
+# cost with a zero diagonal, and the north-west start lays it, so no pivot
+# moves mass. Dantzig's rule runs m + n = 20 pivots without reaching an
+# optimal basis, and Bland's rule enters the last five cells. Found by a
+# local search over integer costs: random LPs of sizes 2 to 60, uniform and
+# integer costs, uniform and 1/k marginals, never ran m + n degenerate
+# pivots in a row.
+FALL_BACK_COST = np.array([
+    [0, 3, 4, 3, 8, 5, 2, 7, 9, 7], [9, 0, 5, 8, 4, 1, 1, 1, 2, 6],
+    [8, 3, 0, 4, 8, 9, 9, 7, 1, 6], [5, 1, 9, 0, 3, 4, 4, 2, 1, 7],
+    [1, 4, 4, 5, 0, 4, 5, 1, 6, 3], [2, 8, 7, 4, 2, 0, 8, 1, 4, 8],
+    [7, 2, 2, 5, 1, 7, 0, 7, 7, 5], [7, 2, 5, 1, 5, 5, 2, 0, 1, 4],
+    [9, 7, 8, 6, 6, 8, 7, 4, 0, 9], [9, 4, 5, 9, 9, 7, 1, 9, 9, 0],
+], dtype=float)
+
+
+def degenerate_lps(rng):
+    """LPs whose starts and pivots are degenerate: uniform marginals on k x k
+    grids under both metrics, as given and with the columns shuffled;
+    uniform marginals 1/m and 1/n, and marginals on a common grid of 1/k,
+    under integer costs, whose reduced costs tie; and FALL_BACK_COST."""
+    for k in (2, 3, 4, 5):
+        grid = PointSet(np.array([(i, j) for i in range(k) for j in range(k)], dtype=float))
+        w = np.full(k * k, 1.0 / (k * k))
+        for metric in ("euclidean", "manhattan"):
+            C = metric_cost(grid, metric).entries
+            yield w, w, C
+            yield w, w, C[:, rng.permutation(k * k)]
+    for m, n in ((2, 7), (5, 3), (6, 6), (9, 12), (16, 16)):
+        C = rng.integers(0, 4, (m, n)).astype(float)
+        yield np.full(m, 1.0 / m), np.full(n, 1.0 / n), C
+        k = 2 * max(m, n)
+        a = (rng.multinomial(k - m, np.ones(m) / m) + 1.0) / k
+        b = (rng.multinomial(k - n, np.ones(n) / n) + 1.0) / k
+        yield a, b, C
+    w = np.full(10, 0.1)
+    yield w, w, FALL_BACK_COST
 
 
 def cost_on_the_threshold(rng, a, b, C):
@@ -460,13 +518,13 @@ def cost_on_the_threshold(rng, a, b, C):
     return None
 
 
-def test_list_pivots_match_the_numpy_pivot_loop_bit_for_bit(rng):
-    # Sizes 2 to 20, log-uniform. Random and integer-tied costs; marginals on
-    # a common grid of 1/k, whose partial sums coincide and leave zero-flow
-    # basic cells; totals apart by up to 1e-10; and Monge costs with one cell
-    # moved onto the pricing threshold, where only (C - u) - v, in that
-    # order, prices as the loop did.
-    on_threshold = 0
+def pivot_corpus(rng):
+    """Sizes 2 to 20, log-uniform. Random and integer-tied costs; marginals
+    on a common grid of 1/k, whose partial sums coincide and leave zero-flow
+    basic cells; totals apart by up to 1e-10; and Monge costs with one cell
+    moved onto the pricing threshold, where only (C - u) - v, in that
+    order, prices as the loop does. Then the degenerate LPs. Each LP comes
+    with whether its cost was moved onto the threshold."""
     for case in range(2000):
         m, n = (int(2 * 10 ** x + 0.5) for x in rng.uniform(0.0, 1.0, size=2))
         if case % 4 == 1:
@@ -486,12 +544,74 @@ def test_list_pivots_match_the_numpy_pivot_loop_bit_for_bit(rng):
             C = 3.0 * np.abs(x[:, None] - y[None, :])
             moved = cost_on_the_threshold(rng, a, b, C)
             if moved is not None:
-                C = moved
-                on_threshold += 1
-        got, ref = transport_simplex(a, b, C), numpy_pivot_reference(a, b, C)
+                yield a, b, moved, True
+                continue
+        yield a, b, C, False
+    for a, b, C in degenerate_lps(rng):
+        yield a, b, C, False
+
+
+def test_list_pivots_match_the_numpy_pivot_loop_bit_for_bit(rng):
+    # The loop's rule, fall-back included, on every LP of the corpus; the
+    # LPs with ties at the least reduced cost tell the first tied cell from
+    # the others, and FALL_BACK_COST's last five pivots tell Bland's rule
+    # from Dantzig's.
+    on_threshold, pivots = 0, []
+    for a, b, C, moved in pivot_corpus(rng):
+        on_threshold += moved
+        got, ref = transport_simplex(a, b, C), numpy_pivot_reference(a, b, C, pivots)
         for x, y in zip(got, ref):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
     assert on_threshold >= 500
+    assert pivots.count(True) == 5
+
+
+def test_degenerate_lps_terminate_with_the_certificate(rng, monkeypatch):
+    import lipkl.divergences
+
+    fell_back = []
+    entering = lipkl.divergences._entering
+
+    def recording(C, pot, m, eps, bland):
+        found = entering(C, pot, m, eps, bland)
+        if bland and found[2] >= 0:
+            fell_back.append(C.shape)
+        return found
+
+    monkeypatch.setattr(lipkl.divergences, "_entering", recording)
+    for a, b, C in degenerate_lps(rng):
+        assert_simplex_certificate(a, b, C)
+    assert fell_back == [FALL_BACK_COST.shape] * 5
+
+
+def test_dantzig_pricing_takes_at_most_a_third_of_blands_pivots(monkeypatch):
+    # Twenty 16 x 16 LPs between random 2-D points, the size of the
+    # benchmark's solves: 506 pivots by Dantzig's rule, 2 420 by Bland's.
+    import lipkl.divergences
+
+    gen = np.random.default_rng(16)
+    corpus = []
+    for _ in range(20):
+        a, b = gen.dirichlet(np.full(16, 5.0)), gen.dirichlet(np.full(16, 5.0))
+        x = gen.random((16, 2))
+        corpus.append((a, b, np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=2))))
+    entering = lipkl.divergences._entering
+
+    def pivots(bland_only: bool) -> int:
+        count = 0
+
+        def counting(C, pot, m, eps, bland):
+            nonlocal count
+            found = entering(C, pot, m, eps, bland or bland_only)
+            count += found[2] >= 0
+            return found
+
+        monkeypatch.setattr(lipkl.divergences, "_entering", counting)
+        for lp in corpus:
+            assert_simplex_certificate(*lp)
+        return count
+
+    assert 3 * pivots(False) <= pivots(True)
 
 
 def test_simplex_potentials_are_the_whole_tree_walk_of_the_final_basis(rng):

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -419,7 +421,7 @@ def test_scaled_cost_is_computed_once():
     x = np.array([0.0, 0.3, 1.0])
     cost = CostMatrix(np.abs(x[:, None] - x[None, :]), 2.5)
     cost.block(slice(None), np.array([2, 0]))
-    assert "scaled" not in vars(cost)  # a block scales what it gathers
+    assert cost._scaled is None  # a block scales what it gathers
     assert cost.scaled is cost.scaled
     assert not cost.scaled.flags.writeable
     assert cost.scaled.tobytes() == (2.5 * cost.entries).tobytes()
@@ -431,7 +433,7 @@ def test_scaled_cost_is_computed_once():
 
 def test_metric_cost_builds_its_matrices_once():
     cost = metric_cost(PointSet((0.0, 0.3, 1.0)), "euclidean", 2.5)
-    assert "entries" not in vars(cost) and "scaled" not in vars(cost)
+    assert cost._entries is None and cost._scaled is None  # neither cache is built
     assert cost.scaled is cost.scaled
     assert not cost.scaled.flags.writeable and not cost.entries.flags.writeable
     assert cost.scaled.tobytes() == (2.5 * cost.entries).tobytes()
@@ -440,6 +442,18 @@ def test_metric_cost_builds_its_matrices_once():
     unit = cost.with_scale(1.0)
     assert unit.entries is cost.entries  # entries already built are shared
     assert unit.scaled is unit.entries
+
+
+def test_point_sets_and_costs_survive_pickling():
+    # Both classes are slotted and refuse attribute writes, so pickle and
+    # copy rebuild them through their constructors.
+    line = PointSet((0.0, 0.3, 1.0))
+    for ps, cost in ((line, metric_cost(line, "manhattan", 2.5)),
+                     (PointSet(("a", "b", "c")), CostMatrix(np.array(BASE_COST), 2.0))):
+        for clone in (pickle.loads(pickle.dumps((ps, cost))), copy.deepcopy((ps, cost))):
+            assert clone[0] == ps and clone[0].points == ps.points
+            assert clone[1].scale_b == cost.scale_b
+            assert clone[1].scaled.tobytes() == cost.scaled.tobytes()
 
 
 def test_with_scale_reuses_the_accepted_verdict(monkeypatch):
