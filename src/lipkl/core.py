@@ -115,7 +115,7 @@ _TINY = 1e-300          # floor before taking logs of the running marginal
 _MAX_STEP = 4.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class DivergenceSolution:
     """Certified solve of the transport-smoothed divergence.
 
@@ -127,7 +127,8 @@ class DivergenceSolution:
     (measure, potential); the pair satisfies the Gibbs relation by
     construction. ``potential`` is normalized so that log sum e^g dnu = 0,
     i.e. g = log(d measure / d nu) on the support of nu, extended off the
-    support by its maximal Lipschitz extension.
+    support by its maximal Lipschitz extension. Solutions compare by
+    identity: two solves are two solutions, whatever their values.
 
     ``mu`` and ``nu`` are the measures the solve was given; ``rows`` and
     ``cols``, their supports, are read from them on each access. ``flow``
@@ -147,13 +148,13 @@ class DivergenceSolution:
     iterations: int
     certified: bool
     tol: float
-    mu: DiscreteMeasure = field(repr=False, compare=False)
-    nu: DiscreteMeasure = field(repr=False, compare=False)
+    mu: DiscreteMeasure = field(repr=False)
+    nu: DiscreteMeasure = field(repr=False)
     # Flat int32 positions of flow's nonzero bits (a flow of 2^31 cells would
     # take 16 GiB), and flow's entries there.
     _flow_at: np.ndarray = field(repr=False)
     _flow_of: np.ndarray = field(repr=False)
-    _plan: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _plan: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def rows(self) -> np.ndarray:

@@ -1,29 +1,32 @@
 """Exact relative entropy and exact discrete Kantorovich transport.
 
 The transport LP is solved by a network simplex on the bipartite transport
-graph (a transportation simplex): north-west-corner initial basis, Dantzig's
-rule for the entering cell (the most negative reduced cost) with a fall-back
-to Bland's rule in long degenerate runs, lowest-index tie break for the
-leaving cell.
-The north-west start sets its dual potentials as it lays its staircase, so
-an LP that is optimal at the start returns after one reduced-cost check,
-with no basis tree and no tree walk. That is every LP on sorted points with
-an |x - y| cost, a Monge matrix (Hoffman, "On simple linear programming
-problems", 1963). An LP with one row or one column, such as one from a point
-mass, has the staircase as its only feasible plan: one numpy pass lays it
-and sets the potentials the start would, bit for bit, with no Python loop
-over its cells. Otherwise the staircase is rooted at row 0 (parent
-pointers and depths), and each pivot reads its cycle off the parent
-pointers, then re-hangs only the subtree that the leaving cell cuts off
-from the entering cell's other end, setting that subtree's parents,
-depths and potentials (Ahuja, Magnanti & Orlin,
-*Network Flows*, 1993, ch. 11). Every node keeps the values a walk of the
-whole tree from row 0 would give it, since its root path fixes them. The
-structure closure roots and labels its support forest by one such
-whole-forest walk, :func:`_rooted_walk`. This is exact up to floating-point
-arithmetic and produces a dual certificate: at the returned plan and
-potential, complementary slackness holds and the dual objective equals the
-primal value.
+graph (a transportation simplex). The north-west staircase is laid and
+priced first: it sets its dual potentials as it goes, so an LP that is
+optimal there returns after one reduced-cost check, with no basis tree and
+no tree walk. That is every LP on sorted points with an |x - y| cost, a
+Monge matrix (Hoffman, "On simple linear programming problems", 1963). An
+LP with one row or one column, such as one from a point mass, has the
+staircase as its only feasible plan: one numpy pass lays it and sets the
+potentials the start would, bit for bit, with no Python loop over its
+cells. Otherwise the staircase gives way to the least-cost basis (the
+matrix-minimum rule): cells in ascending cost, ties in row-major order,
+each closing one line, m + n - 1 of them. On a metric cost its first cells
+are the zero ones, each a point that both marginals charge, so it keeps
+min(mu, gamma) in place before anything moves. One walk roots that basis at row 0 (parent pointers, depths and
+potentials). The entering cell is Dantzig's (the most negative reduced
+cost), with a fall-back to Bland's rule in long degenerate runs, and the
+lowest-index tie break for the leaving cell. Each pivot reads its cycle
+off the parent pointers, then re-hangs only the subtree that the leaving
+cell cuts off from the entering cell's other end, setting that subtree's
+parents, depths and potentials (Ahuja, Magnanti & Orlin, *Network Flows*,
+1993, ch. 11). Every node keeps the values a walk of the whole tree from
+row 0 would give it, since its root path fixes them. The structure
+closure roots and labels its support forest by one such whole-forest walk,
+:func:`_rooted_walk`. This is exact up to floating-point arithmetic and
+produces a dual certificate: at the returned plan and potential,
+complementary slackness holds and the dual objective equals the primal
+value.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ def relative_entropy(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return float(np.sum(p * np.log(p / q)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportSolution:
     """Optimal Kantorovich value, plan, and dual potential.
 
@@ -71,6 +74,7 @@ class TransportSolution:
     ``potential`` is a Lipschitz function g with value = sum g d(mu - gamma)
     and g(x) - g(y) = b*c(x,y) wherever the plan is positive; it is pinned to
     potential[0] = 0 (potentials are unique only up to an additive constant).
+    Solutions compare by identity.
     """
 
     value: float
@@ -158,25 +162,35 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     its line entry and the mass still ahead of it, with the potentials that
     the north-west start sets (u_0 = 0).
 
+    Otherwise the north-west staircase is laid and priced first, with the
+    potentials it sets as it goes, and returned if no reduced cost is
+    negative; that is every Monge LP, whose path is unchanged by what
+    follows. If a cell would enter, the staircase is dropped for the
+    least-cost basis (:func:`_least_cost`: cells in ascending cost, ties in
+    row-major order, each closing one row or column), which one walk from
+    row 0 roots, setting parents, depths and potentials. Its first cells
+    are the cheapest, a metric cost's zero cells among them, so it needs a
+    few pivots where the staircase needed many.
+
     The entering cell is Dantzig's: the most negative reduced cost
     C_ij - u_i - v_j, the first in row-major order on ties, entering only
     below -eps. The leaving cell is the lowest (i, j) among the cycle's
     minus cells that attain the step theta. Once m + n pivots in a row have
     been degenerate (theta = 0), the entering cell is Bland's instead, the
     first negative in row-major order, until the next pivot that moves mass.
-    So the simplex terminates: a pivot with theta > 0 lowers the cost, so no
-    basis repeats across such pivots, and a degenerate run is finite, since
-    Dantzig's part of it is at most m + n pivots and Bland's smallest-index
-    rule for entering and leaving cells admits no cycle (Bland, "New finite
-    pivoting rules for the simplex method", *Math. Oper. Res.* 2, 1977).
+    So the simplex terminates from any start: a pivot with theta > 0 lowers
+    the cost, so no basis repeats across such pivots, and a degenerate run
+    is finite, since Dantzig's part of it is at most m + n pivots and
+    Bland's smallest-index rule for entering and leaving cells admits no
+    cycle (Bland, "New finite pivoting rules for the simplex method",
+    *Math. Oper. Res.* 2, 1977).
 
     Each pivot swaps the leaving cell for the entering cell in the basis
     tree and re-walks only the subtree that the leaving cell cut off, so
     after every pivot the potentials are those of a walk of the whole tree
-    from row 0, bit for bit. The start is priced before the tree is built,
-    so an optimal start builds none. While pivoting the plan is held in
-    nested lists, since each pivot reads and writes a few cells one at a
-    time; it becomes an array at the return.
+    from row 0, bit for bit. The plan is held in nested lists, since each
+    pivot reads and writes a few cells one at a time; it becomes an array
+    at the return.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -196,30 +210,30 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
         return _staircase(b[0], a)[:, None], u, C[0] - 0.0
 
     cost = C.tolist()
-    X, basis, pot = _northwest_corner(a.tolist(), b.tolist(), cost)
-    if len(basis) < m + n - 1:
-        raise RuntimeError("transport basis is not spanning; numerical breakdown")
+    X, _, pot = _northwest_corner(a.tolist(), b.tolist(), cost)
     eps = 1e-11 * (1.0 + float(np.abs(C).max(initial=0.0)))
     u, v, enter = _entering(C, pot, m, eps, False)
     if enter < 0:
         return X, u, v
 
+    X, basis = _least_cost(a.tolist(), b.tolist(), C)
+    if len(basis) < m + n - 1:
+        raise RuntimeError("transport basis is not spanning; numerical breakdown")
     # Basis tree on nodes 0..m-1 (rows) and m..m+n-1 (columns), rooted at
-    # row 0. Each staircase cell after the first brings in one new node, a
-    # row that has no cell yet or else its column, and hangs it from the
-    # cell's other end.
+    # row 0: each node's parent, depth and potential, set by one walk.
     tree = [set() for _ in range(m + n)]
-    parent, depth = [-1] * (m + n), [0] * (m + n)
     for i, j in basis:
-        if i and not tree[i]:
-            parent[i], depth[i] = m + j, depth[m + j] + 1
-        else:
-            parent[m + j], depth[m + j] = i, depth[i] + 1
         tree[i].add(m + j)
         tree[m + j].add(i)
-    X = X.tolist()
+    parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
+    for node in tree[0]:
+        parent[node] = 0
+    _hang(list(tree[0]), tree, parent, depth, pot, cost, m)
     degenerate = 0  # pivots in a row with theta = 0
     for _ in range(40 * (m + n) ** 2 + 1000):
+        u, v, enter = _entering(C, pot, m, eps, degenerate >= m + n)
+        if enter < 0:
+            return np.array(X), u, v
         ei, ej = divmod(enter, n)
         # The entering cell closes one cycle: walk its row and column up to
         # their common ancestor. Signs alternate from the entering cell, so
@@ -255,21 +269,24 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
         # the other end. No other node's root path changes.
         node, top = (ei, m + ej) if leave in left else (m + ej, ei)
         parent[node] = top
-        stack = [node]
-        while stack:
-            node = stack.pop()
-            up = parent[node]
-            depth[node] = depth[up] + 1
-            pot[node] = (cost[node][up - m] if up >= m else cost[up][node - m]) - pot[up]
-            for other in tree[node]:
-                if other != up:
-                    parent[other] = node
-                    stack.append(other)
+        _hang([node], tree, parent, depth, pot, cost, m)
         degenerate = degenerate + 1 if theta == 0.0 else 0
-        u, v, enter = _entering(C, pot, m, eps, degenerate >= m + n)
-        if enter < 0:
-            return np.array(X), u, v
     raise RuntimeError("transport simplex failed to terminate (pivot limit reached)")
+
+
+def _hang(stack: list, tree: list, parent: list, depth: list, pot: list, cost: list, m: int):
+    """Hang the subtrees of the nodes on ``stack`` from their parents: set
+    the depth and potential of every node in them, and the parent of every
+    node below, by the arithmetic of :func:`_rooted_walk`."""
+    while stack:
+        node = stack.pop()
+        up = parent[node]
+        depth[node] = depth[up] + 1
+        pot[node] = (cost[node][up - m] if up >= m else cost[up][node - m]) - pot[up]
+        for other in tree[node]:
+            if other != up:
+                parent[other] = node
+                stack.append(other)
 
 
 def _entering(C: np.ndarray, pot: list, m: int, eps: float, bland: bool):
@@ -332,6 +349,44 @@ def _northwest_corner(a: list, b: list, cost: list):
             rb = b[j]
             pot[m + j] = cost[i][j] - pot[i]
     return X, cells, pot
+
+
+def _least_cost(a: list, b: list, C: np.ndarray):
+    """Least-cost (matrix-minimum) basic feasible solution: the plan in
+    nested lists and its m + n - 1 basic cells. The lists ``a`` and ``b``
+    are used up as the remaining masses. Cells are taken in ascending cost,
+    ties in row-major order (a stable sort), skipping any whose row or
+    column is closed. Each cell carries the smaller of its row's and its
+    column's remaining mass, then closes one of the two: the row if it ran
+    out (both may), else the column; the last open row or column stays
+    open. The cell that meets the last open row and column ends the start.
+    Each closed line is in no later cell, so the cells form a spanning
+    tree. A remaining mass only falls by the mass placed, so no cell is
+    negative; totals that differ within the tolerance leave their gap on
+    the last open line."""
+    m, n = len(a), len(b)
+    X = [[0.0] * n for _ in range(m)]
+    row_open, col_open = [True] * m, [True] * n
+    rows_left, cols_left = m, n
+    cells = []
+    rows, cols = np.divmod(np.argsort(C, axis=None, kind="stable"), n)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if not (row_open[i] and col_open[j]):
+            continue
+        t = min(a[i], b[j])
+        X[i][j] = t
+        cells.append((i, j))
+        if len(cells) == m + n - 1:
+            break
+        a[i] -= t
+        b[j] -= t
+        if cols_left == 1 or (rows_left > 1 and a[i] == 0.0):
+            row_open[i] = False
+            rows_left -= 1
+        else:
+            col_open[j] = False
+            cols_left -= 1
+    return X, cells
 
 
 def _rooted_walk(tree, cost, m):

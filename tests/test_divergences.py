@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
 from lipkl import (
@@ -17,7 +18,7 @@ from lipkl import (
     relative_entropy,
     transport_cost,
 )
-from lipkl.divergences import _northwest_corner, _rooted_walk, transport_simplex
+from lipkl.divergences import _least_cost, _northwest_corner, _rooted_walk, transport_simplex
 
 from conftest import random_instance, random_measure, random_point_set
 
@@ -112,29 +113,45 @@ def test_matches_cdf_oracle_on_lines(rng):
         assert sol.value == pytest.approx(line_transport_cost(mu, nu), abs=1e-10)
 
 
+def linprog_transport(a, b, C):
+    """The transport LP's value by HiGHS, one equality row per marginal."""
+    m, k = C.shape
+    a_eq = sparse.vstack([sparse.kron(sparse.eye(m), np.ones((1, k))),
+                          sparse.kron(np.ones((1, m)), sparse.eye(k))])
+    res = linprog(C.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b]),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
 def test_matches_scipy_linprog(rng):
-    for _ in range(20):
-        mu, nu, cost = random_instance(rng, int(rng.integers(2, 7)),
-                                       d=int(rng.integers(1, 3)),
-                                       scale=float(rng.uniform(0.3, 3.0)))
+    # Sizes 2 to 6, and 16 to 80 with partial supports: random 2-D points,
+    # and points of an integer grid under the Manhattan metric, whose
+    # integer costs tie. The staircase is rarely optimal at these sizes,
+    # so the least-cost start and its pivots decide the value.
+    grid = np.array([(i, j) for i in range(12) for j in range(12)], dtype=float)
+    for k in range(32):
+        if k < 20:
+            mu, nu, cost = random_instance(rng, int(rng.integers(2, 7)),
+                                           d=int(rng.integers(1, 3)),
+                                           scale=float(rng.uniform(0.3, 3.0)))
+        else:
+            n = int(rng.integers(16, 81))
+            support = {"mu_support": int(rng.integers(n // 2, n + 1)),
+                       "nu_support": int(rng.integers(n // 2, n + 1))}
+            if k % 2:
+                mu, nu, cost = random_instance(rng, n, d=2, scale=float(rng.uniform(0.3, 3.0)),
+                                               **support)
+            else:
+                ps = PointSet(grid[rng.choice(len(grid), n, replace=False)])
+                cost = metric_cost(ps, "manhattan", float(rng.integers(1, 4)))
+                mu = random_measure(rng, ps, support["mu_support"])
+                nu = random_measure(rng, ps, support["nu_support"])
         sol = transport_cost(mu, nu, cost)
         rows, cols = mu.support, nu.support
-        C = cost.scaled[np.ix_(rows, cols)]
-        m, k = C.shape
-        a_eq = []
-        for i in range(m):
-            row = np.zeros(m * k)
-            row[i * k:(i + 1) * k] = 1.0
-            a_eq.append(row)
-        for j in range(k):
-            col = np.zeros(m * k)
-            col[j::k] = 1.0
-            a_eq.append(col)
-        b_eq = np.concatenate([mu.weights[rows], nu.weights[cols]])
-        res = linprog(C.ravel(), A_eq=np.asarray(a_eq), b_eq=b_eq,
-                      bounds=(0, None), method="highs")
-        assert res.status == 0
-        assert sol.value == pytest.approx(res.fun, abs=1e-9)
+        C = cost.block(rows, cols)
+        reference = linprog_transport(mu.weights[rows], nu.weights[cols], C)
+        assert sol.value == pytest.approx(reference, abs=1e-9)
 
 
 def test_triangle_inequality_over_measures(rng):
@@ -321,13 +338,113 @@ def test_simplex_returns_an_optimal_start_without_a_tree_walk(rng, monkeypatch):
         assert_simplex_certificate(a, b, 3.0 * np.abs(x[:, None] - y[None, :]))
     assert_simplex_certificate(np.ones(1), rng.dirichlet(np.ones(50)), rng.uniform(0, 3, (1, 50)))
     assert walks == []
-    # A start that is not optimal pivots: the north-west diagonal moves to
-    # the anti-diagonal, and each pivot re-hangs only the subtree it cuts
-    # off, with no whole-tree walk.
+    # A staircase that is not optimal gives way to the least-cost start,
+    # which the simplex roots by its own walk, as each pivot re-hangs only
+    # the subtree it cuts off: no whole-forest walk. Here the staircase is
+    # the diagonal and the least-cost start the optimal anti-diagonal.
     a, C = np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 1.0]])
     assert_simplex_certificate(a, a, C)
     assert (transport_simplex(a, a, C)[0] == np.array([[0.0, 0.5], [0.5, 0.0]])).all()
     assert walks == []
+
+
+def test_monge_lps_never_build_the_least_cost_basis(rng, monkeypatch):
+    # The staircase is priced first, and on a Monge cost it is optimal, so
+    # the least-cost start is never built: sorted |x - y| costs of every
+    # shape, marginals with coinciding partial sums among them, and each LP
+    # of a certified solve on one row of a banded kernel, whose five states
+    # on either side sit in sorted order.
+    import lipkl.divergences
+
+    built = []
+    least_cost = lipkl.divergences._least_cost
+    monkeypatch.setattr(lipkl.divergences, "_least_cost",
+                        lambda a, b, C: built.append(C.shape) or least_cost(a, b, C))
+    for m, n in ((2, 2), (5, 5), (12, 12), (7, 30), (40, 3)):
+        x, y = np.sort(rng.uniform(0, 1, m)), np.sort(rng.uniform(0, 1, n))
+        for a, b in ((rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))),
+                     (np.full(m, 1.0 / m), np.full(n, 1.0 / n))):
+            assert_simplex_certificate(a, b, 3.0 * np.abs(x[:, None] - y[None, :]))
+    states = PointSet(tuple((float(x),) for x in np.arange(6) + rng.uniform(-0.2, 0.2, 6)))
+    row, tilt = np.zeros(6), np.zeros(6)
+    row[1:6], tilt[0:5] = rng.dirichlet(np.full(5, 5.0)), rng.dirichlet(np.full(5, 5.0))
+    sol = divergence(DiscreteMeasure(states, row), DiscreteMeasure(states, tilt),
+                     metric_cost(states, "euclidean", 3.0))
+    assert sol.certified and sol.flow.shape == (5, 5)
+    assert built == []
+    # The same row against a shuffled cost is not Monge.
+    C = 3.0 * np.abs(np.arange(5.0)[:, None] - np.arange(5.0)[None, ::-1])
+    assert_simplex_certificate(row[1:6], tilt[0:5], C)
+    assert built == [(5, 5)]
+
+
+def least_cost_cases(rng):
+    """Degenerate inputs for the least-cost start: equal partial sums,
+    marginals on a common grid of 1/k, integer-tied costs, equal costs, and
+    totals apart by less than the 1e-9 tolerance, with random costs too."""
+    marginals = [
+        ([0.25, 0.25, 0.5], [0.5, 0.25, 0.25]),
+        ([0.25] * 4, [0.25] * 4),
+        ([0.5, 0.5], [0.125, 0.375, 0.25, 0.25]),
+        ([1 / 16] * 16, [1 / 16] * 16),
+        ([1 + 1e-12, 1e-13], [0.5, 0.5 + 1e-13]),
+        ([0.5, 0.5 + 1e-13], [1 + 1e-12, 1e-13]),
+        ([0.3, 0.7 - 4e-10], [0.2, 0.2, 0.6]),
+    ]
+    for m, n in ((2, 7), (5, 3), (6, 6), (9, 12), (16, 16)):
+        k = int(rng.integers(1, 4)) * max(m, n)
+        marginals.append(((rng.multinomial(k - m, np.ones(m) / m) + 1.0) / k,
+                          (rng.multinomial(k - n, np.ones(n) / n) + 1.0) / k))
+    for a, b in marginals:
+        a, b = np.array(a), np.array(b)
+        m, n = a.size, b.size
+        yield a, b, rng.integers(0, 4, (m, n)).astype(float)
+        yield a, b, np.ones((m, n))
+        yield a, b, rng.uniform(0.0, 3.0, (m, n))
+
+
+def test_least_cost_basis_spans_on_degenerate_inputs(rng):
+    checked = 0
+    for a, b, C in least_cost_cases(rng):
+        m, n = C.shape
+        X, basis = _least_cost(a.tolist(), b.tolist(), C)
+        X = np.array(X)
+        assert len(basis) == len(set(basis)) == m + n - 1
+        tree = [[] for _ in range(m + n)]
+        for i, j in basis:
+            tree[i].append(m + j)
+            tree[m + j].append(i)
+        _, comp = _rooted_walk(tree, C.tolist(), m)
+        assert not any(comp)
+        # The plan is basic and feasible, and carries the smaller total.
+        off = np.ones((m, n), bool)
+        off[tuple(zip(*basis))] = False
+        assert (X >= 0).all() and (X[off] == 0).all()
+        slack = 1.0 + (m + n) * np.finfo(float).eps
+        assert (X.sum(axis=1) <= a * slack).all() and (X.sum(axis=0) <= b * slack).all()
+        assert abs(X.sum() - min(a.sum(), b.sum())) <= 1e-15 * (m + n)
+        # Cells go in ascending cost: the first is the least (the first on ties).
+        assert basis[0] == divmod(int(C.argmin()), n)
+        # The simplex from that start: its certificate, with the marginals
+        # short by at most the gap between the totals.
+        X, u, v = transport_simplex(a, b, C)
+        short = 1e-12 + abs(a.sum() - b.sum())
+        assert (X >= 0).all()
+        assert np.abs(X.sum(axis=1) - a).max() <= short and np.abs(X.sum(axis=0) - b).max() <= short
+        slack = C - u[:, None] - v[None, :]
+        assert slack.min() >= -1e-12 and np.abs(slack[X > 0]).max() <= 1e-12
+        checked += 1
+    assert checked == 12 * 3
+
+
+def test_least_cost_start_lays_the_shared_mass_on_the_diagonal(rng):
+    # On a metric cost the zero cells are the diagonal, so they come first,
+    # and each carries min(mu_i, gamma_i), the mass that need not move.
+    for n in (3, 8, 20):
+        mu, nu, cost = random_instance(rng, n, d=2)
+        a, b = mu.weights, nu.weights
+        X, _ = _least_cost(a.tolist(), b.tolist(), cost.block(slice(None), slice(None)))
+        assert (np.diag(np.array(X)) == np.minimum(a, b)).all()
 
 
 def staircase_reference(a, b, C):
@@ -384,16 +501,18 @@ def test_one_line_lps_match_the_staircase_loop_bit_for_bit(rng):
 
 
 def numpy_pivot_reference(a, b, C, pivots=None):
-    """The pivot loop on a numpy plan: reduced costs (C - u) - v with fresh
-    u and v arrays every pivot; Dantzig's entering cell, the first cell at
-    the least reduced cost, or Bland's, the first negative one, once m + n
-    pivots in a row have moved no mass and until one does; the cycle walked
-    with one pair of lists indexed by side. An LP with at least two rows
-    and two columns. ``pivots``, a list, gets one entry per pivot: whether
-    Bland's rule chose its entering cell."""
+    """The pivot loop on a numpy plan, from the simplex's start: the
+    north-west staircase, priced, and when a cell would enter, the
+    least-cost basis, rooted at row 0 by a breadth-first walk. Reduced
+    costs (C - u) - v with fresh u and v arrays every pivot; Dantzig's
+    entering cell, the first cell at the least reduced cost, or Bland's,
+    the first negative one, once m + n pivots in a row have moved no mass
+    and until one does; the cycle walked with one pair of lists indexed by
+    side. An LP with at least two rows and two columns. ``pivots``, a list,
+    gets one entry per pivot: whether Bland's rule chose its entering cell."""
     m, n = C.shape
     cost = C.tolist()
-    X, basis, pot = _northwest_corner(a.tolist(), b.tolist(), cost)
+    X, _, pot = _northwest_corner(a.tolist(), b.tolist(), cost)
     tree = None
     eps = 1e-11 * (1.0 + float(np.abs(C).max(initial=0.0)))
     stalled = 0
@@ -404,20 +523,30 @@ def numpy_pivot_reference(a, b, C, pivots=None):
         negative = np.flatnonzero(reduced < -eps)
         if negative.size == 0:
             return X, u, v
+        if tree is None:
+            X, basis = _least_cost(a.tolist(), b.tolist(), C)
+            X = np.array(X)
+            tree = [set() for _ in range(m + n)]
+            for i, j in basis:
+                tree[i].add(m + j)
+                tree[m + j].add(i)
+            parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
+            level = [0]
+            while level:
+                below = []
+                for node in level:
+                    for other in tree[node]:
+                        if other != parent[node]:
+                            parent[other], depth[other] = node, depth[node] + 1
+                            edge = cost[node][other - m] if other >= m else cost[other][node - m]
+                            pot[other] = edge - pot[node]
+                            below.append(other)
+                level = below
+            continue
         bland = stalled >= m + n
         first = int(negative[0] if bland else np.flatnonzero(reduced == reduced.min())[0])
         if pivots is not None:
             pivots.append(bland)
-        if tree is None:
-            tree = [set() for _ in range(m + n)]
-            parent, depth = [-1] * (m + n), [0] * (m + n)
-            for i, j in basis:
-                if i and not tree[i]:
-                    parent[i], depth[i] = m + j, depth[m + j] + 1
-                else:
-                    parent[m + j], depth[m + j] = i, depth[i] + 1
-                tree[i].add(m + j)
-                tree[m + j].add(i)
         ei, ej = divmod(first, n)
         sides = ([], [])
         ends = [ei, m + ej]
@@ -456,18 +585,20 @@ def numpy_pivot_reference(a, b, C, pivots=None):
 
 
 # With uniform marginals 1/10 the identity plan is optimal on this integer
-# cost with a zero diagonal, and the north-west start lays it, so no pivot
-# moves mass. Dantzig's rule runs m + n = 20 pivots without reaching an
-# optimal basis, and Bland's rule enters the last five cells. Found by a
-# local search over integer costs: random LPs of sizes 2 to 60, uniform and
-# integer costs, uniform and 1/k marginals, never ran m + n degenerate
-# pivots in a row.
+# cost with a zero diagonal, and the least-cost start lays it (the staircase
+# does too, but its basis prices a negative cell), so no pivot moves mass.
+# Dantzig's rule runs m + n = 20 pivots without reaching an optimal basis,
+# and Bland's rule enters the last cell. Found by a local search over
+# integer costs 1 to 9 off the diagonal, one entry changed per step:
+# random costs ran at most 19 degenerate pivots in a row, and the first
+# cost that ran 20 was optimal after them; a walk among its neighbours that
+# kept the run at 20 or more found this one.
 FALL_BACK_COST = np.array([
-    [0, 3, 4, 3, 8, 5, 2, 7, 9, 7], [9, 0, 5, 8, 4, 1, 1, 1, 2, 6],
-    [8, 3, 0, 4, 8, 9, 9, 7, 1, 6], [5, 1, 9, 0, 3, 4, 4, 2, 1, 7],
-    [1, 4, 4, 5, 0, 4, 5, 1, 6, 3], [2, 8, 7, 4, 2, 0, 8, 1, 4, 8],
-    [7, 2, 2, 5, 1, 7, 0, 7, 7, 5], [7, 2, 5, 1, 5, 5, 2, 0, 1, 4],
-    [9, 7, 8, 6, 6, 8, 7, 4, 0, 9], [9, 4, 5, 9, 9, 7, 1, 9, 9, 0],
+    [0, 1, 3, 6, 2, 7, 7, 9, 4, 1], [8, 0, 7, 4, 9, 5, 9, 3, 3, 7],
+    [1, 1, 0, 9, 3, 1, 1, 3, 2, 7], [1, 2, 1, 0, 1, 6, 4, 4, 4, 5],
+    [4, 7, 1, 5, 0, 1, 7, 1, 4, 9], [2, 2, 1, 3, 6, 0, 2, 9, 1, 1],
+    [3, 5, 6, 4, 1, 4, 0, 1, 8, 8], [6, 8, 1, 4, 8, 6, 3, 0, 1, 2],
+    [2, 2, 7, 2, 3, 3, 7, 8, 0, 5], [9, 9, 5, 9, 1, 5, 9, 6, 6, 0],
 ], dtype=float)
 
 
@@ -554,8 +685,8 @@ def pivot_corpus(rng):
 def test_list_pivots_match_the_numpy_pivot_loop_bit_for_bit(rng):
     # The loop's rule, fall-back included, on every LP of the corpus; the
     # LPs with ties at the least reduced cost tell the first tied cell from
-    # the others, and FALL_BACK_COST's last five pivots tell Bland's rule
-    # from Dantzig's.
+    # the others, and FALL_BACK_COST's last pivot tells Bland's rule from
+    # Dantzig's.
     on_threshold, pivots = 0, []
     for a, b, C, moved in pivot_corpus(rng):
         on_threshold += moved
@@ -563,7 +694,7 @@ def test_list_pivots_match_the_numpy_pivot_loop_bit_for_bit(rng):
         for x, y in zip(got, ref):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
     assert on_threshold >= 500
-    assert pivots.count(True) == 5
+    assert pivots.count(True) == 1
 
 
 def test_degenerate_lps_terminate_with_the_certificate(rng, monkeypatch):
@@ -581,12 +712,14 @@ def test_degenerate_lps_terminate_with_the_certificate(rng, monkeypatch):
     monkeypatch.setattr(lipkl.divergences, "_entering", recording)
     for a, b, C in degenerate_lps(rng):
         assert_simplex_certificate(a, b, C)
-    assert fell_back == [FALL_BACK_COST.shape] * 5
+    assert fell_back == [FALL_BACK_COST.shape]
 
 
 def test_dantzig_pricing_takes_at_most_a_third_of_blands_pivots(monkeypatch):
     # Twenty 16 x 16 LPs between random 2-D points, the size of the
-    # benchmark's solves: 506 pivots by Dantzig's rule, 2 420 by Bland's.
+    # benchmark's solves; no staircase among them is optimal. From the
+    # staircase: 505 pivots by Dantzig's rule, 2 351 by Bland's. From the
+    # least-cost start, which replaces it: 108 and 225.
     import lipkl.divergences
 
     gen = np.random.default_rng(16)
@@ -595,9 +728,15 @@ def test_dantzig_pricing_takes_at_most_a_third_of_blands_pivots(monkeypatch):
         a, b = gen.dirichlet(np.full(16, 5.0)), gen.dirichlet(np.full(16, 5.0))
         x = gen.random((16, 2))
         corpus.append((a, b, np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=2))))
-    entering = lipkl.divergences._entering
+    entering, least_cost = lipkl.divergences._entering, lipkl.divergences._least_cost
 
-    def pivots(bland_only: bool) -> int:
+    def staircase(a, b, C):
+        X, cells, _ = _northwest_corner(a, b, C.tolist())
+        return X.tolist(), cells
+
+    def pivots(bland_only: bool, start) -> int:
+        # Every entering cell found, less the staircase's own, which the
+        # simplex drops for the start it builds.
         count = 0
 
         def counting(C, pot, m, eps, bland):
@@ -606,12 +745,19 @@ def test_dantzig_pricing_takes_at_most_a_third_of_blands_pivots(monkeypatch):
             count += found[2] >= 0
             return found
 
+        def building(a, b, C):
+            nonlocal count
+            count -= 1
+            return start(a, b, C)
+
         monkeypatch.setattr(lipkl.divergences, "_entering", counting)
+        monkeypatch.setattr(lipkl.divergences, "_least_cost", building)
         for lp in corpus:
             assert_simplex_certificate(*lp)
         return count
 
-    assert 3 * pivots(False) <= pivots(True)
+    assert (pivots(False, staircase), pivots(True, staircase)) == (505, 2351)
+    assert (pivots(False, least_cost), pivots(True, least_cost)) == (108, 225)
 
 
 def test_simplex_potentials_are_the_whole_tree_walk_of_the_final_basis(rng):
@@ -656,16 +802,16 @@ def test_rooted_walk_roots_and_labels_each_component_at_its_lowest_node(rng):
 def test_simplex_raises_on_a_basis_that_does_not_span(monkeypatch):
     import lipkl.divergences
 
-    corner = lipkl.divergences._northwest_corner
+    least_cost = lipkl.divergences._least_cost
 
-    def short_basis(a, b, cost):
-        X, basis, pot = corner(a, b, cost)
-        return X, basis[:-1], pot
+    def short_basis(a, b, C):
+        X, basis = least_cost(a, b, C)
+        return X, basis[:-1]
 
-    monkeypatch.setattr(lipkl.divergences, "_northwest_corner", short_basis)
-    # Dropping the last corner cell cuts off the last column of a 2 x 2
-    # basis, but row 2 of the 3 x 2 staircase (0, 0), (1, 0), (1, 1), (2, 1):
-    # not the last node, since column 1 stays with row 1.
-    for a, b in (([0.5, 0.5], [0.5, 0.5]), ([1 / 3] * 3, [0.5, 0.5])):
+    monkeypatch.setattr(lipkl.divergences, "_least_cost", short_basis)
+    # Neither staircase is optimal, so the least-cost start replaces it;
+    # without its last cell that basis has m + n - 2 cells.
+    for a, C in (([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]]),
+                 ([1 / 3] * 3, [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])):
         with pytest.raises(RuntimeError, match="not spanning"):
-            transport_simplex(np.array(a), np.array(b), np.ones((len(a), len(b))))
+            transport_simplex(np.array(a), np.array([0.5, 0.5]), np.array(C))
