@@ -15,12 +15,15 @@ For finitely supported measures the large-b behaviour refines to
 where gamma* assigns each mu atom's mass to its nearest nu atom (assuming
 distinct distances; ties are resolved to the lowest index with a warning).
 
-Sweep values are the certified dual lower brackets and consecutive scales
+Sweep values are the running maximum of the certified dual lower brackets.
+Each bracket is valid at every larger scale, since the true curve is
+nondecreasing, so the running maximum alone makes the monotonicity
+invariant exact rather than tolerance-padded. Consecutive scales also
 warm-start from the previous optimal potential, which is feasible for every
-larger scale (nested Lipschitz classes). Together with a running maximum of
-lower brackets (each one valid at all larger scales, since the true curve
-is nondecreasing) this makes the monotonicity invariant exact rather than
-tolerance-padded.
+larger scale (nested Lipschitz classes). What the warm start buys is exact
+zeros: when mu = nu, the exact 0 certified at the first scale carries up
+the ladder, where a cold solve can certify a bracket a rounding error
+above 0 (4.4e-17 for weights (0.4, 0.6) on the points 0 and 1 at b = 10).
 """
 
 from __future__ import annotations

@@ -35,8 +35,7 @@ so a certified solve automatically satisfies the first-order optimality
 conditions to the same tolerance. The zero potential is a candidate too,
 but only its dual side is computed: its dual is a lower bracket and its
 tilt (nu on the columns) seeds the iterate, and nothing would read its
-transport LP. The LP depends on the tilt alone, so each tilt is priced
-once per solve.
+transport LP.
 
 Mirror descent alone closes the gap at an O(1/t) crawl, so certificate
 rounds also *close the first-order conditions over a guessed support
@@ -58,17 +57,22 @@ loose.
 Certificate rounds run at mirror iterations 1, 2, 4, 8, ... and once on the
 last iterate: early rounds catch solves whose structure is visible at once,
 and doubling keeps the pricing cost within a constant factor of the descent
-steps on slow solves. A round skips what the solve has done before, each
-keyed on the bytes of its input: a flow already laddered (every mask it
-gives has been tried; the best candidate's flow comes back whenever the
-iterate's candidate is still the best), a support mask already closed, a
-forest walk already balanced (its potentials and labels fix the closure's
-output), and a closure output already priced. A closure output gets its
-transport LP only when weak duality leaves it a chance: every primal value
-lies at or above every feasible dual value, so a candidate whose dual falls
-more than the best gap below the best dual can neither become the best
-candidate nor raise the best dual. The candidates that can are priced in
-the same order, so every result is the same to the bit.
+steps on slow solves. A closure output gets its transport LP only when
+weak duality leaves it a chance: every primal value lies at or above every
+feasible dual value, so a candidate whose dual falls more than the best gap
+below the best dual can neither become the best candidate nor raise the
+best dual.
+
+The workspace skips two kinds of repeated work, each keyed on the bytes of
+its input: a support mask already tried (the closure depends on the mask
+alone) and a forest walk already balanced (its potentials and labels fix
+the closure's output). Nothing else needs a skip. A flow that comes back
+gives the same masks, all of them tried. The weak-duality floor never falls
+within a solve, since the best dual only rises and the best gap only falls,
+so a closure output refused its LP is refused again, and one priced prices
+again to the same candidate, which moves neither. And the simplex is
+deterministic, so a tilt priced again gets the same plan. A skip on any of
+these three would change no bit of a result.
 """
 
 from __future__ import annotations
@@ -94,7 +98,6 @@ from .measures import (
     ValidationError,
     lipschitz_violation,
     _c_transform,
-    _cached_in,
     _lipschitz_tol,
     _log_mgf,
     _potential_values,
@@ -135,9 +138,9 @@ class DivergenceSolution:
     is the transport plan from mu to ``measure`` on ``rows`` x ``cols``,
     built on each access from its nonzero entries (an LP's basic plan has
     at most |rows| + |cols| - 1), which are all the solution keeps of it;
-    ``plan`` is the whole n x n plan, built on first access and kept. The
-    class is slotted, so a caller that keeps many solutions keeps no
-    instance dict per solution.
+    ``plan``, the whole n x n plan, is built on each access too, so a kept
+    solution holds no n x n array. The class is slotted, so a caller that
+    keeps many solutions keeps no instance dict per solution.
     """
 
     value: float
@@ -154,7 +157,6 @@ class DivergenceSolution:
     # take 16 GiB), and flow's entries there.
     _flow_at: np.ndarray = field(repr=False)
     _flow_of: np.ndarray = field(repr=False)
-    _plan: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def rows(self) -> np.ndarray:
@@ -170,7 +172,7 @@ class DivergenceSolution:
         flow.flat[self._flow_at] = self._flow_of
         return flow
 
-    @_cached_in("_plan")
+    @property
     def plan(self) -> np.ndarray:
         return _dense_plan(self.measure.point_set.n, self.rows, self.cols, self.flow)
 
@@ -203,7 +205,7 @@ def _support_guesses(flow: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """Shared arrays for one solve."""
+    """Shared arrays, and the structure closure's two skips, for one solve."""
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostMatrix):
         _require_same_point_set(mu, nu)
@@ -217,8 +219,8 @@ class _Workspace:
         self.C_rc = cost.block(self.rows, self.cols)
         self.a = mu.weights[self.rows]
         self.logw = np.log(nu.weights[self.cols])
+        self._masks: set[bytes] = set()
         self._walks: set[bytes] = set()
-        self._priced: dict[bytes, tuple[np.ndarray, float]] = {}
 
     @cached_property
     def _cost_lists(self) -> list:
@@ -264,11 +266,7 @@ class _Workspace:
 
     def _transport(self, gamma: np.ndarray) -> tuple[np.ndarray, float]:
         """The optimal plan from the mu rows to ``gamma`` and its cost. The
-        LP depends on gamma alone within a solve, and the simplex is
-        deterministic, so a tilt priced before reuses its plan."""
-        key = gamma.tobytes()
-        if key in self._priced:
-            return self._priced[key]
+        simplex is deterministic, so a tilt priced again gets the same plan."""
         # Columns can underflow to exact zero at extreme scales; price the
         # transport on the positive block only. Most tilts are positive
         # throughout, and then the block is C_rc itself.
@@ -282,8 +280,17 @@ class _Workspace:
             wass = float((sub * f_sub).sum())
             flow = np.zeros_like(self.C_rc)
             flow[:, pos] = f_sub
-        self._priced[key] = flow, wass
         return flow, wass
+
+    def untried_guesses(self, flow: np.ndarray):
+        """The support guesses of ``flow`` (:func:`_support_guesses`) that no
+        earlier ladder of this solve has tried. A closure depends on its mask
+        alone, so a mask tried before would repeat an output."""
+        for keep in _support_guesses(flow):
+            key = keep.tobytes()
+            if key not in self._masks:
+                self._masks.add(key)
+                yield keep
 
     def structure_closure(self, keep: np.ndarray) -> np.ndarray | None:
         """Close the first-order conditions over a guessed support structure.
@@ -298,12 +305,13 @@ class _Workspace:
         guessed support matches an optimal structure this lands the exact
         optimizer regardless of how converged the guess was.
 
-        The output depends on the mask alone, so a solve skips a mask it has
-        closed before. It depends on the mask only through the walk's
-        potentials and labels (which also tell the attached columns: a loose
-        column is a component of its own, labelled after every row's), so a
-        mask whose walk this workspace has balanced before returns None: its
-        output would repeat one already returned.
+        The closure has two skips, both held by the workspace. The output
+        depends on the mask alone, so a solve closes only the masks that
+        :meth:`untried_guesses` hands out. It depends on the mask only
+        through the walk's potentials and labels (which also tell the
+        attached columns: a loose column is a component of its own, labelled
+        after every row's), so a mask whose walk this workspace has balanced
+        before returns None: its output would repeat one already returned.
         """
         m, k = keep.shape
         # Edges come row-major: every node lists its neighbours ascending.
@@ -397,8 +405,9 @@ def divergence(
     mirror iterate, and those structure-closure candidates whose dual lies
     within the best gap of the best dual. The zero start contributes its
     dual and the mirror seed (the warm start's tilt seeds instead when
-    given), and no LP. Each tilt is priced once per solve: a candidate that
-    tilts to a measure priced before reuses its plan.
+    given), and no LP. The only work skipped is a support mask tried before
+    and a forest walk balanced before (see the module docstring for why no
+    other repeat needs a skip).
     """
     if not (tol > 0):
         raise ValidationError("tol must be positive")
@@ -417,40 +426,20 @@ def divergence(
             best = cand
         return cand
 
-    # Solve-wide skips: flows already laddered (their masks are all closed),
-    # masks already closed, and closure outputs already priced (pricing one
-    # again cannot change best or best_dual). Distinct masks often close to
-    # a bit-identical g: 506 of 1 083 closures in round 0 of the markov-12
-    # benchmark at seed 0, 461 of them on a walk already balanced (which
-    # :meth:`_Workspace.structure_closure` skips), and 33 of 248 (24) in
-    # solve-2d. A new closure output gets no LP either when its dual lies
-    # more than best.gap below best_dual: every primal lies at or above
-    # best_dual, so it could neither become best nor raise best_dual, and
-    # its flow never reaches a ladder.
-    ladders: set[bytes] = set()
-    masks: set[bytes] = set()
-    closed: set[bytes] = set()
-
+    # A closure output gets no LP when its dual lies more than best.gap below
+    # best_dual: every primal lies at or above best_dual, so it could neither
+    # become best nor raise best_dual, and its flow never reaches a ladder.
+    # The floor never falls (best_dual only rises, best.gap only falls), so
+    # a closure output that comes back is refused again, or priced again to
+    # a candidate that moves neither; the ladder keeps no set of them.
     def closure_ladder(flow: np.ndarray) -> None:
         """Try the support guesses of one flow at every threshold."""
-        key = flow.tobytes()
-        if key in ladders:
-            return
-        ladders.add(key)
-        for keep in _support_guesses(flow):
+        for keep in ws.untried_guesses(flow):
             if best.gap <= tol:
                 return
-            key = keep.tobytes()
-            if key in masks:
-                continue
-            masks.add(key)
             g = ws.structure_closure(keep)
             if g is None:
                 continue
-            key = g.tobytes()
-            if key in closed:
-                continue
-            closed.add(key)
             # The weak-duality floor, less a relative 1e-12 for rounding in
             # the computed brackets.
             consider(g, best_dual - best.gap - 1e-12 * (1.0 + abs(best_dual)))

@@ -272,35 +272,6 @@ def test_matches_oracle_on_small_supports(rng):
         assert abs(sol.value - orc.value) <= orc.error_bound + 1e-9
 
 
-def test_solve_never_prices_a_measure_twice(monkeypatch):
-    # Structure closures at different thresholds, and in different rounds,
-    # often land on the same potential or tilt, and a budget-bound iterate
-    # can repeat a closure's output; pricing a tilt again buys nothing. The
-    # scan: 64 random 2-D solves, to the default tol and then budget-bound,
-    # where repeats arise (without the per-solve plan cache, 14 of these 64
-    # price some tilt twice).
-    import lipkl.core
-
-    priced = []
-    simplex = lipkl.core.transport_simplex
-
-    def recording(a, b, C):
-        priced.append(np.asarray(b).tobytes())
-        return simplex(a, b, C)
-
-    monkeypatch.setattr(lipkl.core, "transport_simplex", recording)
-    for tol, max_iter in ((1e-8, 100_000), (1e-300, 64)):
-        gen = np.random.default_rng(0)
-        for n in (3, 5, 8, 12):
-            for b in (0.1, 1.0, 10.0, 100.0):
-                for _ in range(4):
-                    mu, nu, cost = random_instance(gen, n, d=2, scale=b)
-                    priced.clear()
-                    sol = divergence(mu, nu, cost, tol=tol, max_iter=max_iter)
-                    assert sol.certified or tol < 1e-8
-                    assert len(set(priced)) == len(priced)
-
-
 def test_cold_solve_prices_no_lp_for_the_zero_start(rng, monkeypatch):
     # The zero potential's tilt is nu itself. Its dual still counts as a
     # lower bracket, and its tilt still seeds the iterate, but its LP would
@@ -410,45 +381,81 @@ def test_kept_solves_stay_within_their_memory_budget():
 
 def test_solve_never_closes_a_support_mask_twice(rng, monkeypatch):
     # A closure depends on its mask alone, so a mask closed once in a solve
-    # (by any ladder, in any round) is skipped afterwards.
-    from lipkl.core import _Workspace
+    # (by any ladder, in any round) is never walked again.
+    import lipkl.core
 
     masks = []
-    closure = _Workspace.structure_closure
+    walk = lipkl.core._rooted_walk
 
-    def recording(self, keep):
-        masks.append(keep.tobytes())
-        return closure(self, keep)
+    def recording(forest, cost, m):
+        masks.append(repr(forest))
+        return walk(forest, cost, m)
 
-    monkeypatch.setattr(_Workspace, "structure_closure", recording)
+    monkeypatch.setattr(lipkl.core, "_rooted_walk", recording)
+    walked = 0
     for n in (5, 8, 12):
         for b in (0.1, 1.0, 10.0, 100.0):
             mu, nu, cost = random_instance(rng, n, d=2, scale=b)
             masks.clear()
             divergence(mu, nu, cost)
             assert len(set(masks)) == len(masks)
+            walked += len(masks)
+    assert walked
 
 
 def test_budget_stop_prices_the_last_iterate_once(monkeypatch):
     # max_iter = 8 is also a doubling round, so the round on the last iterate
-    # used to run twice and price the iterate's potential again.
-    from lipkl.core import _Workspace
+    # used to run twice. Rounds run at iterations 1, 2, 4 and 8, and each
+    # ladders three flows: twelve ladders, where the double round made 15.
+    import lipkl.core
 
     gen = np.random.default_rng(1)
     ps = PointSet(tuple(map(tuple, gen.random((10, 2)))))
     mu = DiscreteMeasure(ps, gen.dirichlet(np.full(10, 5.0)))
     nu = DiscreteMeasure(ps, gen.dirichlet(np.full(10, 5.0)))
-    priced = []
+    ladders = []
+    guesses = lipkl.core._support_guesses
+
+    def recording(flow):
+        ladders.append(flow)
+        return guesses(flow)
+
+    monkeypatch.setattr(lipkl.core, "_support_guesses", recording)
+    sol = divergence(mu, nu, metric_cost(ps, "euclidean", 1.0), tol=1e-300, max_iter=8)
+    assert not sol.certified and sol.iterations == 8
+    assert len(ladders) == 12
+
+
+def test_weak_duality_floor_never_falls_within_a_solve(rng, monkeypatch):
+    # A closure candidate is priced only when its dual reaches the floor
+    # best_dual - best.gap - 1e-12 (1 + |best_dual|). best_dual only rises
+    # and best.gap only falls, so the floor never falls: a closure output
+    # refused its LP is refused again, and one priced prices again to the
+    # same candidate, which moves neither best nor best_dual. That is why no
+    # closure output needs a skip set.
+    from lipkl.core import _Workspace
+
     evaluate = _Workspace.evaluate
+    floors = {}               # workspace -> the floors it was given, in order
 
     def recording(self, g_cols, floor=-math.inf):
-        priced.append(g_cols.tobytes())
+        if floor > -math.inf:
+            floors.setdefault(self, []).append(floor)
         return evaluate(self, g_cols, floor)
 
     monkeypatch.setattr(_Workspace, "evaluate", recording)
-    sol = divergence(mu, nu, metric_cost(ps, "euclidean", 1.0), tol=1e-300, max_iter=8)
-    assert not sol.certified and sol.iterations == 8
-    assert len(set(priced)) == len(priced)
+    for k in range(60):
+        n = int(rng.integers(3, 13))
+        partial = k % 2 == 0
+        mu, nu, cost = random_instance(
+            rng, n, d=1 + k % 2, scale=float(10 ** rng.uniform(-1, 2)),
+            mu_support=int(rng.integers(1, n + 1)) if partial else None,
+            nu_support=int(rng.integers(1, n + 1)) if partial else None)
+        for tol, max_iter in ((1e-8, 100_000), (1e-300, int(rng.integers(1, 40)))):
+            divergence(mu, nu, cost, tol=tol, max_iter=max_iter)
+    assert floors
+    for seen in floors.values():
+        assert all(later >= earlier for earlier, later in zip(seen, seen[1:]))
 
 
 def test_closures_without_an_lp_could_not_have_won(rng, monkeypatch):
@@ -616,26 +623,6 @@ def test_pinned_solves_repeat_bit_for_bit(name):
     assert (sol.value.hex(), sol.dual_value.hex(), sol.iterations) == (value, dual, iterations)
     assert sol.flow.shape == shape
     assert [float(x).hex() for x in sol.flow.ravel()] == flow
-
-
-def test_solve_never_ladders_a_flow_twice(monkeypatch):
-    # Every mask of a flow laddered once is closed or skipped, so a flow
-    # that comes back (the best candidate's, when the iterate's candidate
-    # is still the best) builds no masks again. On this instance four
-    # certificate rounds ask for twelve ladders, and three repeat a flow.
-    import lipkl.core
-
-    flows = []
-    guesses = lipkl.core._support_guesses
-
-    def recording(flow):
-        flows.append(flow.tobytes())
-        return guesses(flow)
-
-    monkeypatch.setattr(lipkl.core, "_support_guesses", recording)
-    sol = divergence(*pinned_instances()["2-D n=8 b=10"], tol=1e-10)
-    assert sol.iterations == 8
-    assert len(flows) == len(set(flows)) == 9
 
 
 def test_solve_never_balances_a_walk_twice(monkeypatch):
