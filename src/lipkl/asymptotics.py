@@ -148,6 +148,7 @@ class ExpansionReport:
     constant: float                    # R(gamma* || nu)
     remainders: tuple[float, ...]      # values - b*leading - constant, all <= 0
     tie_break_used: bool
+    certified: bool                    # every scale's duality gap within tol
 
 
 def nearest_atom_aggregation(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -202,6 +203,7 @@ def large_scale_expansion(
         constant=constant,
         remainders=remainders,
         tie_break_used=tie,
+        certified=sweep.certified,
     )
 
 

@@ -4,8 +4,10 @@ Reports are JSON on stdout with sorted keys and no wall-clock content, so
 identical inputs and configuration produce bit-identical output; pass
 ``--timing`` to append wall-clock seconds. Sweeps write CSV.
 
-Exit codes: 0 success (certified), 1 uncertified solve (unless
-``--allow-uncertified``), 2 file/parse errors, 3 validation errors.
+Exit codes: 0 success (certified), 1 uncertified (a solve, unless
+``--allow-uncertified``; any scale of a sweep, whose CSV is still written; a
+membership check or a bound that fails, whose report is still written),
+2 file/parse errors, 3 validation errors.
 Reports are strict JSON: a non-finite number is written as the string
 "inf", "-inf" or "nan".
 """
@@ -92,6 +94,19 @@ def _emit(report: dict, args, started: float) -> None:
         print(text)
 
 
+def _report(command: str, digest_of, config: dict, results: dict,
+            certificates: dict, **extra) -> dict:
+    """A JSON report: the five keys every command writes, plus ``extra``."""
+    return {
+        "command": command,
+        "inputs_digest": _digest(digest_of),
+        "config": config,
+        "results": results,
+        "certificates": certificates,
+        **extra,
+    }
+
+
 def _resolve_cost(spec: str, scale_b, point_set: PointSet) -> CostMatrix:
     if spec in ("euclidean", "manhattan"):
         return metric_cost(point_set, spec, scale_b if scale_b is not None else 1.0)
@@ -121,23 +136,11 @@ def _inputs_record(ps: PointSet, mu: DiscreteMeasure, nu: DiscreteMeasure,
     }
 
 
-def _solution_payload(sol, include_plan: bool) -> dict:
-    out = {
-        "value": sol.value,
-        "dual_value": sol.dual_value,
-        "duality_gap": sol.duality_gap,
-        "certified": sol.certified,
-        "iterations": sol.iterations,
-        "gamma_star": [float(w) for w in sol.measure.weights],
-        "g_star": [float(v) for v in sol.potential.values],
-    }
-    if include_plan:
-        out["plan"] = sol.plan.tolist()
-    return out
+# Each command returns (report or None, ok): main writes the report and maps
+# ok to the exit code.
 
 
-def cmd_compute(args) -> int:
-    started = time.perf_counter()
+def cmd_compute(args):
     ps, mu, nu, cost = _load_inputs(args)
     inputs = _inputs_record(ps, mu, nu, cost)
     results: dict = {}
@@ -146,15 +149,25 @@ def cmd_compute(args) -> int:
 
     if args.what in ("gamma", "all"):
         sol = divergence(mu, nu, cost, tol=args.tol, max_iter=args.max_iter)
-        results["gamma"] = _solution_payload(sol, args.include_plan)
-        report = verify_optimizers(sol.measure, sol.potential, mu, nu, cost, tol=args.tol)
+        results["gamma"] = {
+            "value": sol.value,
+            "dual_value": sol.dual_value,
+            "duality_gap": sol.duality_gap,
+            "certified": sol.certified,
+            "iterations": sol.iterations,
+            "gamma_star": [float(w) for w in sol.measure.weights],
+            "g_star": [float(v) for v in sol.potential.values],
+        }
+        if args.include_plan:
+            results["gamma"]["plan"] = sol.plan.tolist()
+        check = verify_optimizers(sol.measure, sol.potential, mu, nu, cost, tol=args.tol)
         certificates["gamma"] = {
             "duality_gap": sol.duality_gap,
-            "gibbs_residual": report.gibbs_residual,
-            "transport_residual": report.transport_residual,
+            "gibbs_residual": check.gibbs_residual,
+            "transport_residual": check.transport_residual,
             "certified": sol.certified,
         }
-        certified = certified and sol.certified
+        certified = sol.certified
     if args.what in ("entropy", "all"):
         value = relative_entropy(mu, nu)
         results["entropy"] = {"value": value}
@@ -179,28 +192,19 @@ def cmd_compute(args) -> int:
             "divergence": g,
         }
 
-    report = {
-        "command": "compute",
-        "what": args.what,
-        "inputs_digest": _digest(inputs),
-        "inputs": inputs,
-        "config": {"tol": args.tol, "max_iter": args.max_iter},
-        "results": results,
-        "certificates": certificates,
-    }
-    _emit(report, args, started)
-    if not certified and not args.allow_uncertified:
-        return EXIT_UNCERTIFIED
-    return EXIT_OK
+    report = _report("compute", inputs, {"tol": args.tol, "max_iter": args.max_iter},
+                     results, certificates, what=args.what, inputs=inputs)
+    return report, certified or args.allow_uncertified
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     _, mu, nu, cost = _load_inputs(args)
     scales = [_as_float(s, "scale") for s in args.scales.split(",") if s.strip()]
     if not scales:
         raise ValidationError("no scales given")
     if args.mode == "entropy":
-        rows = sweep_rows(entropy_limit_sweep(mu, nu, cost, scales, tol=args.tol))
+        sweep = entropy_limit_sweep(mu, nu, cost, scales, tol=args.tol)
+        rows = sweep_rows(sweep)
         header = ["scale", "value", "reference"]
     elif args.mode == "transport":
         sweep = transport_limit_sweep(mu, nu, cost, scales, tol=args.tol)
@@ -208,9 +212,9 @@ def cmd_sweep(args) -> int:
                 for s, v, r in zip(sweep.scales, sweep.values, sweep.ratios)]
         header = ["scale", "value", "reference", "ratio"]
     else:
-        exp = large_scale_expansion(mu, nu, cost, scales, tol=args.tol)
-        rows = [(s, v, s * exp.leading_coefficient + exp.constant, r)
-                for s, v, r in zip(exp.scales, exp.values, exp.remainders)]
+        sweep = large_scale_expansion(mu, nu, cost, scales, tol=args.tol)
+        rows = [(s, v, s * sweep.leading_coefficient + sweep.constant, r)
+                for s, v, r in zip(sweep.scales, sweep.values, sweep.remainders)]
         header = ["scale", "value", "reference", "remainder"]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -218,119 +222,108 @@ def cmd_sweep(args) -> int:
         for row in rows:
             writer.writerow([repr(float(x)) for x in row])
     print(f"wrote {len(rows)} rows to {args.out}")
-    return EXIT_OK
+    return None, sweep.certified
 
 
-def cmd_derivative(args) -> int:
-    started = time.perf_counter()
+def cmd_derivative(args):
     ps, mu, nu, cost = _load_inputs(args)
     rho_raw = load_measure(args.rho, signed=True)
     rho = SignedMeasure(ps, _place(ps, rho_raw.point_set.points, rho_raw.weights))
     rep = directional_derivative(mu, nu, cost, rho, epsilon=args.epsilon)
     inputs = {**_inputs_record(ps, mu, nu, cost),
               "rho": [float(w) for w in rho.weights]}
-    report = {
-        "command": "derivative",
-        "inputs_digest": _digest(inputs),
-        "inputs": inputs,
-        "config": {"epsilon": args.epsilon},
-        "results": {
-            "analytic": rep.analytic,
-            "finite_diff": rep.finite_diff,
-            "discrepancy": rep.discrepancy,
-            "value": rep.value,
-            "value_shifted": rep.value_shifted,
-        },
-        "certificates": {"epsilon": rep.epsilon},
+    results = {
+        "analytic": rep.analytic,
+        "finite_diff": rep.finite_diff,
+        "discrepancy": rep.discrepancy,
+        "value": rep.value,
+        "value_shifted": rep.value_shifted,
     }
-    _emit(report, args, started)
-    return EXIT_OK
+    report = _report("derivative", inputs, {"epsilon": args.epsilon}, results,
+                     {"epsilon": rep.epsilon}, inputs=inputs)
+    return report, True
 
 
-def cmd_markov(args) -> int:
-    started = time.perf_counter()
-    if args.markov_what == "gaussian":
-        model = GaussianAR1(alpha=args.alpha, sigma=args.sigma)
-        inputs = {"alpha": args.alpha, "sigma": args.sigma}
-        peak = ar1_max_quadratic_rate(model)
-        results = {
-            "b_star": peak.b_star,
-            "k_star": peak.k_star,
-            "search_b": peak.search_b,
-            "search_k": peak.search_k,
-        }
-        if args.quad is not None:
-            inputs.update(quad=args.quad, lin=args.lin, growth=args.growth)
-            q = QuadraticFunction(args.quad, args.lin, 0.0)
-            image, valid = ar1_risk_quadratic(model, q, args.growth)
-            results["risk_quadratic"] = {
-                "quadratic": image.quadratic,
-                "linear": image.linear,
-                "constant": image.constant,
-                "valid": valid,
-            }
-            results["representable"] = ar1_quadratic_representable(model, q)
-        report = {
-            "command": "markov gaussian",
-            "inputs_digest": _digest(inputs),
-            "config": {},
-            "results": results,
-            "certificates": {"golden_section_error": abs(peak.search_k - peak.k_star)},
-        }
-        _emit(report, args, started)
-        return EXIT_OK
-
+def _kernel_inputs(args):
+    """The nominal kernel, the cost vector f on its states, and the inputs
+    record a Markov report digests."""
     p_kernel = load_kernel(args.p)
-    f = _load_vector(args.f, p_kernel.n)
+    with open(args.f) as fh:
+        obj = json.load(fh)
+    if isinstance(obj, dict):
+        obj = obj.get("values", obj.get("f"))
+    f = _finite_vector(obj, p_kernel.n, "vector")
     inputs = {"P": p_kernel.matrix.tolist(), "f": [float(x) for x in f],
               "cost": p_kernel.cost.entries.tolist(), "scale_b": p_kernel.cost.scale_b}
-    if args.markov_what == "membership":
-        inv = invert_risk_map(p_kernel, f)
-        report = {
-            "command": "markov membership",
-            "inputs_digest": _digest(inputs),
-            "config": {},
-            "results": {
-                "g": inv.g.tolist(),
-                "a": inv.a,
-                "converged": inv.converged,
-                "lipschitz_feasible": inv.lipschitz_feasible,
-                "representable": inv.representable,
-                "jacobian_rank": inv.jacobian_rank,
-                "diagnosis": inv.diagnosis,
-            },
-            "certificates": {"residual": inv.residual,
-                             "lipschitz_excess": inv.lipschitz_excess},
-        }
-        _emit(report, args, started)
-        return EXIT_OK if inv.representable else EXIT_UNCERTIFIED
+    return p_kernel, f, inputs
 
+
+def cmd_bound(args):
+    p_kernel, f, inputs = _kernel_inputs(args)
     q_kernel = load_kernel(args.q)
     inputs["Q"] = q_kernel.matrix.tolist()
     rep = ergodic_bound(p_kernel, q_kernel, f)
-    report = {
-        "command": "markov bound",
-        "inputs_digest": _digest(inputs),
-        "config": {},
-        "results": {
-            "growth_rate": rep.growth_rate,
-            "holds": rep.holds,
-            "classes": [
-                {
-                    "states": list(cb.states),
-                    "stationary": cb.stationary.tolist(),
-                    "lhs": cb.lhs,
-                    "rhs": cb.rhs,
-                    "slack": cb.slack,
-                    "per_state_divergence": cb.per_state_divergence.tolist(),
-                }
-                for cb in rep.class_bounds
-            ],
-        },
-        "certificates": {"potential": rep.potential.tolist()},
+    results = {
+        "growth_rate": rep.growth_rate,
+        "holds": rep.holds,
+        "classes": [
+            {
+                "states": list(cb.states),
+                "stationary": cb.stationary.tolist(),
+                "lhs": cb.lhs,
+                "rhs": cb.rhs,
+                "slack": cb.slack,
+                "per_state_divergence": cb.per_state_divergence.tolist(),
+            }
+            for cb in rep.class_bounds
+        ],
     }
-    _emit(report, args, started)
-    return EXIT_OK if rep.holds else EXIT_UNCERTIFIED
+    report = _report("markov bound", inputs, {}, results,
+                     {"potential": rep.potential.tolist()})
+    return report, rep.holds
+
+
+def cmd_membership(args):
+    p_kernel, f, inputs = _kernel_inputs(args)
+    inv = invert_risk_map(p_kernel, f)
+    results = {
+        "g": inv.g.tolist(),
+        "a": inv.a,
+        "converged": inv.converged,
+        "lipschitz_feasible": inv.lipschitz_feasible,
+        "representable": inv.representable,
+        "jacobian_rank": inv.jacobian_rank,
+        "diagnosis": inv.diagnosis,
+    }
+    report = _report("markov membership", inputs, {}, results,
+                     {"residual": inv.residual, "lipschitz_excess": inv.lipschitz_excess})
+    return report, inv.representable
+
+
+def cmd_gaussian(args):
+    model = GaussianAR1(alpha=args.alpha, sigma=args.sigma)
+    inputs = {"alpha": args.alpha, "sigma": args.sigma}
+    peak = ar1_max_quadratic_rate(model)
+    results = {
+        "b_star": peak.b_star,
+        "k_star": peak.k_star,
+        "search_b": peak.search_b,
+        "search_k": peak.search_k,
+    }
+    if args.quad is not None:
+        inputs.update(quad=args.quad, lin=args.lin, growth=args.growth)
+        q = QuadraticFunction(args.quad, args.lin, 0.0)
+        image, valid = ar1_risk_quadratic(model, q, args.growth)
+        results["risk_quadratic"] = {
+            "quadratic": image.quadratic,
+            "linear": image.linear,
+            "constant": image.constant,
+            "valid": valid,
+        }
+        results["representable"] = ar1_quadratic_representable(model, q)
+    report = _report("markov gaussian", inputs, {}, results,
+                     {"golden_section_error": abs(peak.search_k - peak.k_star)})
+    return report, True
 
 
 def _json_object(obj, what: str) -> dict:
@@ -339,8 +332,7 @@ def _json_object(obj, what: str) -> dict:
     return obj
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
+def cmd_verify(args):
     with open(args.report) as fh:
         saved = _json_object(json.load(fh), "report")
     inputs = _json_object(saved["inputs"], 'report "inputs"')
@@ -367,36 +359,21 @@ def cmd_verify(args) -> int:
         },
         "certificates": {"tol": args.tol},
     }
-    _emit(report, args, started)
-    return EXIT_OK if rep.optimal else EXIT_UNCERTIFIED
+    return report, rep.optimal
 
 
-def cmd_benchmark(args) -> int:
-    started = time.perf_counter()
+def cmd_benchmark(args):
     br = point_vs_uniform_benchmark(args.scale_b, args.grid, tol=args.tol)
-    report = {
-        "command": "benchmark",
-        "inputs_digest": _digest({"scale": br.scale, "grid": br.grid_size}),
-        "config": {"tol": args.tol},
-        "results": {
-            "value": br.value,
-            "closed_form": br.closed_form,
-            "error": br.error,
-            "transport_value": br.transport_value,
-            "transport_reference": br.transport_reference,
-        },
-        "certificates": {"duality_gap": br.duality_gap},
+    results = {
+        "value": br.value,
+        "closed_form": br.closed_form,
+        "error": br.error,
+        "transport_value": br.transport_value,
+        "transport_reference": br.transport_reference,
     }
-    _emit(report, args, started)
-    return EXIT_OK
-
-
-def _load_vector(source, n: int) -> np.ndarray:
-    with open(source) as fh:
-        obj = json.load(fh)
-    if isinstance(obj, dict):
-        obj = obj.get("values", obj.get("f"))
-    return _finite_vector(obj, n, "vector")
+    report = _report("benchmark", {"scale": br.scale, "grid": br.grid_size},
+                     {"tol": args.tol}, results, {"duality_gap": br.duality_gap})
+    return report, True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,15 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("markov",
                        help="Markov-chain bounds and the Gaussian AR(1) example")
     msub = p.add_subparsers(dest="markov_what", required=True)
-    mb = msub.add_parser("bound", parents=[report])
-    mb.add_argument("--p", required=True, help="nominal kernel (JSON file)")
+    kernel = argparse.ArgumentParser(add_help=False)
+    kernel.add_argument("--p", required=True, help="nominal kernel (JSON file)")
+    kernel.add_argument("--f", required=True, help="cost vector (JSON file)")
+    mb = msub.add_parser("bound", parents=[report, kernel])
     mb.add_argument("--q", required=True, help="alternative kernel (JSON file)")
-    mb.add_argument("--f", required=True, help="cost vector (JSON file)")
-    mb.set_defaults(fn=cmd_markov)
-    mm = msub.add_parser("membership", parents=[report])
-    mm.add_argument("--p", required=True)
-    mm.add_argument("--f", required=True)
-    mm.set_defaults(fn=cmd_markov)
+    mb.set_defaults(fn=cmd_bound)
+    msub.add_parser("membership", parents=[report, kernel]).set_defaults(fn=cmd_membership)
     mg = msub.add_parser("gaussian", parents=[report])
     mg.add_argument("--alpha", type=float, required=True)
     mg.add_argument("--sigma", type=float, required=True)
@@ -466,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="quadratic coefficient of the potential's negative")
     mg.add_argument("--lin", type=float, default=0.0)
     mg.add_argument("--growth", type=float, default=0.0)
-    mg.set_defaults(fn=cmd_markov)
+    mg.set_defaults(fn=cmd_gaussian)
 
     p = sub.add_parser("verify", parents=[tol, report],
                        help="re-check a saved compute report via the optimality conditions")
@@ -483,16 +458,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.fn(args)
+        report, ok = args.fn(args)
+        if report is not None:
+            _emit(report, args, started)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK if ok else EXIT_UNCERTIFIED
 
 
 if __name__ == "__main__":

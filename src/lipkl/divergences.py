@@ -210,7 +210,7 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
         return _staircase(b[0], a)[:, None], u, C[0] - 0.0
 
     cost = C.tolist()
-    X, _, pot = _northwest_corner(a.tolist(), b.tolist(), cost)
+    X, pot = _northwest_corner(a.tolist(), b.tolist(), cost)
     eps = 1e-11 * (1.0 + float(np.abs(C).max(initial=0.0)))
     u, v, enter = _entering(C, pot, m, eps, False)
     if enter < 0:
@@ -323,7 +323,6 @@ def _northwest_corner(a: list, b: list, cost: list):
     arithmetic of :func:`_rooted_walk` from row 0."""
     m, n = len(a), len(b)
     X = np.zeros((m, n))
-    cells = []
     pot = [0.0] * (m + n)
     pot[m] = cost[0][0] - pot[0]
     i = j = 0
@@ -331,7 +330,6 @@ def _northwest_corner(a: list, b: list, cost: list):
     while True:
         t = min(ra, rb)
         X[i, j] = t
-        cells.append((i, j))
         ra -= t
         rb -= t
         if i == m - 1 and j == n - 1:
@@ -348,7 +346,7 @@ def _northwest_corner(a: list, b: list, cost: list):
             j += 1
             rb = b[j]
             pot[m + j] = cost[i][j] - pot[i]
-    return X, cells, pot
+    return X, pot
 
 
 def _least_cost(a: list, b: list, C: np.ndarray):

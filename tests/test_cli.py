@@ -216,6 +216,27 @@ def test_sweep_modes(fixtures, tmp_path):
     assert all(float(r[3]) <= 1e-12 for r in rows[1:])
 
 
+@pytest.mark.parametrize("mode", ["entropy", "expansion"])
+def test_sweep_with_an_uncertified_scale_exits_1_and_writes_the_row(tmp_path, mode):
+    # At b = 10 this pair's gap stays at 2.2e-16 after 100 000 iterations,
+    # so no 1e-300 target is met. The sweep used to exit 0.
+    points = [[0.641], [0.129]]
+    for name, weights in (("mu", [0.2572696155722992, 0.7427303844277007]),
+                          ("nu", [0.8998138964965713, 0.10018610350342855])):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"points": points,
+                                                           "weights": weights}))
+    out_csv = tmp_path / "sweep.csv"
+    code, out = run_cli(["sweep", "--mu", str(tmp_path / "mu.json"),
+                         "--nu", str(tmp_path / "nu.json"), "--cost", "euclidean",
+                         "--mode", mode, "--scales", "10", "--tol", "1e-300",
+                         "--out", str(out_csv)])
+    assert code == EXIT_UNCERTIFIED
+    assert out == f"wrote 1 rows to {out_csv}\n"
+    with open(out_csv) as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 2 and float(rows[1][0]) == 10.0
+
+
 def test_derivative_command(fixtures):
     code, out = run_cli(["derivative", "--mu", fixtures["mu2.json"],
                          "--nu", fixtures["nu.json"], "--rho", fixtures["rho.json"],
@@ -358,6 +379,37 @@ def test_markov_flags_go_after_the_subcommand(fixtures):
     with pytest.raises(SystemExit) as exc:
         run_cli(["markov", "--timing"] + gaussian)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--mu", "@mu.json", "--nu", "@nu.json", "--cost", "euclidean"],
+    ["verify", "--report", "@report.json"],
+    ["derivative", "--mu", "@mu2.json", "--nu", "@nu.json", "--rho", "@rho.json",
+     "--cost", "euclidean", "--scale-b", "0.5"],
+    ["markov", "bound", "--p", "@pkernel.json", "--q", "@qkernel.json", "--f", "@f.json"],
+    ["markov", "membership", "--p", "@pkernel.json", "--f", "@f.json"],
+    ["markov", "gaussian", "--alpha", "0.5", "--sigma", "1", "--quad", "0.1"],
+    ["benchmark", "--scale-b", "1", "--grid", "100"],
+])
+def test_every_json_report_honours_timing_and_output(fixtures, tmp_path, argv):
+    saved = str(tmp_path / "report.json")
+    code, _ = run_cli(["compute", "--mu", fixtures["mu.json"], "--nu", fixtures["nu.json"],
+                       "--cost", "euclidean", "--output", saved])
+    assert code == EXIT_OK
+    paths = {**fixtures, "report.json": saved}
+    argv = [paths[arg[1:]] if arg.startswith("@") else arg for arg in argv]
+    code, plain = run_cli(argv)
+    assert code == EXIT_OK
+    code, out = run_cli(argv + ["--timing"])
+    assert code == EXIT_OK
+    timed = parse_report(out)
+    assert timed.pop("timing_s") > 0
+    assert timed == parse_report(plain)
+    written = tmp_path / "written.json"
+    code, out = run_cli(argv + ["--output", str(written)])
+    assert code == EXIT_OK
+    assert out == ""
+    assert written.read_text() == plain
 
 
 @pytest.mark.parametrize("argv, flag", [

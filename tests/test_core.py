@@ -613,9 +613,9 @@ PINNED = {
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_solves_repeat_bit_for_bit(name):
-    # The solver skips work whose result it already has (flows laddered,
-    # masks closed, walks balanced, outputs priced); none of the skips may
-    # change a bit of what it returns.
+    # The solver skips work whose result it already has (masks closed,
+    # walks balanced); none of the skips may change a bit of what it
+    # returns.
     value, dual, iterations, shape, flow = PINNED[name]
     mu, nu, cost = pinned_instances()[name]
     sol = divergence(mu, nu, cost, tol=1e-10)

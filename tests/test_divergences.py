@@ -514,7 +514,7 @@ def numpy_pivot_reference(a, b, C, pivots=None):
     gets one entry per pivot: whether Bland's rule chose its entering cell."""
     m, n = C.shape
     cost = C.tolist()
-    X, _, pot = _northwest_corner(a.tolist(), b.tolist(), cost)
+    X, pot = _northwest_corner(a.tolist(), b.tolist(), cost)
     tree = None
     eps = 1e-11 * (1.0 + float(np.abs(C).max(initial=0.0)))
     stalled = 0
@@ -627,6 +627,26 @@ def degenerate_lps(rng):
     yield w, w, FALL_BACK_COST
 
 
+def staircase_cells(a, b):
+    """The basic cells of the north-west start, in the order of its walk:
+    down from an exhausted row or from the last column, right otherwise,
+    with the exhaustion test of `_northwest_corner`."""
+    m, n = len(a), len(b)
+    cells, i, j, ra, rb = [(0, 0)], 0, 0, a[0], b[0]
+    while (i, j) != (m - 1, n - 1):
+        t = min(ra, rb)
+        ra -= t
+        rb -= t
+        if i < m - 1 and (j == n - 1 or ra <= 1e-15 * (1.0 + a[i])):
+            i += 1
+            ra = a[i]
+        else:
+            j += 1
+            rb = b[j]
+        cells.append((i, j))
+    return cells
+
+
 def cost_on_the_threshold(rng, a, b, C):
     """C with one non-basic cost of the north-west start moved onto the
     pricing threshold: the cell's reduced cost lies below -eps when taken
@@ -634,7 +654,8 @@ def cost_on_the_threshold(rng, a, b, C):
     when no cost within 64 ulps of the threshold splits the two orders on
     any non-basic cell."""
     m, n = C.shape
-    _, basis, pot = _northwest_corner(a.tolist(), b.tolist(), C.tolist())
+    _, pot = _northwest_corner(a.tolist(), b.tolist(), C.tolist())
+    basis = staircase_cells(a.tolist(), b.tolist())
     top = float(np.abs(C).max())
     eps = 1e-11 * (1.0 + top)
     free = [(i, j) for i in range(m) for j in range(n) if (i, j) not in basis]
@@ -733,8 +754,8 @@ def test_dantzig_pricing_takes_at_most_a_third_of_blands_pivots(monkeypatch):
     entering, least_cost = lipkl.divergences._entering, lipkl.divergences._least_cost
 
     def staircase(a, b, C):
-        X, cells, _ = _northwest_corner(a, b, C.tolist())
-        return X.tolist(), cells
+        X, _ = _northwest_corner(a, b, C.tolist())
+        return X.tolist(), staircase_cells(a, b)
 
     def pivots(bland_only: bool, start) -> int:
         # Every entering cell found, less the staircase's own, which the
