@@ -6,128 +6,22 @@ scaled Lipschitz class: it stays finite for mutually singular measures,
 equals an inf-convolution of optimal transport cost and relative entropy,
 and keeps the risk-sensitive dual structure that powers model-uncertainty
 bounds.
+
+Each module's ``__all__`` is the one list of its public names, and the
+package exports their union: a new public name goes in its module's
+``__all__``, and nowhere else.
 """
 
-from .measures import (
-    CostMatrix,
-    CostValidationError,
-    CostViolation,
-    DiscreteMeasure,
-    LipschitzFunction,
-    PointSet,
-    SignedMeasure,
-    ValidationError,
-    cost_violations,
-    load_cost,
-    load_measure,
-    merge_supports,
-    metric_cost,
-    project_lipschitz,
-)
-from .divergences import TransportSolution, relative_entropy, transport_cost
-from .core import (
-    CumulantDualityReport,
-    DivergenceSolution,
-    OptimalityReport,
-    cumulant_duality_check,
-    divergence,
-    dual_objective,
-    verify_optimizers,
-)
-from .oracle import OracleValue, grid_divergence, line_transport_cost
-from .sensitivity import DerivativeReport, directional_derivative, max_feasible_epsilon
-from .asymptotics import (
-    BenchmarkReport,
-    ExpansionReport,
-    ScaleSweep,
-    entropy_limit_sweep,
-    large_scale_expansion,
-    nearest_atom_aggregation,
-    point_vs_uniform_benchmark,
-    sweep_rows,
-    transport_limit_sweep,
-)
-from .markov_uq import (
-    Ar1Peak,
-    ClassBound,
-    ErgodicBoundReport,
-    FiniteKernel,
-    GaussianAR1,
-    PerformanceBound,
-    QuadraticFunction,
-    RiskInverse,
-    ar1_max_quadratic_rate,
-    ar1_quadratic_rate,
-    ar1_quadratic_representable,
-    ar1_risk_quadratic,
-    ergodic_bound,
-    invert_risk_map,
-    load_kernel,
-    performance_bound,
-    recurrent_classes,
-    risk_map,
-    stationary_distribution,
-)
+from .measures import *
+from .divergences import *
+from .core import *
+from .oracle import *
+from .sensitivity import *
+from .asymptotics import *
+from .markov_uq import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Ar1Peak",
-    "BenchmarkReport",
-    "ClassBound",
-    "CostMatrix",
-    "CostValidationError",
-    "CostViolation",
-    "CumulantDualityReport",
-    "DerivativeReport",
-    "DiscreteMeasure",
-    "DivergenceSolution",
-    "ErgodicBoundReport",
-    "ExpansionReport",
-    "FiniteKernel",
-    "GaussianAR1",
-    "LipschitzFunction",
-    "OptimalityReport",
-    "OracleValue",
-    "PerformanceBound",
-    "PointSet",
-    "QuadraticFunction",
-    "RiskInverse",
-    "ScaleSweep",
-    "SignedMeasure",
-    "TransportSolution",
-    "ValidationError",
-    "ar1_max_quadratic_rate",
-    "ar1_quadratic_rate",
-    "ar1_quadratic_representable",
-    "ar1_risk_quadratic",
-    "cost_violations",
-    "cumulant_duality_check",
-    "directional_derivative",
-    "divergence",
-    "dual_objective",
-    "entropy_limit_sweep",
-    "ergodic_bound",
-    "grid_divergence",
-    "invert_risk_map",
-    "large_scale_expansion",
-    "line_transport_cost",
-    "load_cost",
-    "load_kernel",
-    "load_measure",
-    "max_feasible_epsilon",
-    "merge_supports",
-    "metric_cost",
-    "nearest_atom_aggregation",
-    "performance_bound",
-    "point_vs_uniform_benchmark",
-    "project_lipschitz",
-    "recurrent_classes",
-    "relative_entropy",
-    "risk_map",
-    "stationary_distribution",
-    "sweep_rows",
-    "transport_cost",
-    "transport_limit_sweep",
-    "verify_optimizers",
-]
+# Importing a submodule also binds it here, so each module above is in scope.
+__all__ = sorted(name for module in (measures, divergences, core, oracle, sensitivity,
+                                     asymptotics, markov_uq) for name in module.__all__)

@@ -52,6 +52,7 @@ __all__ = [
     "entropy_limit_sweep",
     "transport_limit_sweep",
     "large_scale_expansion",
+    "nearest_atom_aggregation",
     "point_vs_uniform_benchmark",
     "sweep_rows",
 ]
@@ -159,8 +160,6 @@ def nearest_atom_aggregation(mu: DiscreteMeasure, nu: DiscreteMeasure,
     they are broken toward the lowest nu index and flagged with a warning.
     """
     cols = nu.support
-    if cols.size == 0:
-        raise ValidationError("nu has empty support")
     rows = mu.support
     dists = cost0.with_scale(1.0).block(rows, cols)
     tie = bool((np.sum(dists == dists.min(axis=1, keepdims=True), axis=1) > 1).any())

@@ -346,19 +346,14 @@ def cmd_verify(args):
     gamma = DiscreteMeasure(ps, _as_float(payload["gamma_star"], "gamma_star", 1))
     g = _as_float(payload["g_star"], "g_star", 1)
     rep = verify_optimizers(gamma, g, mu, nu, cost, tol=args.tol)
-    report = {
-        "command": "verify",
-        "inputs_digest": saved.get("inputs_digest"),
-        "config": {"tol": args.tol},
-        "results": {
-            "optimal": rep.optimal,
-            "feasible": rep.feasible,
-            "gibbs_residual": rep.gibbs_residual,
-            "transport_residual": rep.transport_residual,
-            "lipschitz_excess": rep.lipschitz_excess,
-        },
-        "certificates": {"tol": args.tol},
+    checked = {
+        "optimal": rep.optimal,
+        "feasible": rep.feasible,
+        "gibbs_residual": rep.gibbs_residual,
+        "transport_residual": rep.transport_residual,
+        "lipschitz_excess": rep.lipschitz_excess,
     }
+    report = _report("verify", inputs, {"tol": args.tol}, checked, {"tol": args.tol})
     return report, rep.optimal
 
 

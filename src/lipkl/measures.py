@@ -128,7 +128,8 @@ def _cached_in(slot: str):
 
 
 def _as_point(p):
-    """Canonicalize one point: numbers and number sequences become float tuples."""
+    """Canonicalize one point: numbers and number sequences become float tuples,
+    and any other sequence a tuple label."""
     if type(p) is tuple and all(type(x) is float for x in p):
         return p  # already canonical; skips the slower numbers.Real checks
     if isinstance(p, numbers.Real) and not isinstance(p, bool):
@@ -137,6 +138,7 @@ def _as_point(p):
         seq = list(p)
         if seq and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in seq):
             return tuple(float(x) for x in seq)
+        return tuple(seq)  # a composite label; hashable unless it nests a list
     return p  # opaque label
 
 

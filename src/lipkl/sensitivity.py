@@ -25,7 +25,7 @@ from .measures import (
     _require_same_point_set,
 )
 
-__all__ = ["DerivativeReport", "directional_derivative"]
+__all__ = ["DerivativeReport", "directional_derivative", "max_feasible_epsilon"]
 
 DEFAULT_EPSILON = 1e-4
 DERIVATIVE_SOLVER_TOL = 1e-10

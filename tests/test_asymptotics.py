@@ -116,6 +116,13 @@ def test_transport_sweep_jensen_bound_random(rng):
         assert all(a <= b for a, b in zip(sweep.values, sweep.values[1:]))
 
 
+@pytest.mark.parametrize("scales", [[0.0, 1.0], [10.0, -1.0]])
+def test_entropy_sweep_rejects_nonpositive_scales(scales):
+    mu, nu, cost = two_point_instance()
+    with pytest.raises(ValidationError, match="scales must be positive"):
+        entropy_limit_sweep(mu, nu, cost, scales)
+
+
 def test_transport_sweep_rejects_bad_scales():
     mu, nu, cost = two_point_instance()
     with pytest.raises(ValidationError):

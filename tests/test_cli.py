@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -167,15 +168,60 @@ def test_reports_are_bit_identical(fixtures):
 
 
 def test_verify_round_trip(fixtures, tmp_path):
-    report_path = str(tmp_path / "report.json")
+    report_path = tmp_path / "report.json"
     code, _ = run_cli(["compute", "--mu", fixtures["mu.json"],
                        "--nu", fixtures["nu.json"], "--cost", "euclidean",
                        "--scale-b", "2", "--what", "gamma",
-                       "--output", report_path])
+                       "--output", str(report_path)])
     assert code == EXIT_OK
+    code, out = run_cli(["verify", "--report", str(report_path)])
+    assert code == EXIT_OK
+    saved = parse_report(report_path.read_text())
+    assert parse_report(out)["results"]["optimal"]
+    assert parse_report(out)["inputs_digest"] == saved["inputs_digest"]
+    # Edit nu in the saved report: the verify report digests the inputs it
+    # checked, not the saved ones.
+    saved["inputs"]["nu"] = [0.6, 0.4, 0.0]
+    report_path.write_text(json.dumps(saved))
+    _, out = run_cli(["verify", "--report", str(report_path)])
+    edited = hashlib.sha256(json.dumps(saved["inputs"], sort_keys=True).encode()).hexdigest()
+    assert edited != saved["inputs_digest"]
+    assert parse_report(out)["inputs_digest"] == edited
+
+
+def test_compute_and_verify_on_composite_labels(tmp_path):
+    # Points that mix strings and numbers are labels; their cost is an
+    # explicit matrix.
+    points = [["a", 1], ["b", 2]]
+    files = {"mu": {"points": points, "weights": [0.3, 0.7]},
+             "nu": {"points": points, "weights": [0.6, 0.4]},
+             "cost": {"matrix": [[0.0, 1.0], [1.0, 0.0]], "scale_b": 2}}
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    report_path = str(tmp_path / "report.json")
+    code, _ = run_cli(["compute", "--mu", str(tmp_path / "mu.json"),
+                       "--nu", str(tmp_path / "nu.json"), "--cost", str(tmp_path / "cost.json"),
+                       "--what", "all", "--output", report_path])
+    assert code == EXIT_OK
+    with open(report_path) as fh:
+        assert parse_report(fh.read())["inputs"]["points"] == points
     code, out = run_cli(["verify", "--report", report_path])
     assert code == EXIT_OK
     assert parse_report(out)["results"]["optimal"]
+
+
+def test_scale_b_flag_overrides_a_cost_file(fixtures, tmp_path):
+    matrix = [[0.0, 0.5, 0.25], [0.5, 0.0, 0.75], [0.25, 0.75, 0.0]]
+    outs = []
+    for scale_b, flag in [(2, ["--scale-b", "3"]), (3, [])]:
+        cost = tmp_path / f"cost{scale_b}.json"
+        cost.write_text(json.dumps({"matrix": matrix, "scale_b": scale_b}))
+        code, out = run_cli(["compute", "--mu", fixtures["mu.json"], "--nu", fixtures["nu.json"],
+                             "--cost", str(cost), "--what", "all", *flag])
+        assert code == EXIT_OK
+        outs.append(out)
+    assert parse_report(outs[0])["inputs"]["scale_b"] == 3.0
+    assert outs[0] == outs[1]
 
 
 def test_sweep_modes(fixtures, tmp_path):

@@ -37,6 +37,8 @@ def test_point_set_rejects_duplicates():
     for zero in [(0.0,), 0.0, 0, np.float64(0.0), [0], np.zeros(1)]:
         with pytest.raises(ValidationError, match=r"duplicate point at index 2: \(0\.0,\)"):
             PointSet(((0.0,), (1.0,), zero))
+    with pytest.raises(ValidationError, match=r"duplicate point at index 2: 'a'"):
+        PointSet(("a", "b", "a"))
 
 
 def test_point_set_scalar_points_become_1d():
@@ -77,6 +79,7 @@ def test_point_set_labels():
     (True, True),
     ((True, 1.0), (True, 1.0)),
     ((1.0, "a"), (1.0, "a")),
+    (["a", 1.0], ("a", 1.0)),
     ("a", "a"),
 ])
 def test_points_canonicalize_to_python_floats(point, canonical):
@@ -850,6 +853,21 @@ def test_measure_json_round_trip(tmp_path):
     back = load_measure(path)
     assert back.point_set.points == m.point_set.points
     np.testing.assert_allclose(back.weights, m.weights)
+
+
+def test_composite_labels_round_trip_through_json(tmp_path):
+    # A label that mixes strings and numbers is written as a JSON list and
+    # read back as the same tuple.
+    m = DiscreteMeasure(PointSet((("a", 1.0), ("b", 2.0))), [0.4, 0.6])
+    assert measure_to_dict(m)["points"] == [["a", 1.0], ["b", 2.0]]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(measure_to_dict(m)))
+    back = load_measure(path)
+    assert back.point_set == m.point_set and not back.point_set.is_numeric
+    assert back.weights.tobytes() == m.weights.tobytes()
+    # A label that nests a list is unhashable, so it is still rejected.
+    with pytest.raises(ValidationError, match="points must be a list of points"):
+        load_measure({"points": [["a", [1]], ["b", 2]], "weights": [0.5, 0.5]})
 
 
 def test_load_measure_from_a_json_string_longer_than_a_file_name():
