@@ -19,8 +19,9 @@ Each type derives its data once, in its constructor: a numeric
 :class:`PointSet` holds its coordinates as one frozen (d, n) array, read
 from its input in one numpy pass and shared by every metric cost built on
 it (the position of each point is built on the first lookup), and a
-:class:`CostMatrix` holds its accepted source, an explicit matrix or the
-coordinates of a metric cost.
+:class:`CostMatrix` holds only its scale and what it was accepted from: an
+explicit matrix, or the coordinates and metric of a metric cost, with the
+line form of 1-D points.
 Every weight vector read from points and weights (duplicate points in a
 file, merged supports, a perturbation direction) is placed by ``_place``,
 which sums weights onto a point set in the given order.
@@ -32,21 +33,21 @@ scans a cost, the c-transform: :func:`project_lipschitz` takes it, and
 the one row where g exceeds it most. On a line (a metric cost of 1-D
 points, where both metrics are |x - y|) the c-transform makes no O(n^2)
 pass: two sorted sweeps find, for every point, the best column on each
-side, in O(n) after one sort at construction. Every other O(n^2) pass
-streams over blocks of ``_BLOCK`` rows: the c-transform of any other cost
-and the check of a metric cost in d >= 2. Each block is a fresh array,
-scaled in place: a metric cost computes it from its coordinates and stores
-no n x n array, an explicit cost gathers it from its stored matrix. A pass
-holds a few blocks at a time, never an n x n temporary. Only exports read
-``entries`` or ``scaled`` whole. An explicit matrix is checked whole, one
-mask per property of the structural rule, then one n x n pass per middle
-point of the triangle inequality.
+side, in O(n) after the one sort that builds the line form. Every other
+O(n^2) pass streams over blocks of ``_BLOCK`` rows: the c-transform of any
+other cost and the check of a metric cost in d >= 2. Each block is a fresh
+array, scaled in place: a metric cost computes it from its coordinates and
+stores no n x n array, an explicit cost gathers it from its stored matrix.
+A pass holds a few blocks at a time, never an n x n temporary. Only
+exports read ``entries`` whole. An explicit matrix is checked whole, one mask per
+property of the structural rule, then one n x n pass per middle point of
+the triangle inequality.
 
 All types are immutable after construction (arrays are frozen copies), so
 instances can be shared freely across threads. Point sets, measures, costs
 and potentials are slotted, so a caller that keeps many solves keeps no
-instance dict per object; what a point set or a cost builds on first
-access is kept in a slot.
+instance dict per object; the one thing built on first access, a point
+set's positions, is kept in a slot.
 """
 
 from __future__ import annotations
@@ -107,24 +108,6 @@ def _set_slots(obj, **values) -> None:
     it names one, else to None."""
     for name in type(obj).__slots__:
         object.__setattr__(obj, name, values.get(name))
-
-
-def _cached_in(slot: str):
-    """A cached property of an immutable slotted class: the decorated method
-    builds the value on the first read, and it is kept in the slot
-    ``slot``, which holds None until then."""
-
-    def cached(build):
-        def get(self):
-            value = getattr(self, slot)
-            if value is None:
-                value = build(self)
-                object.__setattr__(self, slot, value)
-            return value
-
-        return property(get, doc=build.__doc__)
-
-    return cached
 
 
 def _as_point(p):
@@ -251,11 +234,13 @@ class PointSet:
     def is_numeric(self) -> bool:
         return self._x is not None
 
-    @_cached_in("_pos_cache")
+    @property
     def _pos(self) -> dict:
-        """Each point's index, built on the first lookup: a point set made
-        for a solve never looks a point up."""
-        return dict(zip(self.points, range(self.n)))
+        """Each point's index, built on the first lookup and kept in its
+        slot: a point set made for a solve never looks a point up."""
+        if self._pos_cache is None:
+            object.__setattr__(self, "_pos_cache", dict(zip(self.points, range(self.n))))
+        return self._pos_cache
 
     @property
     def dimension(self) -> int:
@@ -334,7 +319,7 @@ class DiscreteMeasure:
         return bool(np.all(other.weights[self.support] > 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedMeasure:
     """Signed weight vector over a :class:`PointSet`.
 
@@ -464,11 +449,13 @@ def _structure_violations(c: np.ndarray) -> list[CostViolation]:
 _NORMS = {"euclidean": np.square, "manhattan": np.abs}
 # What a cost is accepted from, in CostMatrix slots: an explicit matrix
 # (``_entries``), or the (d, n) coordinates of a metric cost, row k holding
-# coordinate k of every point, and the metric's name; for d == 1 also the
-# points from left to right (row 0 of ``_walk``) and from right to left (row
-# 1), and each point's position in row 0 (``_rank``). A metric cost builds
-# ``_entries`` only when ``entries`` is read.
-_COST_SOURCE = ("_entries", "_coords", "_metric", "_walk", "_rank")
+# coordinate k of every point, and the metric's name. For d == 1 a metric
+# cost also holds its line form ``_line = (walk, rank, xw, steps)``, which
+# holds no scale: the points from left to right (row 0 of ``walk``) and from
+# right to left (row 1), each point's position in row 0, the coordinates
+# along ``walk`` with row 0 negated (the sweeps key on b times them), and
+# the flat position of each entry of ``walk``.
+_COST_SOURCE = ("_entries", "_coords", "_metric", "_line")
 
 
 class CostMatrix:
@@ -486,18 +473,17 @@ class CostMatrix:
       metric, and :meth:`block` computes each block from them. No n x n array
       is stored; the euclidean and manhattan metrics satisfy the rule's
       symmetry, zero diagonal and the triangle inequality by construction.
-      On 1-D points it also keeps their sorted order, which the line sweeps
-      of the c-transform walk.
+      On 1-D points it also keeps their line form, which the line sweeps of
+      the c-transform walk.
 
-    ``entries`` is the unit-scale matrix and ``scaled = scale_b * entries``
-    (``entries`` itself at ``scale_b == 1``). Each is built on first access
-    and cached; only exports read them. :meth:`with_scale` shares the
-    accepted source and checks nothing again. The class is slotted, and
-    every cache it builds on first access (``entries``, ``scaled`` and the
-    line sweeps' arrays) is kept in a slot.
+    ``entries`` is the unit-scale matrix: an explicit cost's stored copy, or
+    a metric cost's matrix, computed on each read; only exports read it.
+    The class is slotted, and holds only what it was accepted from and its
+    scale; :meth:`with_scale` shares the accepted source and checks nothing
+    again.
     """
 
-    __slots__ = ("scale_b", *_COST_SOURCE, "_scaled", "_sweep_cache")
+    __slots__ = ("scale_b", *_COST_SOURCE)
 
     def __init__(self, entries, scale_b: float = 1.0):
         scale = _positive_scale(scale_b)
@@ -516,23 +502,11 @@ class CostMatrix:
     def n(self) -> int:
         return len(self._entries) if self._coords is None else self._coords.shape[1]
 
-    @_cached_in("_entries")
+    @property
     def entries(self) -> np.ndarray:
-        # An explicit cost stores its matrix in this slot at construction.
+        if self._coords is None:
+            return self._entries
         return _freeze(_distances(self._coords, self._metric, slice(None), slice(None)))
-
-    @_cached_in("_scaled")
-    def scaled(self) -> np.ndarray:
-        return self.entries if self.scale_b == 1.0 else _freeze(self.scale_b * self.entries)
-
-    @_cached_in("_sweep_cache")
-    def _sweep(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """What the line sweeps of :func:`_c_transform` read, derived once per
-        scale: the coordinates along ``_walk``, -b x along its row 0 and
-        +b x along its row 1, and the flat position of each entry."""
-        xw = _freeze(self._coords[0][self._walk])
-        steps = np.arange(xw.size).reshape(xw.shape)
-        return xw, _freeze(self.scale_b * xw * _SWEEP_SIGNS), _freeze(steps)
 
     def block(self, rows, cols) -> np.ndarray:
         """The scaled cost of ``rows`` x ``cols`` as a fresh array the caller
@@ -540,7 +514,7 @@ class CostMatrix:
         index array (repeats allowed) over the point set."""
         if self._coords is None:
             index = np.arange(self.n)
-            out = self.entries[np.ix_(index[rows], index[cols])]
+            out = self._entries[np.ix_(index[rows], index[cols])]
         else:
             out = _distances(self._coords, self._metric, rows, cols)
         if self.scale_b != 1.0:
@@ -573,8 +547,7 @@ def _canonical(c: np.ndarray) -> np.ndarray:
 
 def _accepted_cost(scale_b, source: dict) -> CostMatrix:
     """A :class:`CostMatrix` over an accepted source: ``{"_entries": matrix}``
-    or ``{"_coords": x, "_metric": name}``, with ``_walk`` and ``_rank`` when
-    x is 1-D."""
+    or ``{"_coords": x, "_metric": name}``, with ``_line`` when x is 1-D."""
     cost = object.__new__(CostMatrix)
     _set_slots(cost, **source, scale_b=_positive_scale(scale_b))
     return cost
@@ -677,8 +650,10 @@ def metric_cost(point_set: PointSet, metric: str = "euclidean", scale_b: float =
         raise CostValidationError(violations)
     source = {"_coords": x, "_metric": metric}
     if order is not None:
-        source.update(_walk=_freeze(np.stack([order, order[::-1]])),
-                      _rank=_freeze(np.argsort(order)))
+        walk = np.stack([order, order[::-1]])
+        steps = np.arange(walk.size).reshape(walk.shape)
+        xw = x[0][walk] * _SWEEP_SIGNS
+        source["_line"] = tuple(map(_freeze, (walk, np.argsort(order), xw, steps)))
     return _accepted_cost(scale, source)
 
 
@@ -698,8 +673,9 @@ def lipschitz_violation(values, cost: CostMatrix) -> tuple[float, tuple[int, int
     (a projection's output), rounding may pick another row than the dense
     pass: the value can then differ in the last bits, or read 0 with no
     pair where the dense pass names a pair an ulp above 0; the verdict at
-    :func:`_lipschitz_tol` is the same."""
-    g = np.asarray(values, dtype=float)
+    :func:`_lipschitz_tol` is the same. Values of any shape but (n,) are a
+    :class:`ValidationError`."""
+    g = _values_on(values, cost)
     if not np.isfinite(g).all():
         # The dense pass's first NaN pair: row 0 holds one if any value is
         # NaN, else the first non-finite row does (on its diagonal).
@@ -711,6 +687,14 @@ def lipschitz_violation(values, cost: CostMatrix) -> tuple[float, tuple[int, int
     j = int(slack.argmax())
     worst = float(slack[j])
     return (worst, None) if worst <= 0 else (worst, (i, j))
+
+
+def _values_on(values, cost: CostMatrix) -> np.ndarray:
+    """``values`` as a float vector over the cost's n points, else a ValidationError."""
+    g = np.asarray(values, dtype=float)
+    if g.shape != (cost.n,):
+        raise ValidationError(f"values shape {g.shape} does not match cost matrix of size {cost.n}")
+    return g
 
 
 def _lipschitz_tol(values: np.ndarray) -> float:
@@ -760,11 +744,7 @@ def project_lipschitz(values, cost: CostMatrix, reference=None) -> LipschitzFunc
     defaults to the full point set. Its entries are point indices in
     ``[0, n)`` (repeats allowed); anything else raises :class:`ValidationError`.
     """
-    g = np.asarray(values, dtype=float)
-    if g.shape != (cost.n,):
-        raise ValidationError(
-            f"values shape {g.shape} does not match cost matrix of size {cost.n}"
-        )
+    g = _values_on(values, cost)
     if reference is None:
         ref = np.arange(cost.n)
     else:
@@ -786,14 +766,15 @@ def _c_transform(h: np.ndarray, cost: CostMatrix, cols) -> np.ndarray:
 
     A line cost runs the two sweeps of a 1-D distance transform
     (Felzenszwalb & Huttenlocher, *Theory of Computing* 8, 2012) as one
-    (2, n) pass along ``cost._walk``: left to right, a running minimum of
-    h_k - b x_k, and right to left, one of h_k + b x_k. Each point takes
+    (2, n) pass along the walk of ``cost._line``: left to right, a running
+    minimum of h_k - b x_k, and right to left, one of h_k + b x_k, each key
+    scaled on every call from the scale-free line form. Each point takes
     the last point k to reach its running minimum on either side and
     evaluates h_k + b|x - x_k| there as the dense pass does; where several
     columns tie in real arithmetic, the result can differ from the dense
     pass's in the last bits. Any other cost is read one block of rows at a
     time."""
-    if cost._walk is None:
+    if cost._line is None:
         out = np.empty(cost.n)
         for i in range(0, cost.n, _BLOCK):
             m = cost.block(slice(i, i + _BLOCK), cols)
@@ -803,14 +784,17 @@ def _c_transform(h: np.ndarray, cost: CostMatrix, cols) -> np.ndarray:
     # +inf off the columns: such a point never evaluates below a column.
     h_all = np.full(cost.n, np.inf)
     h_all[cols] = h
-    xw, signed, steps = cost._sweep
-    keys = h_all[cost._walk] + signed
+    walk, rank, xw, steps = cost._line
+    hw = h_all[walk]
+    keys = hw + cost.scale_b * xw
     least = np.minimum.accumulate(keys, axis=1)
     if np.isnan(least[0, -1]):  # a NaN stays in the running minimum,
         return np.full(cost.n, np.nan)  # and in every row's dense minimum
-    k = cost._walk.take(np.maximum.accumulate(steps * (keys == least), axis=1))
-    v = np.abs(xw - cost._coords[0][k]) * cost.scale_b + h_all[k]
-    return np.minimum(v[0], v[1, ::-1])[cost._rank]
+    # The flat position along the walk of each point's k; negating row 0
+    # of ``xw`` leaves |x - x_k| exact.
+    k = np.maximum.accumulate(steps * (keys == least), axis=1)
+    v = np.abs(xw - xw.take(k)) * cost.scale_b + hw.take(k)
+    return np.minimum(v[0], v[1, ::-1])[rank]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ def random_point_set(rng, n, d=1, spread=1.0):
             return PointSet(pts)
 
 
+def dense(cost):
+    """The whole scaled cost as one fresh n x n array."""
+    return cost.block(slice(None), slice(None))
+
+
 def random_measure(rng, point_set, support_size=None, min_weight=0.0):
     n = point_set.n
     k = min(support_size or n, n)

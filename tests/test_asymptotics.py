@@ -19,7 +19,7 @@ from lipkl import (
     transport_limit_sweep,
 )
 
-from conftest import random_instance
+from conftest import dense, random_instance
 
 FP_SLACK = 1e-12  # representation slack for coincident-value comparisons
 
@@ -190,7 +190,7 @@ def test_expansion_target_minimizes_entropy_over_transport_minimizers(rng):
         r_nn = relative_entropy(gamma_nn, nu)
         cols = nu.support
         a = mu.weights[mu.support]
-        C = cost.scaled[np.ix_(mu.support, cols)]
+        C = dense(cost)[np.ix_(mu.support, cols)]
         steps = 40
         for i in range(steps + 1):
             for j in range(steps + 1 - i):

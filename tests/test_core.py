@@ -68,11 +68,20 @@ def test_point_mass_vs_grid_closed_form():
 
 
 def test_grid_solve_builds_no_cost_matrix():
-    # Every reader on the solve path computes its blocks from the coordinates.
+    # A cost holds only its scale and what it was accepted from. A metric
+    # cost's readers, the solve path and an export alike, compute from the
+    # coordinates and keep nothing.
+    assert CostMatrix.__slots__ == ("scale_b", "_entries", "_coords", "_metric", "_line")
     mu, nu, cost = make_grid_instance(10.0, n=300)
     assert divergence(mu, nu, cost, tol=1e-8).certified
     transport_cost(mu, nu, cost)
-    assert cost._entries is None and cost._scaled is None  # neither cache is built
+    assert cost.entries.shape == (cost.n, cost.n)
+    held = [getattr(cost, name) for name in CostMatrix.__slots__] + list(cost._line)
+    assert [a.shape for a in held if isinstance(a, np.ndarray) and a.size >= cost.n ** 2] == []
+    # An explicit cost's entries are the matrix it accepted, shared by its rescalings.
+    explicit = CostMatrix(np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0))), 2.0)
+    assert explicit.entries is explicit._entries and not explicit.entries.flags.writeable
+    assert explicit.with_scale(3.0).entries is explicit.entries
 
 
 def test_two_point_instance_matches_oracle():
@@ -134,6 +143,18 @@ def test_perturbed_optimizer_fails_gibbs(rng):
     report = verify_optimizers(bad, sol.potential, mu, nu, cost)
     assert report.gibbs_residual > 1e-4
     assert not report.optimal
+    # A zero entry fails outright where the Gibbs tilt puts mass, and not
+    # where the predicted mass is below the weight resolution.
+    ps = PointSet((0.0, 1.0, 2.0))
+    mu = DiscreteMeasure(ps, [0.2, 0.3, 0.5])
+    nu = DiscreteMeasure(ps, [0.5, 0.5, 0.0])
+    cost = metric_cost(ps, "euclidean", 1.0)
+    sol = divergence(mu, nu, cost, tol=1e-10)
+    point = DiscreteMeasure(ps, [1.0, 0.0, 0.0])
+    report = verify_optimizers(point, sol.potential, mu, nu, cost)
+    assert report.gibbs_residual == math.inf and not report.optimal
+    report = verify_optimizers(point, np.array([0.0, -40.0, -40.0]), mu, nu, cost)
+    assert math.isfinite(report.gibbs_residual)
 
 
 def test_infeasible_potential_rejected():
@@ -704,6 +725,9 @@ def test_tol_must_be_positive(rng):
     mu, nu, cost = random_instance(rng, 3)
     with pytest.raises(ValidationError):
         divergence(mu, nu, cost, tol=0.0)
+    other = random_measure(rng, random_point_set(rng, 3))
+    with pytest.raises(ValidationError, match="same point set"):
+        divergence(mu, other, cost)
 
 
 def test_warm_start_over_nu_support_is_rejected():

@@ -17,10 +17,11 @@ from lipkl import (
     project_lipschitz,
     relative_entropy,
     transport_cost,
+    ValidationError,
 )
 from lipkl.divergences import _least_cost, _northwest_corner, _rooted_walk, transport_simplex
 
-from conftest import random_instance, random_measure, random_point_set
+from conftest import dense, random_instance, random_measure, random_point_set
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +178,7 @@ def test_certificates(rng):
         sol = transport_cost(mu, nu, cost)
         assert sol.marginal_residual(mu, nu) <= 1e-10
         assert sol.marginal_residual(mu, nu) == dense_marginal_residual(sol, mu, nu)
-        assert sol.value == pytest.approx((cost.scaled * sol.plan).sum(), abs=1e-10)
+        assert sol.value == pytest.approx((dense(cost) * sol.plan).sum(), abs=1e-10)
         # strong duality at the returned potential
         pairing = float(sol.potential.values @ (mu.weights - nu.weights))
         assert pairing == pytest.approx(sol.value, abs=1e-9)
@@ -194,7 +195,7 @@ def dense_marginal_residual(sol, mu, nu):
 def dense_slackness_residual(sol, cost):
     mask = sol.plan > 1e-12
     g = sol.potential.values
-    gap = g[:, None] - g[None, :] - cost.scaled
+    gap = g[:, None] - g[None, :] - dense(cost)
     return float(np.abs(gap[mask]).max())
 
 
@@ -324,6 +325,11 @@ def test_simplex_certificate_with_totals_apart_inside_the_tolerance():
     assert_simplex_certificate(a, b, C)
     assert (transport_simplex(a, b, C)[0].sum(axis=0) == b).all()
     assert_simplex_certificate(b, a, C.T)
+    # Totals apart beyond it, or marginals that do not fit C, are rejected.
+    with pytest.raises(ValidationError, match="equal total mass"):
+        transport_simplex(a, b + 1e-6, C)
+    with pytest.raises(ValidationError, match="shapes"):
+        transport_simplex(a, np.ones(3) / 3, C)
 
 
 def test_simplex_returns_an_optimal_start_without_a_tree_walk(rng, monkeypatch):

@@ -27,7 +27,7 @@ from lipkl import (
     stationary_distribution,
 )
 
-from conftest import random_measure, random_point_set
+from conftest import dense, random_measure, random_point_set
 
 
 def make_kernel(rng, n, scale=1.0, sparsity=0.0):
@@ -159,7 +159,7 @@ def test_inverse_of_constant_cost(rng):
     assert inv.representable
 
 
-def test_round_trip_recovers_potential(rng):
+def test_round_trip_recovers_potential(rng, monkeypatch):
     for n in (2, 4, 7, 10):
         k = make_kernel(rng, n, scale=2.0)
         g0 = feasible_potential(rng, k)
@@ -171,11 +171,24 @@ def test_round_trip_recovers_potential(rng):
         np.testing.assert_allclose(inv.g, g0, atol=1e-9)
         assert inv.a == pytest.approx(a0, abs=1e-9)
         assert inv.lipschitz_feasible
+    # From a far start, Newton halves some steps and still converges: one
+    # risk_map call to start and one per accepted full step would be 7.
+    import lipkl.markov_uq
+
+    calls = []
+    full = lipkl.markov_uq.risk_map
+    monkeypatch.setattr(lipkl.markov_uq, "risk_map", lambda *a: calls.append(a) or full(*a))
+    gen = np.random.default_rng(0)
+    ps = PointSet((0.0, 1.0, 2.0, 3.0))
+    p = gen.dirichlet(np.full(4, 0.3), size=4)
+    k = FiniteKernel(ps, p, metric_cost(ps, "euclidean", 100.0))
+    inv = invert_risk_map(k, 5 * gen.normal(size=4))
+    assert inv.converged and inv.iterations == 6 and len(calls) == 11
 
 
 def test_oversized_cost_is_not_representable(rng):
     k = make_kernel(rng, 4, scale=1.0)
-    f = 100.0 * k.cost.scaled[:, 0]
+    f = 100.0 * dense(k.cost)[:, 0]
     inv = invert_risk_map(k, f)
     assert inv.converged
     assert not inv.lipschitz_feasible
@@ -373,7 +386,7 @@ def test_bound_checks_every_recurrent_class(rng):
 def test_bound_rejects_unrepresentable_cost(rng):
     k = make_kernel(rng, 4)
     with pytest.raises(ValidationError, match="not representable"):
-        ergodic_bound(k, k, 100.0 * k.cost.scaled[:, 0])
+        ergodic_bound(k, k, 100.0 * dense(k.cost)[:, 0])
 
 
 def test_bound_randomized(rng):

@@ -26,7 +26,7 @@ from lipkl import (
 from lipkl import measures
 from lipkl.measures import lipschitz_violation, measure_to_dict
 
-from conftest import random_point_set
+from conftest import dense, random_point_set
 
 
 # ---------------------------------------------------------------------------
@@ -420,33 +420,6 @@ def test_load_cost_runs_the_structural_rule_once(monkeypatch):
         assert len(calls) == 1
 
 
-def test_scaled_cost_is_computed_once():
-    x = np.array([0.0, 0.3, 1.0])
-    cost = CostMatrix(np.abs(x[:, None] - x[None, :]), 2.5)
-    cost.block(slice(None), np.array([2, 0]))
-    assert cost._scaled is None  # a block scales what it gathers
-    assert cost.scaled is cost.scaled
-    assert not cost.scaled.flags.writeable
-    assert cost.scaled.tobytes() == (2.5 * cost.entries).tobytes()
-    assert np.array_equal(cost.with_scale(3.0).scaled, 3.0 * cost.entries)
-    unit = cost.with_scale(1.0)
-    assert unit.entries is cost.entries  # the checked entries are reused
-    assert unit.scaled is unit.entries
-
-
-def test_metric_cost_builds_its_matrices_once():
-    cost = metric_cost(PointSet((0.0, 0.3, 1.0)), "euclidean", 2.5)
-    assert cost._entries is None and cost._scaled is None  # neither cache is built
-    assert cost.scaled is cost.scaled
-    assert not cost.scaled.flags.writeable and not cost.entries.flags.writeable
-    assert cost.scaled.tobytes() == (2.5 * cost.entries).tobytes()
-    assert cost.block(slice(None), slice(None)).tobytes() == cost.scaled.tobytes()
-    assert np.array_equal(cost.with_scale(3.0).scaled, 3.0 * cost.entries)
-    unit = cost.with_scale(1.0)
-    assert unit.entries is cost.entries  # entries already built are shared
-    assert unit.scaled is unit.entries
-
-
 def test_point_sets_and_costs_survive_pickling():
     # Both classes are slotted and refuse attribute writes, so pickle and
     # copy rebuild them through their constructors.
@@ -456,7 +429,13 @@ def test_point_sets_and_costs_survive_pickling():
         for clone in (pickle.loads(pickle.dumps((ps, cost))), copy.deepcopy((ps, cost))):
             assert clone[0] == ps and clone[0].points == ps.points
             assert clone[1].scale_b == cost.scale_b
-            assert clone[1].scaled.tobytes() == cost.scaled.tobytes()
+            assert dense(clone[1]).tobytes() == dense(cost).tobytes()
+            # A line cost's clone keeps its line form, so it projects as
+            # the original does.
+            assert (clone[1]._line is None) == (cost._line is None)
+            g = np.array([0.7, -0.2, 3.0])
+            assert (project_lipschitz(g, clone[1]).values.tobytes()
+                    == project_lipschitz(g, cost).values.tobytes())
 
 
 def test_with_scale_reuses_the_accepted_verdict(monkeypatch):
@@ -468,8 +447,8 @@ def test_with_scale_reuses_the_accepted_verdict(monkeypatch):
     for scale in (1.0, 3.0, 0.1):
         rescaled = cost.with_scale(scale)
         assert rescaled.entries is cost.entries
-        assert rescaled.scaled.tobytes() == (scale * cost.entries).tobytes()
-    metric_cost(PointSet((0.0, 0.5)), "euclidean").with_scale(3.0).scaled
+        assert dense(rescaled).tobytes() == (scale * cost.entries).tobytes()
+    dense(metric_cost(PointSet((0.0, 0.5)), "euclidean").with_scale(3.0))
     assert len(calls) == 1
     with pytest.raises(ValidationError, match="scale_b"):
         cost.with_scale(-1.0)
@@ -516,9 +495,9 @@ def test_block_is_a_fresh_gather_of_the_scaled_cost(cost):
     for rows, cols in [(slice(60, 130), picks), (picks, picks), (picks, slice(None)),
                        (slice(None), slice(10, 20))]:
         got = cost.block(rows, cols)
-        expected = cost.scaled[rows][:, cols]
+        expected = dense(cost)[rows][:, cols]
         assert got.tobytes() == expected.tobytes()
-        assert got.flags.writeable and not np.shares_memory(got, cost.scaled)
+        assert got.flags.writeable and not np.shares_memory(got, cost.entries)
 
 
 BASE_COST = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
@@ -692,17 +671,28 @@ def test_projection_reference_must_be_point_indices(reference):
         project_lipschitz(np.zeros(4), cost, reference=reference)
 
 
+def test_potentials_of_the_wrong_shape_are_rejected():
+    # One value would broadcast over every column and read as feasible.
+    for cost in (metric_cost(PointSet([0.0, 1.0, 2.0]), "euclidean"),
+                 metric_cost(PointSet([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]), "euclidean"),
+                 CostMatrix(np.array(BASE_COST))):
+        for values in ([5.0], 5.0, np.zeros((3, 1)), np.zeros(4)):
+            for check in (lipschitz_violation, project_lipschitz):
+                with pytest.raises(ValidationError, match="does not match cost matrix of size 3"):
+                    check(values, cost)
+
+
 @pytest.mark.parametrize("reference", [None, np.arange(100, 300, 3), [1, 0, 2]])
 def test_projection_matches_the_dense_c_transform(reference):
     cost = grid_cost(scale=2.0)
     g = np.random.default_rng(3).normal(0, 1, N_POINTS)
     ref = np.arange(N_POINTS) if reference is None else np.asarray(reference)
-    dense = (g[ref][None, :] + cost.scaled[:, ref]).min(axis=1)
-    assert project_lipschitz(g, cost, reference).values.tobytes() == dense.tobytes()
+    expected = (g[ref][None, :] + dense(cost)[:, ref]).min(axis=1)
+    assert project_lipschitz(g, cost, reference).values.tobytes() == expected.tobytes()
 
 
 def dense_violation(g, cost):
-    slack = g[:, None] - g[None, :] - cost.scaled
+    slack = g[:, None] - g[None, :] - dense(cost)
     worst = float(slack.max())
     if worst <= 0:
         return worst, None
@@ -728,7 +718,7 @@ def test_lipschitz_violation_matches_the_dense_reference():
     discrete = CostMatrix(c)
     assert lipschitz_violation(tie, discrete) == dense_violation(tie, discrete) == (4.0, (150, 0))
 
-    feasible = 0.5 * cost.scaled[:, 0]
+    feasible = 0.5 * dense(cost)[:, 0]
     assert lipschitz_violation(feasible, cost) == dense_violation(feasible, cost) == (0.0, None)
 
     # Costs read one block at a time: a 2-D metric cost spanning several
@@ -741,10 +731,10 @@ def test_lipschitz_violation_matches_the_dense_reference():
         for v in (g, 0.999 * tight):
             assert lipschitz_violation(v, c) == dense_violation(v, c)
         # On a tight g, rounding may pick another row than the dense pass.
-        worst, dense = lipschitz_violation(tight, c)[0], dense_violation(tight, c)[0]
+        worst, expected = lipschitz_violation(tight, c)[0], dense_violation(tight, c)[0]
         tol = measures._lipschitz_tol(tight)
-        assert (worst <= tol) == (dense <= tol)
-        assert abs(worst - dense) <= 4 * np.spacing(np.abs(tight).max())
+        assert (worst <= tol) == (expected <= tol)
+        assert abs(worst - expected) <= 4 * np.spacing(np.abs(tight).max())
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +749,7 @@ def line_cost(n, scale=1.0, metric="euclidean"):
 
 
 def dense_c_transform(h, cost, cols):
-    return (h[None, :] + cost.scaled[:, cols]).min(axis=1)
+    return (h[None, :] + dense(cost)[:, cols]).min(axis=1)
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.37, 10.0])

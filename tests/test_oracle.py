@@ -54,6 +54,19 @@ def test_large_scale_concentrates_on_entropy_corner():
     np.testing.assert_allclose(orc.argmin, [1.0, 0.0])
 
 
+def test_point_mass_nu_leaves_one_candidate():
+    # The one grid measure on a one-point support is nu itself, so the
+    # value is the transport cost to it, as the solver finds.
+    ps = PointSet((0.0, 1.0, 2.0))
+    mu = DiscreteMeasure(ps, [0.2, 0.3, 0.5])
+    nu = DiscreteMeasure(ps, [0.0, 1.0, 0.0])
+    cost = metric_cost(ps, "euclidean", 1.0)
+    orc = grid_divergence(mu, nu, cost)
+    assert orc.value == pytest.approx(0.7, abs=1e-12)
+    assert orc.value == pytest.approx(divergence(mu, nu, cost).value, abs=1e-12)
+    np.testing.assert_array_equal(orc.argmin, [1.0])
+
+
 def test_support_limit_enforced():
     nu = DiscreteMeasure.from_points([0.0, 1.0, 2.0, 3.0], [0.25] * 4)
     cost = metric_cost(nu.point_set, "euclidean", 1.0)
