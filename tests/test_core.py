@@ -78,10 +78,6 @@ def test_grid_solve_builds_no_cost_matrix():
     assert cost.entries.shape == (cost.n, cost.n)
     held = [getattr(cost, name) for name in CostMatrix.__slots__] + list(cost._line)
     assert [a.shape for a in held if isinstance(a, np.ndarray) and a.size >= cost.n ** 2] == []
-    # An explicit cost's entries are the matrix it accepted, shared by its rescalings.
-    explicit = CostMatrix(np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0))), 2.0)
-    assert explicit.entries is explicit._entries and not explicit.entries.flags.writeable
-    assert explicit.with_scale(3.0).entries is explicit.entries
 
 
 def test_two_point_instance_matches_oracle():

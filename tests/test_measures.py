@@ -420,6 +420,35 @@ def test_load_cost_runs_the_structural_rule_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_scaled_cost_is_computed_once():
+    # An explicit cost's entries are the matrix it accepted, frozen and
+    # shared by its rescalings; a block scales only what it gathers.
+    x = np.array([0.0, 0.3, 1.0])
+    cost = CostMatrix(np.abs(x[:, None] - x[None, :]), 2.5)
+    assert cost.entries is cost._entries and not cost.entries.flags.writeable
+    picks = np.array([2, 0])
+    assert cost.block(slice(None), picks).tobytes() == (2.5 * cost.entries)[:, picks].tobytes()
+    assert dense(cost).tobytes() == (2.5 * cost.entries).tobytes()
+    assert np.array_equal(dense(cost.with_scale(3.0)), 3.0 * cost.entries)
+    unit = cost.with_scale(1.0)
+    assert unit.entries is cost.entries  # the checked entries are reused
+    assert dense(unit).tobytes() == unit.entries.tobytes()
+
+
+def test_metric_cost_builds_its_matrices_once():
+    # A metric cost keeps no matrix: its line form is built once, at
+    # construction, and shared by its rescalings; entries are computed on read.
+    cost = metric_cost(PointSet((0.0, 0.3, 1.0)), "euclidean", 2.5)
+    assert cost._entries is None and cost._line is not None
+    assert cost.entries.tobytes() == reference_metric([(0.0,), (0.3,), (1.0,)]).tobytes()
+    assert cost._entries is None  # reading entries caches nothing
+    assert dense(cost).tobytes() == (2.5 * cost.entries).tobytes()
+    rescaled = cost.with_scale(3.0)
+    assert rescaled._line is cost._line and rescaled._entries is None
+    assert np.array_equal(dense(rescaled), 3.0 * cost.entries)
+    assert dense(cost.with_scale(1.0)).tobytes() == cost.entries.tobytes()
+
+
 def test_point_sets_and_costs_survive_pickling():
     # Both classes are slotted and refuse attribute writes, so pickle and
     # copy rebuild them through their constructors.
