@@ -43,6 +43,7 @@ from .measures import (
     PointSet,
     ValidationError,
     metric_cost,
+    _shared_point_set,
 )
 
 __all__ = [
@@ -159,6 +160,7 @@ def nearest_atom_aggregation(mu: DiscreteMeasure, nu: DiscreteMeasure,
     Exact distance ties are outside the expansion's distinctness hypothesis;
     they are broken toward the lowest nu index and flagged with a warning.
     """
+    _shared_point_set(mu, nu, cost=cost0)
     cols = nu.support
     rows = mu.support
     dists = cost0.with_scale(1.0).block(rows, cols)

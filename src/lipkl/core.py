@@ -100,8 +100,8 @@ from .measures import (
     _c_transform,
     _lipschitz_tol,
     _log_mgf,
-    _potential_values,
-    _require_same_point_set,
+    _shared_point_set,
+    _values_on,
 )
 
 __all__ = [
@@ -208,9 +208,7 @@ class _Workspace:
     """Shared arrays, and the structure closure's two skips, for one solve."""
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostMatrix):
-        _require_same_point_set(mu, nu)
-        if cost.n != mu.point_set.n:
-            raise ValidationError("cost matrix size does not match the point set")
+        _shared_point_set(mu, nu, cost=cost)
         self.mu = mu
         self.nu = nu
         self.cost = cost
@@ -461,9 +459,7 @@ def divergence(
     # columns) seeds the iterate; its primal would be read by nothing.
     best_dual, _, _, seed = ws.tilt(np.zeros(ws.cols.size))
     if initial_potential is not None:
-        g0 = _potential_values(initial_potential)
-        if g0.shape != (mu.point_set.n,):
-            raise ValidationError("initial potential has the wrong length")
+        g0 = _values_on(initial_potential, cost.n)
         if not np.isfinite(g0).all():
             raise ValidationError("initial potential must be finite")
         seed = consider(g0[ws.cols]).gamma
@@ -546,8 +542,7 @@ def dual_objective(g, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     For any Lipschitz-feasible g this is a lower bound on the divergence
     (weak duality), with equality at the optimal potential.
     """
-    _require_same_point_set(mu, nu)
-    values = _potential_values(g)
+    values = _values_on(g, _shared_point_set(mu, nu))
     return float(mu.weights @ values) - _log_mgf(values, nu)
 
 
@@ -586,11 +581,8 @@ def verify_optimizers(
     identity W(mu, gamma) = sum g d(mu - gamma). Residuals of both are
     reported; an infeasible potential is rejected with its violating pair.
     """
-    _require_same_point_set(mu, nu)
-    _require_same_point_set(candidate_measure, nu)
-    values = _potential_values(candidate_potential)
-    if values.shape != (mu.point_set.n,):
-        raise ValidationError("potential length does not match the point set")
+    n = _shared_point_set(mu, nu, candidate_measure, cost=cost)
+    values = _values_on(candidate_potential, n)
     if not candidate_measure.is_absolutely_continuous_wrt(nu):
         raise ValidationError("candidate measure is not absolutely continuous w.r.t. nu")
 
@@ -662,7 +654,7 @@ def cumulant_duality_check(
     certified upper bracket of the divergence, so probe values can never
     spuriously exceed the log moment generating function.
     """
-    values = _potential_values(g)
+    values = _values_on(g, _shared_point_set(nu, cost=cost))
     values = LipschitzFunction(values, cost).values  # rejects infeasible input
     supp = nu.support
     lse = _log_mgf(values, nu)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +42,8 @@ from .measures import (
     LipschitzFunction,
     ValidationError,
     _c_transform,
-    _require_same_point_set,
+    _freeze,
+    _shared_point_set,
 )
 
 __all__ = ["TransportSolution", "relative_entropy", "transport_cost"]
@@ -55,7 +55,7 @@ def relative_entropy(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     Returns +inf exactly when mu puts mass where nu does not; the 0 log 0
     terms contribute zero.
     """
-    _require_same_point_set(mu, nu)
+    _shared_point_set(mu, nu)
     supp = mu.support
     p = mu.weights[supp]
     q = nu.weights[supp]
@@ -64,13 +64,15 @@ def relative_entropy(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return float(np.sum(p * np.log(p / q)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class TransportSolution:
     """Optimal Kantorovich value, plan, and dual potential.
 
     ``flow`` is the plan on ``rows`` x ``cols``, the supports of the two
-    marginals; ``plan`` is the whole plan, indexed by the shared point set
-    (rows: first marginal, columns: second), built on first access.
+    marginals, all three read-only arrays; ``plan`` is the whole plan,
+    indexed by the shared point set (rows: first marginal, columns: second),
+    built on each access, so a kept solution holds no n x n array. The
+    class is slotted, as :class:`~lipkl.core.DivergenceSolution` is.
     ``potential`` is a Lipschitz function g with value = sum g d(mu - gamma)
     and g(x) - g(y) = b*c(x,y) wherever the plan is positive; it is pinned to
     potential[0] = 0 (potentials are unique only up to an additive constant).
@@ -83,7 +85,7 @@ class TransportSolution:
     cols: np.ndarray
     potential: LipschitzFunction
 
-    @cached_property
+    @property
     def plan(self) -> np.ndarray:
         return _dense_plan(self.potential.cost.n, self.rows, self.cols, self.flow)
 
@@ -116,12 +118,8 @@ class TransportSolution:
 
 def transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, cost: CostMatrix) -> TransportSolution:
     """Exact optimal transport cost between measures on a shared point set."""
-    _require_same_point_set(mu, gamma)
-    n = mu.point_set.n
-    if cost.n != n:
-        raise ValidationError("cost matrix size does not match the point set")
-    rows = mu.support
-    cols = gamma.support
+    _shared_point_set(mu, gamma, cost=cost)
+    rows, cols = _freeze(mu.support), _freeze(gamma.support)
     sub = cost.block(rows, cols)
     flow, _, v = transport_simplex(mu.weights[rows], gamma.weights[cols], sub)
 
@@ -132,7 +130,8 @@ def transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, cost: CostMatrix
     full = _c_transform(-v, cost, cols)
     full = full - full[0]
     potential = LipschitzFunction(full, cost)
-    return TransportSolution(value=value, flow=flow, rows=rows, cols=cols, potential=potential)
+    return TransportSolution(value=value, flow=_freeze(flow), rows=rows, cols=cols,
+                             potential=potential)
 
 
 def _dense_plan(n: int, rows: np.ndarray, cols: np.ndarray, flow: np.ndarray) -> np.ndarray:

@@ -57,7 +57,8 @@ from .measures import (
     _lipschitz_tol,
     _load_json,
     _log_mgf,
-    _potential_values,
+    _shared_point_set,
+    _values_on,
 )
 
 __all__ = [
@@ -181,7 +182,7 @@ def performance_bound(g, mu: DiscreteMeasure, nu: DiscreteMeasure,
     potential. The divergence enters through its certified upper bracket,
     so the reported inequality always holds.
     """
-    values = LipschitzFunction(_potential_values(g), cost).values
+    values = LipschitzFunction(_values_on(g, _shared_point_set(mu, nu, cost=cost)), cost).values
     log_mgf = _log_mgf(values, nu)
     sol = divergence(mu, nu, cost, tol=tol)
     return PerformanceBound(
@@ -198,9 +199,7 @@ def performance_bound(g, mu: DiscreteMeasure, nu: DiscreteMeasure,
 
 def risk_map(kernel: FiniteKernel, g, a: float) -> np.ndarray:
     """Risk-sensitive image f(x) = -log sum_y e^{-g(y)} p(x, y) - g(x) + a."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (kernel.n,):
-        raise ValidationError("potential length does not match the state set")
+    g = _values_on(g, kernel.n)
     inner = np.logaddexp.reduce(kernel._log_p - g[None, :], axis=1)
     return -inner - g + float(a)
 
@@ -250,24 +249,17 @@ def invert_risk_map(kernel: FiniteKernel, f, tol: float = 1e-10,
 
     classes = recurrent_classes(kernel.matrix)
     rank = n + 1 - len(classes)
-    if len(classes) > 1:
-        return RiskInverse(
-            g=np.zeros(n), a=float(f.mean()), residual=math.inf, converged=False,
-            iterations=0, lipschitz_excess=math.inf, lipschitz_feasible=False,
-            jacobian_rank=rank,
-            diagnosis=(
-                f"Jacobian rank {rank} < {n}: the chain has "
-                f"{len(classes)} recurrent classes; the linearization "
-                "[(P - I), 1] is onto only for a single recurrent class"
-            ),
-        )
-
     g = np.zeros(n)
     a = float(f.mean())
-    residual = risk_map(kernel, g, a) - f
-    norm = float(np.abs(residual).max())
-    iterations = 0
-    while norm > tol and iterations < max_iter:
+    norm, iterations, diagnosis = math.inf, 0, None
+    if len(classes) > 1:
+        diagnosis = (f"Jacobian rank {rank} < {n}: the chain has "
+                     f"{len(classes)} recurrent classes; the linearization "
+                     "[(P - I), 1] is onto only for a single recurrent class")
+    else:
+        residual = risk_map(kernel, g, a) - f
+        norm = float(np.abs(residual).max())
+    while diagnosis is None and norm > tol and iterations < max_iter:
         tilted = _tilted_kernel(kernel, g)
         jac = np.empty((n, n))
         jac[:, : n - 1] = (tilted - np.eye(n))[:, 1:]
@@ -275,12 +267,8 @@ def invert_risk_map(kernel: FiniteKernel, f, tol: float = 1e-10,
         try:
             step = np.linalg.solve(jac, -residual)
         except np.linalg.LinAlgError:
-            return RiskInverse(
-                g=g, a=a, residual=norm, converged=False, iterations=iterations,
-                lipschitz_excess=math.inf, lipschitz_feasible=False,
-                jacobian_rank=rank,
-                diagnosis="Newton linearization became singular",
-            )
+            diagnosis = "Newton linearization became singular"
+            break
         lam = 1.0
         while lam > 1e-12:
             g_new = g.copy()
@@ -296,14 +284,16 @@ def invert_risk_map(kernel: FiniteKernel, f, tol: float = 1e-10,
         norm = float(np.abs(residual).max())
         iterations += 1
 
-    excess, _ = lipschitz_violation(g, kernel.cost)
-    feasible = excess <= _lipschitz_tol(g)
-    return RiskInverse(
-        g=g, a=a, residual=norm, converged=norm <= tol, iterations=iterations,
-        lipschitz_excess=max(excess, 0.0), lipschitz_feasible=bool(feasible),
-        jacobian_rank=rank,
-        diagnosis=None if norm <= tol else "Newton did not reach tolerance",
-    )
+    excess, feasible = math.inf, False
+    if diagnosis is None:  # no early exit: the potential is checked
+        excess, _ = lipschitz_violation(g, kernel.cost)
+        feasible = bool(excess <= _lipschitz_tol(g))
+        excess = max(excess, 0.0)
+        if norm > tol:
+            diagnosis = "Newton did not reach tolerance"
+    return RiskInverse(g=g, a=a, residual=norm, converged=norm <= tol, iterations=iterations,
+                       lipschitz_excess=excess, lipschitz_feasible=feasible,
+                       jacobian_rank=rank, diagnosis=diagnosis)
 
 
 # ---------------------------------------------------------------------------

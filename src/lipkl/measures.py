@@ -4,6 +4,11 @@ Everything downstream works on a single shared :class:`PointSet`: a finite,
 ordered collection of pairwise-distinct points. Points are either coordinate
 tuples in R^d (which enables the built-in euclidean / manhattan ground costs)
 or opaque labels (in which case the cost matrix must be supplied explicitly).
+So a public call takes its measures on one point set (the same object or
+equal points), its cost over that set's n points, and a potential (a
+:class:`LipschitzFunction` or numbers) of shape (n,); each public function
+checks this through ``_shared_point_set`` and ``_values_on``, raising a
+ValidationError.
 
 Ground costs are metrics. :class:`CostMatrix` accepts an explicit matrix
 with no :func:`cost_violations`, one rule in two steps. The structural rule:
@@ -43,11 +48,11 @@ exports read ``entries`` whole. An explicit matrix is checked whole, one mask pe
 property of the structural rule, then one n x n pass per middle point of
 the triangle inequality.
 
-All types are immutable after construction (arrays are frozen copies), so
-instances can be shared freely across threads. Point sets, measures, costs
-and potentials are slotted, so a caller that keeps many solves keeps no
-instance dict per object; the one thing built on first access, a point
-set's positions, is kept in a slot.
+All types are immutable after construction (arrays are frozen copies, and
+pickle and deepcopy freeze a clone's), so instances can be shared freely
+across threads. Point sets, measures, costs and potentials are slotted, so
+a caller that keeps many solves keeps no instance dict per object; the one
+thing built on first access, a point set's positions, is kept in a slot.
 """
 
 from __future__ import annotations
@@ -108,6 +113,33 @@ def _set_slots(obj, **values) -> None:
     it names one, else to None."""
     for name in type(obj).__slots__:
         object.__setattr__(obj, name, values.get(name))
+
+
+def _restored(cls, slots: dict):
+    """An instance of the slotted ``cls`` that holds ``slots``, with every
+    array among them, or in a tuple there, frozen and nothing checked or
+    normalized again: a clone from pickle or deepcopy holds the original's
+    bytes, and a cost is built from a source that was already accepted."""
+    for value in slots.values():
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                _freeze(a)
+    obj = object.__new__(cls)
+    _set_slots(obj, **slots)
+    return obj
+
+
+class _Immutable:
+    """Base of the slotted types that refuse attribute writes; pickle and
+    deepcopy rebuild an instance through :func:`_restored`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return _restored, (type(self), {name: getattr(self, name) for name in self.__slots__})
 
 
 def _as_point(p):
@@ -183,7 +215,7 @@ def _first_repeat(x: np.ndarray) -> int | None:
     return int(order[1:][repeat].min()) if repeat.any() else None
 
 
-class PointSet:
+class PointSet(_Immutable):
     """Ordered, pairwise-distinct support points.
 
     A numeric point set (every point a number or a sequence of numbers, all
@@ -219,9 +251,6 @@ class PointSet:
             if (i := _first_repeat(x)) is not None:
                 raise ValidationError(f"duplicate point at index {i}: {tuple(x[:, i].tolist())!r}")
         _set_slots(self, _x=x, _labels=labels, n=n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PointSet is immutable; cannot set {name!r}")
 
     def __reduce__(self):
         return PointSet, (self._labels if self._x is None else self._x.T,)
@@ -276,7 +305,7 @@ class PointSet:
 
 
 @dataclass(frozen=True, slots=True)
-class DiscreteMeasure:
+class DiscreteMeasure(_Immutable):
     """Probability vector over a :class:`PointSet`.
 
     Weights must be nonnegative and sum to 1 within 1e-12. Weights below
@@ -315,12 +344,12 @@ class DiscreteMeasure:
         return np.arange(self.weights.size)[self.weights > 0]
 
     def is_absolutely_continuous_wrt(self, other: "DiscreteMeasure") -> bool:
-        _require_same_point_set(self, other)
+        _shared_point_set(self, other)
         return bool(np.all(other.weights[self.support] > 0))
 
 
 @dataclass(frozen=True, slots=True)
-class SignedMeasure:
+class SignedMeasure(_Immutable):
     """Signed weight vector over a :class:`PointSet`.
 
     Used for perturbation directions; zero total mass is required at the
@@ -364,6 +393,18 @@ def _finite_vector(values, n: int, what: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValidationError(f"{what} must be finite")
     return v
+
+
+def _shared_point_set(*measures, cost: "CostMatrix | None" = None) -> int:
+    """The size of the one point set that ``measures`` share and ``cost``,
+    when given, is over; a ValidationError if there is no such set."""
+    ps = measures[0].point_set
+    if any(m.point_set != ps for m in measures[1:]):  # identity first, then the arrays
+        raise ValidationError("measures must live on the same point set; merge supports first")
+    if cost is not None and cost.n != ps.n:
+        raise ValidationError(
+            f"cost matrix of size {cost.n} does not match the point set of size {ps.n}")
+    return ps.n
 
 
 def _coordinates(ps: PointSet) -> np.ndarray:
@@ -447,7 +488,7 @@ def _structure_violations(c: np.ndarray) -> list[CostViolation]:
 
 
 _NORMS = {"euclidean": np.square, "manhattan": np.abs}
-# What a cost is accepted from, in CostMatrix slots: an explicit matrix
+# What a cost is accepted from, in the CostMatrix slots: an explicit matrix
 # (``_entries``), or the (d, n) coordinates of a metric cost, row k holding
 # coordinate k of every point, and the metric's name. For d == 1 a metric
 # cost also holds its line form ``_line = (walk, rank, xw, steps)``, which
@@ -455,10 +496,9 @@ _NORMS = {"euclidean": np.square, "manhattan": np.abs}
 # right to left (row 1), each point's position in row 0, the coordinates
 # along ``walk`` with row 0 negated (the sweeps key on b times them), and
 # the flat position of each entry of ``walk``.
-_COST_SOURCE = ("_entries", "_coords", "_metric", "_line")
 
 
-class CostMatrix:
+class CostMatrix(_Immutable):
     """Pairwise ground cost c(x, y) with a positive scale multiplier.
 
     Every solver reads the scaled cost ``scale_b * c`` through :meth:`block`,
@@ -483,7 +523,7 @@ class CostMatrix:
     again.
     """
 
-    __slots__ = ("scale_b", *_COST_SOURCE)
+    __slots__ = ("scale_b", "_entries", "_coords", "_metric", "_line")
 
     def __init__(self, entries, scale_b: float = 1.0):
         scale = _positive_scale(scale_b)
@@ -491,12 +531,6 @@ class CostMatrix:
         if violations := cost_violations(c):
             raise CostValidationError(violations)
         _set_slots(self, _entries=_canonical(c), scale_b=scale)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CostMatrix is immutable; cannot set {name!r}")
-
-    def __reduce__(self):
-        return _accepted_cost, (self.scale_b, self._source())
 
     @property
     def n(self) -> int:
@@ -524,10 +558,8 @@ class CostMatrix:
     def with_scale(self, scale_b: float) -> "CostMatrix":
         """This cost at scale ``scale_b``. The accepted source is shared, and
         no check runs again."""
-        return _accepted_cost(scale_b, self._source())
-
-    def _source(self) -> dict:
-        return {name: getattr(self, name) for name in _COST_SOURCE}
+        source = {name: getattr(self, name) for name in self.__slots__}
+        return _restored(CostMatrix, {**source, "scale_b": _positive_scale(scale_b)})
 
 
 def _positive_scale(scale_b) -> float:
@@ -543,14 +575,6 @@ def _canonical(c: np.ndarray) -> np.ndarray:
     c = np.maximum(c, 0.0)
     np.fill_diagonal(c, 0.0)
     return _freeze(c)
-
-
-def _accepted_cost(scale_b, source: dict) -> CostMatrix:
-    """A :class:`CostMatrix` over an accepted source: ``{"_entries": matrix}``
-    or ``{"_coords": x, "_metric": name}``, with ``_line`` when x is 1-D."""
-    cost = object.__new__(CostMatrix)
-    _set_slots(cost, **source, scale_b=_positive_scale(scale_b))
-    return cost
 
 
 def _distances(x: np.ndarray, metric: str, rows, cols) -> np.ndarray:
@@ -648,13 +672,12 @@ def metric_cost(point_set: PointSet, metric: str = "euclidean", scale_b: float =
         violations = _metric_violations(x, metric, order)
     if violations:
         raise CostValidationError(violations)
-    source = {"_coords": x, "_metric": metric}
+    source = {"_coords": x, "_metric": metric, "scale_b": scale}
     if order is not None:
         walk = np.stack([order, order[::-1]])
         steps = np.arange(walk.size).reshape(walk.shape)
-        xw = x[0][walk] * _SWEEP_SIGNS
-        source["_line"] = tuple(map(_freeze, (walk, np.argsort(order), xw, steps)))
-    return _accepted_cost(scale, source)
+        source["_line"] = (walk, np.argsort(order), x[0][walk] * _SWEEP_SIGNS, steps)
+    return _restored(CostMatrix, source)
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +698,7 @@ def lipschitz_violation(values, cost: CostMatrix) -> tuple[float, tuple[int, int
     pair where the dense pass names a pair an ulp above 0; the verdict at
     :func:`_lipschitz_tol` is the same. Values of any shape but (n,) are a
     :class:`ValidationError`."""
-    g = _values_on(values, cost)
+    g = _values_on(values, cost.n)
     if not np.isfinite(g).all():
         # The dense pass's first NaN pair: row 0 holds one if any value is
         # NaN, else the first non-finite row does (on its diagonal).
@@ -689,11 +712,14 @@ def lipschitz_violation(values, cost: CostMatrix) -> tuple[float, tuple[int, int
     return (worst, None) if worst <= 0 else (worst, (i, j))
 
 
-def _values_on(values, cost: CostMatrix) -> np.ndarray:
-    """``values`` as a float vector over the cost's n points, else a ValidationError."""
-    g = np.asarray(values, dtype=float)
-    if g.shape != (cost.n,):
-        raise ValidationError(f"values shape {g.shape} does not match cost matrix of size {cost.n}")
+def _values_on(values, n: int) -> np.ndarray:
+    """A potential's values over n points, given as a
+    :class:`LipschitzFunction` or as numbers, as a float vector; any other
+    shape is a ValidationError."""
+    g = values.values if isinstance(values, LipschitzFunction) else np.asarray(values, dtype=float)
+    if g.shape != (n,):
+        raise ValidationError(f"potential has the wrong length: shape {g.shape} "
+                              f"does not match cost matrix of size {n}")
     return g
 
 
@@ -703,7 +729,7 @@ def _lipschitz_tol(values: np.ndarray) -> float:
 
 
 @dataclass(frozen=True, slots=True)
-class LipschitzFunction:
+class LipschitzFunction(_Immutable):
     """Function on a point set satisfying g(x) - g(y) <= b*c(x,y) for all pairs."""
 
     values: np.ndarray
@@ -717,11 +743,6 @@ class LipschitzFunction:
                 f"function violates the Lipschitz constraint at pair {pair}: excess {worst:g}"
             )
         object.__setattr__(self, "values", _freeze(g.copy()))
-
-
-def _potential_values(g) -> np.ndarray:
-    """Values of a potential given as a LipschitzFunction or as an array."""
-    return g.values if isinstance(g, LipschitzFunction) else np.asarray(g, dtype=float)
 
 
 def _log_mgf(values: np.ndarray, nu: DiscreteMeasure) -> float:
@@ -744,7 +765,7 @@ def project_lipschitz(values, cost: CostMatrix, reference=None) -> LipschitzFunc
     defaults to the full point set. Its entries are point indices in
     ``[0, n)`` (repeats allowed); anything else raises :class:`ValidationError`.
     """
-    g = _values_on(values, cost)
+    g = _values_on(values, cost.n)
     if reference is None:
         ref = np.arange(cost.n)
     else:
@@ -881,8 +902,3 @@ def _load_json(source):
         with open(source) as fh:
             return json.load(fh)
     raise ValidationError(f"cannot load JSON from {source!r}")
-
-
-def _require_same_point_set(a, b) -> None:
-    if a.point_set != b.point_set:  # identity first, then the coordinate arrays
-        raise ValidationError("measures must live on the same point set; merge supports first")

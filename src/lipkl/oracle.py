@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergences import transport_simplex
-from .measures import CostMatrix, DiscreteMeasure, ValidationError, _require_same_point_set
+from .measures import CostMatrix, DiscreteMeasure, ValidationError, _shared_point_set
 
 __all__ = ["OracleValue", "grid_divergence", "line_transport_cost"]
 
@@ -56,7 +56,7 @@ def grid_divergence(
     mesh; it is rigorous whenever the true optimizer keeps every coordinate
     above the floor, which holds away from extreme cost scales.
     """
-    _require_same_point_set(mu, nu)
+    _shared_point_set(mu, nu, cost=cost)
     cols = nu.support
     k = cols.size
     if k > 3:
@@ -94,7 +94,7 @@ def grid_divergence(
 
 def line_transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, scale_b: float = 1.0) -> float:
     """Exact 1-D transport cost: scale times the L1 distance between CDFs."""
-    _require_same_point_set(mu, gamma)
+    _shared_point_set(mu, gamma)
     ps = mu.point_set
     if not ps.is_numeric or ps.dimension != 1:
         raise ValidationError("line oracle needs one-dimensional numeric points")

@@ -22,7 +22,7 @@ from .measures import (
     DiscreteMeasure,
     SignedMeasure,
     ValidationError,
-    _require_same_point_set,
+    _shared_point_set,
 )
 
 __all__ = ["DerivativeReport", "directional_derivative", "max_feasible_epsilon"]
@@ -70,8 +70,7 @@ def directional_derivative(
     """
     if not (epsilon > 0 and np.isfinite(epsilon)):
         raise ValidationError(f"epsilon must be a positive real, got {epsilon!r}")
-    _require_same_point_set(mu, nu)
-    _require_same_point_set(mu, rho)
+    _shared_point_set(mu, nu, rho, cost=cost)
     if not rho.is_balanced:
         raise ValidationError(
             f"perturbation must have zero total mass, got {rho.total_mass:g}"

@@ -514,6 +514,8 @@ def test_invalid_cost_exits_3(fixtures, tmp_path):
     ["compute", "--mu", "@mu.json", "--nu", "@nu.json", "--cost", "@bad_scale"],
     ["sweep", "--mu", "@mu2.json", "--nu", "@nu.json", "--cost", "euclidean",
      "--mode", "entropy", "--scales", "1,x", "--out", "@out"],
+    ["sweep", "--mu", "@mu2.json", "--nu", "@nu.json", "--cost", "euclidean",
+     "--mode", "entropy", "--scales", ",", "--out", "@out"],
     ["benchmark", "--scale-b", "0", "--grid", "100"],
     ["compute", "--mu", "@mu.json", "--nu", "@nu.json", "--cost", "@bad_matrix"],
     ["markov", "membership", "--p", "@bad_kernel", "--f", "@f.json"],

@@ -15,8 +15,11 @@ from lipkl import (
     divergence,
     dual_objective,
     grid_divergence,
+    large_scale_expansion,
     merge_supports,
     metric_cost,
+    nearest_atom_aggregation,
+    performance_bound,
     project_lipschitz,
     relative_entropy,
     transport_cost,
@@ -724,6 +727,31 @@ def test_tol_must_be_positive(rng):
     other = random_measure(rng, random_point_set(rng, 3))
     with pytest.raises(ValidationError, match="same point set"):
         divergence(mu, other, cost)
+
+
+def test_calls_reject_a_cost_or_potential_off_the_shared_point_set():
+    # Each call used to read the cost's first rows or index past its end:
+    # the oracle returned 0.218012 with the 4-point cost (0.217440 with the
+    # right one), the aggregation a measure, the rest bare numpy errors.
+    ps = PointSet((0.0, 1.0, 3.0))
+    mu = DiscreteMeasure(ps, [0.2, 0.3, 0.5])
+    nu = DiscreteMeasure(ps, [0.5, 0.25, 0.25])
+    larger = metric_cost(PointSet((0.0, 5.0, 9.0, 20.0)), "euclidean")
+    smaller = metric_cost(PointSet((0.0, 5.0)), "euclidean")
+    calls = [
+        lambda: grid_divergence(mu, nu, larger),
+        lambda: nearest_atom_aggregation(mu, nu, larger),
+        lambda: large_scale_expansion(mu, nu, smaller, [1.0]),
+        lambda: performance_bound(np.zeros(2), mu, nu, smaller),
+        lambda: cumulant_duality_check(np.zeros(2), nu, smaller),
+        lambda: dual_objective([5.0], mu, nu),
+        lambda: dual_objective(np.zeros((3, 1)), mu, nu),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="does not match"):
+            call()
+    assert grid_divergence(mu, nu, metric_cost(ps, "euclidean")).value == pytest.approx(
+        0.217440, abs=1e-6)
 
 
 def test_warm_start_over_nu_support_is_rejected():

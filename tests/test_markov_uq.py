@@ -94,6 +94,11 @@ def test_kernel_validation():
     # A NaN passed the row-sum check and then read as a forbidden move.
     with pytest.raises(ValidationError, match="finite"):
         FiniteKernel(ps, np.array([[np.nan, 1.0], [0.5, 0.5]]), cost)
+    with pytest.raises(ValidationError, match=r"shape \(1, 2\) != \(2, 2\)"):
+        FiniteKernel(ps, np.array([[0.5, 0.5]]), cost)
+    other = metric_cost(PointSet((0.0, 1.0, 2.0)), "euclidean", 1.0)
+    with pytest.raises(ValidationError, match="state set"):
+        FiniteKernel(ps, np.eye(2), other)
 
 
 def test_kernel_builds_its_log_on_first_use(rng):
@@ -219,6 +224,26 @@ def test_rank_deficiency_detected_for_two_recurrent_classes():
     assert not inv.converged
     assert inv.jacobian_rank == 3
     assert "recurrent" in inv.diagnosis
+
+
+@pytest.mark.parametrize("p, f, diagnosis, iterations", [
+    # The tilted Jacobian turns singular at the second Newton step.
+    ([[0.0, 0.9, 0.1], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [-10.0, -1.0, -9.0],
+     "Newton linearization became singular", 2),
+    # No step length lowers the residual: the line search stalls well
+    # inside the 200-step budget.
+    ([[0.25, 0.0, 0.75], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]], [7.0, -15.0, -5.0],
+     "Newton did not reach tolerance", 11),
+])
+def test_inverse_reports_a_newton_solve_that_stops_early(p, f, diagnosis, iterations):
+    ps = PointSet((0.0, 1.0, 2.0))
+    kernel = FiniteKernel(ps, np.array(p), metric_cost(ps, "euclidean", 1.0))
+    inv = invert_risk_map(kernel, f)
+    assert inv.diagnosis == diagnosis and inv.iterations == iterations
+    assert not inv.converged and not inv.representable and inv.jacobian_rank == 3
+    assert inv.residual == float(np.abs(risk_map(kernel, inv.g, inv.a) - f).max()) > 1.0
+    if diagnosis.endswith("singular"):  # no feasibility check on a broken solve
+        assert inv.lipschitz_excess == math.inf and not inv.lipschitz_feasible
 
 
 def test_jacobian_rank_matches_numerical_rank():
@@ -383,6 +408,14 @@ def test_bound_checks_every_recurrent_class(rng):
     assert rep.holds
 
 
+def test_bound_rejects_kernels_over_different_state_sets(rng):
+    p = make_kernel(rng, 3)
+    ps = PointSet((0.0, 1.0, 2.0))
+    q = FiniteKernel(ps, p.matrix, metric_cost(ps, "euclidean", 1.0))
+    with pytest.raises(ValidationError, match="same state set"):
+        ergodic_bound(p, q, np.zeros(3))
+
+
 def test_bound_rejects_unrepresentable_cost(rng):
     k = make_kernel(rng, 4)
     with pytest.raises(ValidationError, match="not representable"):
@@ -502,6 +535,9 @@ def test_ar1_rate_diverges_at_the_boundary():
     model = GaussianAR1(0.5, 1.0)
     b_edge = (1.0 - 1e-6) / (2.0 * model.sigma ** 2)
     assert ar1_quadratic_rate(model, b_edge) < -1e3
+    # At and past the boundary the Gaussian integral diverges.
+    for b in (0.5 / model.sigma ** 2, 1.0):
+        assert ar1_quadratic_rate(model, b) == -math.inf
 
 
 def test_ar1_peak_vanishes_as_alpha_to_one():

@@ -451,7 +451,8 @@ def test_metric_cost_builds_its_matrices_once():
 
 def test_point_sets_and_costs_survive_pickling():
     # Both classes are slotted and refuse attribute writes, so pickle and
-    # copy rebuild them through their constructors.
+    # copy rebuild them: a point set through its constructor, a cost from
+    # its slots.
     line = PointSet((0.0, 0.3, 1.0))
     for ps, cost in ((line, metric_cost(line, "manhattan", 2.5)),
                      (PointSet(("a", "b", "c")), CostMatrix(np.array(BASE_COST), 2.0))):
@@ -465,6 +466,44 @@ def test_point_sets_and_costs_survive_pickling():
             g = np.array([0.7, -0.2, 3.0])
             assert (project_lipschitz(g, clone[1]).values.tobytes()
                     == project_lipschitz(g, cost).values.tobytes())
+
+
+def held_arrays(obj) -> list:
+    """The arrays that ``obj`` holds: in its slots, and in the tuples and
+    slotted objects there, in slot order."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, tuple):
+        return [a for item in obj for a in held_arrays(item)]
+    slots = getattr(type(obj), "__slots__", ())
+    return [a for name in slots for a in held_arrays(getattr(obj, name))]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CostMatrix(np.array(BASE_COST), 2.0),
+    lambda: metric_cost(PointSet((0.0, 0.3, 1.0)), "manhattan", 2.5),
+    lambda: metric_cost(PointSet(((0.0, 0.0), (1.0, 0.0), (0.0, 2.0))), "euclidean"),
+    # Dividing these weights by their sum again would move their last bits.
+    lambda: DiscreteMeasure(PointSet((0.0, 0.3, 1.0)), [0.06, 0.57, 0.37]),
+    lambda: SignedMeasure(PointSet(("a", "b", "c")), [0.5, -0.25, -0.25]),
+    lambda: LipschitzFunction([0.0, 0.3, -0.2],
+                              metric_cost(PointSet((0.0, 0.3, 1.0)), "euclidean")),
+], ids=["explicit-cost", "line-cost", "plane-cost", "measure", "signed-measure", "potential"])
+def test_clones_hold_read_only_copies_of_every_array(make):
+    # A writeable clone let an unpickled explicit cost serve an asymmetric
+    # block once its entries[0, 1] was set to 5, with no check run.
+    original = make()
+    arrays = held_arrays(original)
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    for clone in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+        assert type(clone) is type(original)
+        copies = held_arrays(clone)
+        assert len(copies) == len(arrays)
+        for a, c in zip(arrays, copies):
+            assert not c.flags.writeable
+            assert (c.dtype, c.shape, c.tobytes()) == (a.dtype, a.shape, a.tobytes())
+        with pytest.raises(ValueError, match="read-only"):
+            copies[0][(0,) * copies[0].ndim] = 5.0
 
 
 def test_with_scale_reuses_the_accepted_verdict(monkeypatch):
