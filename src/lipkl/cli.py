@@ -176,9 +176,8 @@ def cmd_compute(args):
         ts = transport_cost(mu, nu, cost)
         results["transport"] = {"value": ts.value}
         certificates["transport"] = {
-            "marginal_residual": ts.marginal_residual(mu, nu),
-            "complementary_slackness_residual":
-                ts.complementary_slackness_residual(cost),
+            "marginal_residual": ts.marginal_residual(),
+            "complementary_slackness_residual": ts.complementary_slackness_residual(),
         }
     if args.what == "all":
         g = results["gamma"]["value"]

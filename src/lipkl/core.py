@@ -130,7 +130,10 @@ class DivergenceSolution:
     (measure, potential); the pair satisfies the Gibbs relation by
     construction. ``potential`` is normalized so that log sum e^g dnu = 0,
     i.e. g = log(d measure / d nu) on the support of nu, extended off the
-    support by its maximal Lipschitz extension. Solutions compare by
+    support by its maximal Lipschitz extension. Unlike the potential of a
+    :class:`~lipkl.divergences.TransportSolution`, whose value comes from
+    the LP alone, it is built and checked inside the solve: its feasibility
+    is what makes ``dual_value`` a lower bracket. Solutions compare by
     identity: two solves are two solutions, whatever their values.
 
     ``mu`` and ``nu`` are the measures the solve was given; ``rows`` and
@@ -670,6 +673,7 @@ def cumulant_duality_check(
     grid_sup = tilt_value
     if mu_candidates is not None:
         for probe in mu_candidates:
+            _shared_point_set(probe, nu)
             val = float(values @ probe.weights) - divergence(probe, nu, cost, tol=solver_tol).value
             grid_sup = max(grid_sup, val)
 

@@ -32,7 +32,7 @@ value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,30 +66,57 @@ def relative_entropy(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class TransportSolution:
-    """Optimal Kantorovich value, plan, and dual potential.
+    """Optimal Kantorovich value and plan, and the dual potential built on read.
 
-    ``flow`` is the plan on ``rows`` x ``cols``, the supports of the two
-    marginals, all three read-only arrays; ``plan`` is the whole plan,
-    indexed by the shared point set (rows: first marginal, columns: second),
-    built on each access, so a kept solution holds no n x n array. The
-    class is slotted, as :class:`~lipkl.core.DivergenceSolution` is.
-    ``potential`` is a Lipschitz function g with value = sum g d(mu - gamma)
-    and g(x) - g(y) = b*c(x,y) wherever the plan is positive; it is pinned to
-    potential[0] = 0 (potentials are unique only up to an additive constant).
-    Solutions compare by identity.
+    ``mu``, ``gamma`` and ``cost`` are what the LP was solved for. ``value``
+    comes from the LP alone: the cost summed over the plan. ``flow`` is the
+    plan on ``rows`` x ``cols``, the supports of ``mu`` and ``gamma``, a
+    read-only array; ``rows`` and ``cols`` are read from the two measures on
+    each access. ``plan`` is the whole plan, indexed by the shared point set
+    (rows: first marginal, columns: second), built on each access, so a kept
+    solution holds no n x n array. The class is slotted, as
+    :class:`~lipkl.core.DivergenceSolution` is.
+
+    ``potential`` is built on each read from the LP's column duals v, which
+    are all the solution keeps of it: the c-transform of -v from ``cols``
+    over the whole point set, shifted to potential[0] = 0 (potentials are
+    unique only up to an additive constant) and checked as a
+    :class:`~lipkl.measures.LipschitzFunction`. It is a Lipschitz function g
+    with value = sum g d(mu - gamma) and g(x) - g(y) = b*c(x,y) wherever the
+    plan is positive. The two residuals read the solution's own measures
+    and cost. Solutions compare by identity.
     """
 
     value: float
     flow: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    potential: LipschitzFunction
+    mu: DiscreteMeasure = field(repr=False)
+    gamma: DiscreteMeasure = field(repr=False)
+    cost: CostMatrix = field(repr=False)
+    # The LP's column duals v on ``cols``, copied out of the simplex's array
+    # of all m + n potentials.
+    _duals: np.ndarray = field(repr=False)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.mu.support
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self.gamma.support
+
+    @property
+    def potential(self) -> LipschitzFunction:
+        # The column potential -v extends to the whole set by c-transform;
+        # this keeps dual feasibility on all pairs (triangle inequality) and
+        # optimality.
+        full = _c_transform(-self._duals, self.cost, self.cols)
+        return LipschitzFunction(full - full[0], self.cost)
 
     @property
     def plan(self) -> np.ndarray:
-        return _dense_plan(self.potential.cost.n, self.rows, self.cols, self.flow)
+        return _dense_plan(self.cost.n, self.rows, self.cols, self.flow)
 
-    def marginal_residual(self, mu: DiscreteMeasure, gamma: DiscreteMeasure) -> float:
+    def marginal_residual(self) -> float:
         """Worst gap between the plan's marginals and ``mu``, ``gamma``, read
         from ``flow`` in the order numpy sums :attr:`plan`, so that the last
         bits agree. The columns accumulate row after row, as a column of the
@@ -97,41 +124,41 @@ class TransportSolution:
         pairwise). A row with at most two nonzero entries sums exactly in
         any order; only a row with more is summed inside a zero line of
         length n, as the plan's row is."""
-        n = self.potential.cost.n
+        n, rows, cols = self.cost.n, self.rows, self.cols
         row, col, line = np.zeros(n), np.zeros(n), np.zeros(n)
-        col[self.cols] = np.cumsum(self.flow, axis=0)[-1]
-        row[self.rows] = self.flow.sum(axis=1)
+        col[cols] = np.cumsum(self.flow, axis=0)[-1]
+        row[rows] = self.flow.sum(axis=1)
         for k in np.flatnonzero(np.count_nonzero(self.flow, axis=1) > 2):
-            line[self.cols] = self.flow[k]
-            row[self.rows[k]] = line.sum()
-        return float(max(np.abs(row - mu.weights).max(), np.abs(col - gamma.weights).max()))
+            line[cols] = self.flow[k]
+            row[rows[k]] = line.sum()
+        return float(max(np.abs(row - self.mu.weights).max(),
+                         np.abs(col - self.gamma.weights).max()))
 
-    def complementary_slackness_residual(self, cost: CostMatrix) -> float:
-        """Worst |g_i - g_j - b c_ij| over plan entries above 1e-12."""
+    def complementary_slackness_residual(self) -> float:
+        """Worst |g_i - g_j - b c_ij| over plan entries above 1e-12, g the
+        :attr:`potential`."""
         r, c = np.nonzero(self.flow > 1e-12)
         if r.size == 0:
             return 0.0
+        rows, cols = self.rows, self.cols
         g = self.potential.values
-        gap = g[self.rows[r]] - g[self.cols[c]] - cost.block(self.rows, self.cols)[r, c]
+        gap = g[rows[r]] - g[cols[c]] - self.cost.block(rows, cols)[r, c]
         return float(np.abs(gap).max())
 
 
 def transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, cost: CostMatrix) -> TransportSolution:
-    """Exact optimal transport cost between measures on a shared point set."""
+    """Exact optimal transport cost between measures on a shared point set.
+
+    One transport LP on the two supports gives the plan and the value, the
+    cost summed over the plan; no potential is built or checked here, since
+    the value needs none. :attr:`TransportSolution.potential` builds one
+    from the LP's column duals on each read."""
     _shared_point_set(mu, gamma, cost=cost)
-    rows, cols = _freeze(mu.support), _freeze(gamma.support)
+    rows, cols = mu.support, gamma.support
     sub = cost.block(rows, cols)
     flow, _, v = transport_simplex(mu.weights[rows], gamma.weights[cols], sub)
-
-    value = float((sub * flow).sum())
-
-    # Column potential -v extends to the whole set by c-transform; this keeps
-    # dual feasibility on all pairs (triangle inequality) and optimality.
-    full = _c_transform(-v, cost, cols)
-    full = full - full[0]
-    potential = LipschitzFunction(full, cost)
-    return TransportSolution(value=value, flow=_freeze(flow), rows=rows, cols=cols,
-                             potential=potential)
+    return TransportSolution(value=float((sub * flow).sum()), flow=_freeze(flow), mu=mu,
+                             gamma=gamma, cost=cost, _duals=_freeze(v.copy()))
 
 
 def _dense_plan(n: int, rows: np.ndarray, cols: np.ndarray, flow: np.ndarray) -> np.ndarray:

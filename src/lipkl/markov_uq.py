@@ -86,7 +86,7 @@ __all__ = [
 ROW_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteKernel:
     """Row-stochastic transition matrix over a state point set with a cost."""
 

@@ -53,6 +53,8 @@ pickle and deepcopy freeze a clone's), so instances can be shared freely
 across threads. Point sets, measures, costs and potentials are slotted, so
 a caller that keeps many solves keeps no instance dict per object; the one
 thing built on first access, a point set's positions, is kept in a slot.
+Measures and potentials compare by identity, as solutions do (an array
+comparison has no single truth value); point sets compare by their points.
 """
 
 from __future__ import annotations
@@ -304,7 +306,7 @@ class PointSet(_Immutable):
         return f"PointSet(points={self.points!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class DiscreteMeasure(_Immutable):
     """Probability vector over a :class:`PointSet`.
 
@@ -348,7 +350,7 @@ class DiscreteMeasure(_Immutable):
         return bool(np.all(other.weights[self.support] > 0))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SignedMeasure(_Immutable):
     """Signed weight vector over a :class:`PointSet`.
 
@@ -728,7 +730,7 @@ def _lipschitz_tol(values: np.ndarray) -> float:
     return LIP_ATOL * (1.0 + float(np.abs(values).max(initial=0.0)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class LipschitzFunction(_Immutable):
     """Function on a point set satisfying g(x) - g(y) <= b*c(x,y) for all pairs."""
 

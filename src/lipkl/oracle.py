@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergences import transport_simplex
-from .measures import CostMatrix, DiscreteMeasure, ValidationError, _shared_point_set
+from .measures import (
+    CostMatrix,
+    DiscreteMeasure,
+    ValidationError,
+    _positive_scale,
+    _shared_point_set,
+)
 
 __all__ = ["OracleValue", "grid_divergence", "line_transport_cost"]
 
@@ -95,6 +101,7 @@ def grid_divergence(
 def line_transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, scale_b: float = 1.0) -> float:
     """Exact 1-D transport cost: scale times the L1 distance between CDFs."""
     _shared_point_set(mu, gamma)
+    scale = _positive_scale(scale_b)
     ps = mu.point_set
     if not ps.is_numeric or ps.dimension != 1:
         raise ValidationError("line oracle needs one-dimensional numeric points")
@@ -104,4 +111,4 @@ def line_transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, scale_b: fl
     f_mu = np.cumsum(mu.weights[order])
     f_ga = np.cumsum(gamma.weights[order])
     sections = np.diff(xs)
-    return float(scale_b * np.sum(np.abs(f_mu[:-1] - f_ga[:-1]) * sections))
+    return float(scale * np.sum(np.abs(f_mu[:-1] - f_ga[:-1]) * sections))

@@ -45,6 +45,7 @@ class DerivativeReport:
 
 def max_feasible_epsilon(mu: DiscreteMeasure, rho: SignedMeasure) -> float:
     """Largest eps with mu + eps*rho still a (nonnegative) probability vector."""
+    _shared_point_set(mu, rho)
     negative = rho.weights < 0
     if not negative.any():
         return np.inf

@@ -205,6 +205,15 @@ def test_dual_objective_weak_duality(rng):
 # Cumulant duality
 
 
+def test_cumulant_duality_rejects_a_probe_off_the_point_set():
+    # The probe's pairing with g raised numpy's matmul ValueError.
+    ps = PointSet((0.0, 1.0, 3.0))
+    nu = DiscreteMeasure(ps, [0.5, 0.25, 0.25])
+    probe = DiscreteMeasure(PointSet((0.0, 1.0)), [0.5, 0.5])
+    with pytest.raises(ValidationError, match="same point set"):
+        cumulant_duality_check(np.zeros(3), nu, metric_cost(ps, "euclidean"), mu_candidates=[probe])
+
+
 def test_cumulant_duality_zero_function(rng):
     mu, nu, cost = random_instance(rng, 3)
     rep = cumulant_duality_check(np.zeros(3), nu, cost)

@@ -14,7 +14,6 @@ from lipkl import (
     line_transport_cost,
     merge_supports,
     metric_cost,
-    project_lipschitz,
     relative_entropy,
     transport_cost,
     ValidationError,
@@ -176,26 +175,26 @@ def test_certificates(rng):
                                        mu_support=int(rng.integers(1, 9)),
                                        nu_support=int(rng.integers(1, 9)))
         sol = transport_cost(mu, nu, cost)
-        assert sol.marginal_residual(mu, nu) <= 1e-10
-        assert sol.marginal_residual(mu, nu) == dense_marginal_residual(sol, mu, nu)
+        assert sol.marginal_residual() <= 1e-10
+        assert sol.marginal_residual() == dense_marginal_residual(sol)
         assert sol.value == pytest.approx((dense(cost) * sol.plan).sum(), abs=1e-10)
         # strong duality at the returned potential
         pairing = float(sol.potential.values @ (mu.weights - nu.weights))
         assert pairing == pytest.approx(sol.value, abs=1e-9)
-        assert sol.complementary_slackness_residual(cost) <= 1e-8
+        assert sol.complementary_slackness_residual() <= 1e-8
         assert sol.potential.values[0] == 0.0
 
 
-def dense_marginal_residual(sol, mu, nu):
-    row = np.abs(sol.plan.sum(axis=1) - mu.weights).max()
-    col = np.abs(sol.plan.sum(axis=0) - nu.weights).max()
+def dense_marginal_residual(sol):
+    row = np.abs(sol.plan.sum(axis=1) - sol.mu.weights).max()
+    col = np.abs(sol.plan.sum(axis=0) - sol.gamma.weights).max()
     return float(max(row, col))
 
 
-def dense_slackness_residual(sol, cost):
+def dense_slackness_residual(sol):
     mask = sol.plan > 1e-12
     g = sol.potential.values
-    gap = g[:, None] - g[None, :] - dense(cost)
+    gap = g[:, None] - g[None, :] - dense(sol.cost)
     return float(np.abs(gap[mask]).max())
 
 
@@ -234,11 +233,63 @@ def test_slackness_residual_matches_the_dense_formula():
     nu_w[rng.choice(n, 20, replace=False)] = rng.random(20)
     sol = transport_cost(DiscreteMeasure(ps, mu_w / mu_w.sum()),
                          DiscreteMeasure(ps, nu_w / nu_w.sum()), cost)
-    # A feasible potential that is not optimal leaves large gaps on the plan.
-    other = replace(sol, potential=project_lipschitz(rng.normal(0, 1, n), cost))
+    # Column duals that are not optimal give a feasible potential (their
+    # c-transform) that leaves large gaps on the plan.
+    other = replace(sol, _duals=rng.normal(0, 1, sol.cols.size))
     for s in (sol, other):
-        assert s.complementary_slackness_residual(cost) == dense_slackness_residual(s, cost)
-    assert other.complementary_slackness_residual(cost) > 0.1
+        assert s.complementary_slackness_residual() == dense_slackness_residual(s)
+    assert other.complementary_slackness_residual() > 0.1
+
+
+def test_transport_cost_builds_its_potential_only_on_read(monkeypatch):
+    import lipkl.divergences
+    import lipkl.measures
+
+    calls = {"_c_transform": 0, "lipschitz_violation": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (lipkl.divergences, lipkl.measures):
+        monkeypatch.setattr(module, "_c_transform", counted("_c_transform", module._c_transform))
+    monkeypatch.setattr(lipkl.measures, "lipschitz_violation",
+                        counted("lipschitz_violation", lipkl.measures.lipschitz_violation))
+    mu, nu, cost = make_grid_pair(300, 10.0)
+    sol = transport_cost(mu, nu, cost)
+    assert sol.value == pytest.approx(5.0, abs=1e-12)
+    assert sol.marginal_residual() <= 1e-12
+    assert calls == {"_c_transform": 0, "lipschitz_violation": 0}
+    # Each read of the potential runs the c-transform of the column duals
+    # and the Lipschitz check (itself one c-transform) once.
+    assert sol.potential.values[0] == 0.0
+    assert calls == {"_c_transform": 2, "lipschitz_violation": 1}
+
+
+def test_residuals_read_the_solution_own_measures_and_cost():
+    # The exact plan of this pair read 0.0 with its own cost and 4.0 with a
+    # cost over (0, 5, 9, 20) passed in; no cost or measure can be passed now.
+    ps = PointSet((0.0, 1.0, 3.0))
+    mu = DiscreteMeasure(ps, [0.2, 0.3, 0.5])
+    nu = DiscreteMeasure(ps, [0.5, 0.25, 0.25])
+    sol = transport_cost(mu, nu, metric_cost(ps, "euclidean"))
+    assert sol.complementary_slackness_residual() == 0.0
+    assert sol.marginal_residual() <= 1e-15
+    larger = metric_cost(PointSet((0.0, 5.0, 9.0, 20.0)), "euclidean")
+    with pytest.raises(TypeError):
+        sol.complementary_slackness_residual(larger)
+    with pytest.raises(TypeError):
+        sol.marginal_residual(mu, nu)
+
+
+def make_grid_pair(n, b):
+    """A point mass at 0 and the uniform measure on an n-point grid of [0, 1]."""
+    ps = PointSet(tuple(((k - 0.5) / n,) for k in range(1, n + 1)) + ((0.0,),))
+    mu = DiscreteMeasure(ps, np.eye(n + 1)[n])
+    nu = DiscreteMeasure(ps, np.append(np.full(n, 1.0 / n), 0.0))
+    return mu, nu, metric_cost(ps, "euclidean", b)
 
 
 def test_residuals_read_the_flow_not_the_plan():
@@ -247,26 +298,29 @@ def test_residuals_read_the_flow_not_the_plan():
     # one-column flow's pairwise sum (flow.sum(axis=0)) misses the plan's
     # column sum by 5.4e-14; the residual must read the plan's bits.
     n = 2000
-    ps = PointSet(tuple(((k - 0.5) / n,) for k in range(1, n + 1)) + ((0.0,),))
-    mu = DiscreteMeasure(ps, np.eye(n + 1)[n])
-    nu = DiscreteMeasure(ps, np.append(np.full(n, 1.0 / n), 0.0))
-    cost = metric_cost(ps, "euclidean", 10.0)
+    mu, nu, cost = make_grid_pair(n, 10.0)
     for src, dst, shape in ((mu, nu, (1, n)), (nu, mu, (n, 1))):
         tracemalloc.start()
         try:
             sol = transport_cost(src, dst, cost)
-            residuals = (sol.marginal_residual(src, dst), sol.complementary_slackness_residual(cost))
+            residuals = (sol.marginal_residual(), sol.complementary_slackness_residual())
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert held < 2**20
         assert sol.flow.shape == shape and not hasattr(sol, "__dict__")
         # A write to the flow used to move the marginal residual to 1.0.
-        for a in (sol.flow, sol.rows, sol.cols):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            sol.flow[0] = 0
+        # rows and cols are read from the measures on each access, so a
+        # write to a returned array reaches neither the next read nor a
+        # residual.
+        rows, cols = sol.rows, sol.cols
+        rows[0], cols[0] = n - 1, n - 1
+        assert (sol.rows.tobytes(), sol.cols.tobytes()) == (src.support.tobytes(), dst.support.tobytes())
+        assert (sol.marginal_residual(), sol.complementary_slackness_residual()) == residuals
         assert max(residuals) <= 1e-12
-        assert residuals == (dense_marginal_residual(sol, src, dst), dense_slackness_residual(sol, cost))
+        assert residuals == (dense_marginal_residual(sol), dense_slackness_residual(sol))
 
 
 # ---------------------------------------------------------------------------

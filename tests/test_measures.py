@@ -12,6 +12,7 @@ from lipkl import (
     CostMatrix,
     CostValidationError,
     DiscreteMeasure,
+    FiniteKernel,
     LipschitzFunction,
     PointSet,
     SignedMeasure,
@@ -652,6 +653,27 @@ def test_metric_cost_matches_the_dense_formula(metric, norm, d):
 def test_scale_must_be_positive():
     with pytest.raises(ValidationError):
         metric_cost(PointSet((0.0, 1.0)), "euclidean", 0.0)
+
+
+def equal_pairs():
+    """Two distinct instances of equal content for each immutable value type."""
+    ps = PointSet((0.0, 1.0))
+    cost = metric_cost(ps, "euclidean")
+    return [
+        [DiscreteMeasure(ps, [0.5, 0.5]) for _ in range(2)],
+        [SignedMeasure(ps, [0.5, -0.5]) for _ in range(2)],
+        [LipschitzFunction([0.0, 0.5], cost) for _ in range(2)],
+        [FiniteKernel(ps, [[0.5, 0.5], [0.5, 0.5]], cost) for _ in range(2)],
+    ]
+
+
+@pytest.mark.parametrize("a, b", equal_pairs())
+def test_value_types_compare_by_identity(a, b):
+    # The generated __eq__ compared the weight arrays, so `a == b` raised
+    # numpy's "truth value of an array is ambiguous" and hash(a) a TypeError.
+    assert (a == a) is True
+    assert (a == b) is False and (a != b) is True
+    assert len({a, b, a}) == 2
 
 
 # ---------------------------------------------------------------------------

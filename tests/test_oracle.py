@@ -109,6 +109,17 @@ def test_line_scaled_delta_pair():
     assert line_transport_cost(mu, ga, scale_b=2.0) == pytest.approx(2.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("scale_b", [-1.0, 0.0, math.inf, math.nan])
+def test_line_scale_must_be_positive_and_finite(scale_b):
+    # A scale of -1 returned -0.8 on this pair.
+    ps = PointSet((0.0, 1.0, 3.0))
+    mu = DiscreteMeasure(ps, [0.2, 0.3, 0.5])
+    nu = DiscreteMeasure(ps, [0.5, 0.25, 0.25])
+    assert line_transport_cost(mu, nu) == pytest.approx(0.8, abs=1e-15)
+    with pytest.raises(ValidationError, match="scale_b must be a positive real"):
+        line_transport_cost(mu, nu, scale_b=scale_b)
+
+
 def test_line_requires_one_dimension():
     m = DiscreteMeasure.from_points([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
     with pytest.raises(ValidationError):

@@ -138,6 +138,14 @@ def test_infeasible_direction_reports_max_epsilon():
         directional_derivative(mu, nu, cost, rho_outside)
 
 
+def test_max_feasible_epsilon_rejects_a_direction_off_the_point_set():
+    # Indexing mu's weights by rho's mask raised a bare IndexError.
+    mu = DiscreteMeasure(PointSet((0.0, 1.0, 3.0)), [0.2, 0.3, 0.5])
+    rho = SignedMeasure(PointSet((0.0, 1.0)), [0.5, -0.5])
+    with pytest.raises(ValidationError, match="same point set"):
+        max_feasible_epsilon(mu, rho)
+
+
 @pytest.mark.parametrize("epsilon", [0.0, -1e-4, np.nan])
 def test_epsilon_must_be_positive_and_finite(epsilon):
     ps = PointSet((0.0, 0.25, 0.75))
