@@ -84,8 +84,9 @@ from functools import cached_property
 import numpy as np
 
 from .divergences import (
+    _SupportPlan,
     _rooted_walk,
-    _dense_plan,
+    _support_plan,
     relative_entropy,
     transport_cost,
     transport_simplex,
@@ -119,7 +120,7 @@ _MAX_STEP = 4.0
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class DivergenceSolution:
+class DivergenceSolution(_SupportPlan):
     """Certified solve of the transport-smoothed divergence.
 
     ``value`` is the primal objective W(mu, measure) + R(measure || nu) of
@@ -136,14 +137,11 @@ class DivergenceSolution:
     is what makes ``dual_value`` a lower bracket. Solutions compare by
     identity: two solves are two solutions, whatever their values.
 
-    ``mu`` and ``nu`` are the measures the solve was given; ``rows`` and
-    ``cols``, their supports, are read from them on each access. ``flow``
-    is the transport plan from mu to ``measure`` on ``rows`` x ``cols``,
-    built on each access from its nonzero entries (an LP's basic plan has
-    at most |rows| + |cols| - 1), which are all the solution keeps of it;
-    ``plan``, the whole n x n plan, is built on each access too, so a kept
-    solution holds no n x n array. The class is slotted, so a caller that
-    keeps many solutions keeps no instance dict per solution.
+    ``mu`` and ``nu`` are the measures the solve was given, and ``cols`` is
+    the support of ``nu``. ``flow`` and ``plan`` are the transport plan from
+    mu to ``measure``, kept as a transport solution keeps its own. The class
+    is slotted, so a caller that keeps many solutions keeps no instance
+    dict per solution.
     """
 
     value: float
@@ -154,30 +152,11 @@ class DivergenceSolution:
     iterations: int
     certified: bool
     tol: float
-    mu: DiscreteMeasure = field(repr=False)
     nu: DiscreteMeasure = field(repr=False)
-    # Flat int32 positions of flow's nonzero bits (a flow of 2^31 cells would
-    # take 16 GiB), and flow's entries there.
-    _flow_at: np.ndarray = field(repr=False)
-    _flow_of: np.ndarray = field(repr=False)
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.mu.support
 
     @property
     def cols(self) -> np.ndarray:
         return self.nu.support
-
-    @property
-    def flow(self) -> np.ndarray:
-        flow = np.zeros((self.rows.size, self.cols.size))
-        flow.flat[self._flow_at] = self._flow_of
-        return flow
-
-    @property
-    def plan(self) -> np.ndarray:
-        return _dense_plan(self.measure.point_set.n, self.rows, self.cols, self.flow)
 
 
 @dataclass(frozen=True)
@@ -533,9 +512,7 @@ def _assemble(ws: _Workspace, cand: _Candidate, best_dual: float,
         tol=tol,
         mu=ws.mu,
         nu=ws.nu,
-        # Nonzero bits, so that a -0.0 comes back as it was.
-        _flow_at=(at := np.flatnonzero(cand.flow.view(np.int64)).astype(np.int32)),
-        _flow_of=cand.flow.ravel()[at],
+        **_support_plan(cand.flow),
     )
 
 

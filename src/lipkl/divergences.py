@@ -65,16 +65,54 @@ def relative_entropy(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class TransportSolution:
+class _SupportPlan:
+    """An optimal transport plan from ``mu``, kept as its nonzero bits.
+
+    ``flow`` is the plan on ``rows`` x ``cols``, the supports of ``mu`` and
+    of a subclass's other measure, and ``plan`` the whole n x n plan (rows:
+    first marginal). Both are built on each access from the flow's nonzero
+    entries, at most |rows| + |cols| - 1 in an LP's basic plan, which are
+    all a solution keeps of its plan; a write to a returned array reaches
+    neither the next read nor a residual.
+    """
+
+    mu: DiscreteMeasure = field(repr=False)
+    # Flat int32 positions of flow's nonzero bits (a flow of 2^31 cells would
+    # take 16 GiB), and flow's entries there; both frozen.
+    _flow_at: np.ndarray = field(repr=False)
+    _flow_of: np.ndarray = field(repr=False)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.mu.support
+
+    @property
+    def flow(self) -> np.ndarray:
+        flow = np.zeros((self.rows.size, self.cols.size))
+        flow.flat[self._flow_at] = self._flow_of
+        return flow
+
+    @property
+    def plan(self) -> np.ndarray:
+        plan = np.zeros((self.mu.point_set.n,) * 2)
+        plan[np.ix_(self.rows, self.cols)] = self.flow
+        return plan
+
+
+def _support_plan(flow: np.ndarray) -> dict:
+    """The ``_flow_at`` and ``_flow_of`` fields that keep ``flow``: its
+    nonzero bits, so that a -0.0 comes back as it was."""
+    at = np.flatnonzero(flow.view(np.int64))
+    return {"_flow_at": _freeze(at.astype(np.int32)), "_flow_of": _freeze(flow.ravel()[at])}
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class TransportSolution(_SupportPlan):
     """Optimal Kantorovich value and plan, and the dual potential built on read.
 
-    ``mu``, ``gamma`` and ``cost`` are what the LP was solved for. ``value``
-    comes from the LP alone: the cost summed over the plan. ``flow`` is the
-    plan on ``rows`` x ``cols``, the supports of ``mu`` and ``gamma``, a
-    read-only array; ``rows`` and ``cols`` are read from the two measures on
-    each access. ``plan`` is the whole plan, indexed by the shared point set
-    (rows: first marginal, columns: second), built on each access, so a kept
-    solution holds no n x n array. The class is slotted, as
+    ``mu``, ``gamma`` and ``cost`` are what the LP was solved for, and
+    ``cols`` is the support of ``gamma``. ``value`` comes from the LP alone:
+    the cost summed over the plan. The class is slotted, as
     :class:`~lipkl.core.DivergenceSolution` is.
 
     ``potential`` is built on each read from the LP's column duals v, which
@@ -88,17 +126,11 @@ class TransportSolution:
     """
 
     value: float
-    flow: np.ndarray
-    mu: DiscreteMeasure = field(repr=False)
     gamma: DiscreteMeasure = field(repr=False)
     cost: CostMatrix = field(repr=False)
     # The LP's column duals v on ``cols``, copied out of the simplex's array
     # of all m + n potentials.
     _duals: np.ndarray = field(repr=False)
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.mu.support
 
     @property
     def cols(self) -> np.ndarray:
@@ -112,38 +144,21 @@ class TransportSolution:
         full = _c_transform(-self._duals, self.cost, self.cols)
         return LipschitzFunction(full - full[0], self.cost)
 
-    @property
-    def plan(self) -> np.ndarray:
-        return _dense_plan(self.cost.n, self.rows, self.cols, self.flow)
-
     def marginal_residual(self) -> float:
-        """Worst gap between the plan's marginals and ``mu``, ``gamma``, read
-        from ``flow`` in the order numpy sums :attr:`plan`, so that the last
-        bits agree. The columns accumulate row after row, as a column of the
-        plan does (``flow.sum(axis=0)`` would sum a one-column flow
-        pairwise). A row with at most two nonzero entries sums exactly in
-        any order; only a row with more is summed inside a zero line of
-        length n, as the plan's row is."""
-        n, rows, cols = self.cost.n, self.rows, self.cols
-        row, col, line = np.zeros(n), np.zeros(n), np.zeros(n)
-        col[cols] = np.cumsum(self.flow, axis=0)[-1]
-        row[rows] = self.flow.sum(axis=1)
-        for k in np.flatnonzero(np.count_nonzero(self.flow, axis=1) > 2):
-            line[cols] = self.flow[k]
-            row[rows[k]] = line.sum()
-        return float(max(np.abs(row - self.mu.weights).max(),
-                         np.abs(col - self.gamma.weights).max()))
+        """Worst gap between the row and column sums of ``flow`` and the
+        weights of ``mu`` and ``gamma`` on their supports."""
+        flow = self.flow
+        return float(max(np.abs(flow.sum(axis=1) - self.mu.weights[self.rows]).max(),
+                         np.abs(flow.sum(axis=0) - self.gamma.weights[self.cols]).max()))
 
     def complementary_slackness_residual(self) -> float:
         """Worst |g_i - g_j - b c_ij| over plan entries above 1e-12, g the
         :attr:`potential`."""
         r, c = np.nonzero(self.flow > 1e-12)
-        if r.size == 0:
-            return 0.0
         rows, cols = self.rows, self.cols
         g = self.potential.values
         gap = g[rows[r]] - g[cols[c]] - self.cost.block(rows, cols)[r, c]
-        return float(np.abs(gap).max())
+        return float(np.abs(gap).max(initial=0.0))
 
 
 def transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, cost: CostMatrix) -> TransportSolution:
@@ -157,15 +172,8 @@ def transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, cost: CostMatrix
     rows, cols = mu.support, gamma.support
     sub = cost.block(rows, cols)
     flow, _, v = transport_simplex(mu.weights[rows], gamma.weights[cols], sub)
-    return TransportSolution(value=float((sub * flow).sum()), flow=_freeze(flow), mu=mu,
-                             gamma=gamma, cost=cost, _duals=_freeze(v.copy()))
-
-
-def _dense_plan(n: int, rows: np.ndarray, cols: np.ndarray, flow: np.ndarray) -> np.ndarray:
-    """The n x n plan that carries ``flow`` on ``rows`` x ``cols`` and 0 elsewhere."""
-    plan = np.zeros((n, n))
-    plan[np.ix_(rows, cols)] = flow
-    return plan
+    return TransportSolution(value=float((sub * flow).sum()), mu=mu, gamma=gamma, cost=cost,
+                             _duals=_freeze(v.copy()), **_support_plan(flow))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from .measures import (
     lipschitz_violation,
     load_cost,
     _as_float,
+    _cost_on,
     _finite_vector,
     _freeze,
     _lipschitz_tol,
@@ -108,8 +109,7 @@ class FiniteKernel:
         if np.abs(rows - 1.0).max() > ROW_ATOL:
             i = int(np.abs(rows - 1.0).argmax())
             raise ValidationError(f"row {i} sums to {rows[i]!r}, not 1")
-        if self.cost.n != n:
-            raise ValidationError("cost matrix size does not match the state set")
+        _cost_on(self.cost, self.states)
         object.__setattr__(self, "matrix", _freeze(p.copy()))
 
     @cached_property

@@ -5,10 +5,10 @@ ordered collection of pairwise-distinct points. Points are either coordinate
 tuples in R^d (which enables the built-in euclidean / manhattan ground costs)
 or opaque labels (in which case the cost matrix must be supplied explicitly).
 So a public call takes its measures on one point set (the same object or
-equal points), its cost over that set's n points, and a potential (a
-:class:`LipschitzFunction` or numbers) of shape (n,); each public function
-checks this through ``_shared_point_set`` and ``_values_on``, raising a
-ValidationError.
+equal points), its cost over that set's n points (a metric cost built on
+them), and a potential (a :class:`LipschitzFunction` or numbers) of shape
+(n,); each public function checks this through ``_shared_point_set`` and
+``_values_on``, raising a ValidationError.
 
 Ground costs are metrics. :class:`CostMatrix` accepts an explicit matrix
 with no :func:`cost_violations`, one rule in two steps. The structural rule:
@@ -403,10 +403,21 @@ def _shared_point_set(*measures, cost: "CostMatrix | None" = None) -> int:
     ps = measures[0].point_set
     if any(m.point_set != ps for m in measures[1:]):  # identity first, then the arrays
         raise ValidationError("measures must live on the same point set; merge supports first")
-    if cost is not None and cost.n != ps.n:
+    if cost is not None:
+        _cost_on(cost, ps)
+    return ps.n
+
+
+def _cost_on(cost: "CostMatrix", ps: PointSet) -> None:
+    """A ValidationError unless ``cost`` is over the points of ``ps``: of its
+    size, and for a metric cost built on these points (its coordinates are
+    the set's own array, or an equal one)."""
+    if cost.n != ps.n:
         raise ValidationError(
             f"cost matrix of size {cost.n} does not match the point set of size {ps.n}")
-    return ps.n
+    x = cost._coords
+    if x is not None and x is not ps._x and not np.array_equal(x, ps._x):
+        raise ValidationError("metric cost is built on other points than the point set")
 
 
 def _coordinates(ps: PointSet) -> np.ndarray:

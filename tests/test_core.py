@@ -759,6 +759,16 @@ def test_calls_reject_a_cost_or_potential_off_the_shared_point_set():
     for call in calls:
         with pytest.raises(ValidationError, match="does not match"):
             call()
+    # A metric cost on other points of the same size passed the size check:
+    # transport_cost returned 2.5 (0.8 with the right cost) and divergence
+    # 0.21801 (0.21742).
+    moved = metric_cost(PointSet((0.0, 5.0, 9.0)), "euclidean")
+    for call in (lambda: transport_cost(mu, nu, moved), lambda: divergence(mu, nu, moved)):
+        with pytest.raises(ValidationError, match="other points"):
+            call()
+    # A cost built on an equal but distinct point set is accepted.
+    equal = metric_cost(PointSet((0.0, 1.0, 3.0)), "euclidean")
+    assert transport_cost(mu, nu, equal).value == pytest.approx(0.8, abs=1e-15)
     assert grid_divergence(mu, nu, metric_cost(ps, "euclidean")).value == pytest.approx(
         0.217440, abs=1e-6)
 

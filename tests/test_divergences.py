@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from dataclasses import replace
@@ -176,7 +177,7 @@ def test_certificates(rng):
                                        nu_support=int(rng.integers(1, 9)))
         sol = transport_cost(mu, nu, cost)
         assert sol.marginal_residual() <= 1e-10
-        assert sol.marginal_residual() == dense_marginal_residual(sol)
+        assert sol.marginal_residual() == flow_marginal_residual(sol)
         assert sol.value == pytest.approx((dense(cost) * sol.plan).sum(), abs=1e-10)
         # strong duality at the returned potential
         pairing = float(sol.potential.values @ (mu.weights - nu.weights))
@@ -185,9 +186,10 @@ def test_certificates(rng):
         assert sol.potential.values[0] == 0.0
 
 
-def dense_marginal_residual(sol):
-    row = np.abs(sol.plan.sum(axis=1) - sol.mu.weights).max()
-    col = np.abs(sol.plan.sum(axis=0) - sol.gamma.weights).max()
+def flow_marginal_residual(sol):
+    flow = sol.flow
+    row = np.abs(flow.sum(axis=1) - sol.mu.weights[sol.rows]).max()
+    col = np.abs(flow.sum(axis=0) - sol.gamma.weights[sol.cols]).max()
     return float(max(row, col))
 
 
@@ -198,29 +200,22 @@ def dense_slackness_residual(sol):
     return float(np.abs(gap[mask]).max())
 
 
-def test_plans_are_built_on_access_from_the_support_block(monkeypatch):
-    import lipkl.core
-    import lipkl.divergences
-
-    built = []
-    dense_plan = lipkl.divergences._dense_plan
-    for module in (lipkl.core, lipkl.divergences):
-        monkeypatch.setattr(module, "_dense_plan", lambda *a: built.append(a) or dense_plan(*a))
+def test_plans_are_built_on_access_from_the_support_block():
     ps = PointSet((0.0, 0.25, 0.5, 1.0))
     mu = DiscreteMeasure(ps, [0.5, 0.0, 0.5, 0.0])
     nu = DiscreteMeasure(ps, [0.0, 0.3, 0.0, 0.7])
     cost = metric_cost(ps, "euclidean", 2.0)
-    # Both solutions build the plan on each access and keep no n x n array.
+    # Both solutions keep only the plan's nonzero entries, at most
+    # |rows| + |cols| - 1 of them, and build flow and plan on each access.
     for solve in (transport_cost, divergence):
         sol = solve(mu, nu, cost)
+        assert sol._flow_at.dtype == np.int32 and sol._flow_of.size <= 3
         assert sol.flow.shape == (2, 2)
-        assert built == []  # neither the solve nor the flow builds the plan
+        assert sol.flow.tobytes() == np.bincount(sol._flow_at, sol._flow_of, 4).tobytes()
         dense = np.zeros((4, 4))
         dense[np.ix_([0, 2], [1, 3])] = sol.flow
         assert sol.plan.tobytes() == dense.tobytes()
-        assert sol.plan is not sol.plan
-        assert len(built) == 3
-        built.clear()
+        assert sol.plan is not sol.plan and sol.flow is not sol.flow
 
 
 def test_slackness_residual_matches_the_dense_formula():
@@ -295,8 +290,7 @@ def make_grid_pair(n, b):
 def test_residuals_read_the_flow_not_the_plan():
     # The benchmark's one-row LP: a point mass at 0 against a 2 000-point grid,
     # and the one-column LP back. The dense plan would hold 30.5 MiB. The
-    # one-column flow's pairwise sum (flow.sum(axis=0)) misses the plan's
-    # column sum by 5.4e-14; the residual must read the plan's bits.
+    # marginal residual is numpy's row and column sums of the flow.
     n = 2000
     mu, nu, cost = make_grid_pair(n, 10.0)
     for src, dst, shape in ((mu, nu, (1, n)), (nu, mu, (n, 1))):
@@ -309,18 +303,47 @@ def test_residuals_read_the_flow_not_the_plan():
             tracemalloc.stop()
         assert held < 2**20
         assert sol.flow.shape == shape and not hasattr(sol, "__dict__")
-        # A write to the flow used to move the marginal residual to 1.0.
-        with pytest.raises(ValueError, match="read-only"):
-            sol.flow[0] = 0
-        # rows and cols are read from the measures on each access, so a
-        # write to a returned array reaches neither the next read nor a
-        # residual.
-        rows, cols = sol.rows, sol.cols
+        # flow, rows and cols are built on each access, so a write to a
+        # returned array reaches neither the next read nor a residual (a
+        # write to a kept flow once moved the marginal residual to 1.0).
+        flow, rows, cols = sol.flow, sol.rows, sol.cols
+        before = flow.tobytes()
+        flow[:] = 0.0
         rows[0], cols[0] = n - 1, n - 1
+        assert sol.flow.tobytes() == before
         assert (sol.rows.tobytes(), sol.cols.tobytes()) == (src.support.tobytes(), dst.support.tobytes())
         assert (sol.marginal_residual(), sol.complementary_slackness_residual()) == residuals
         assert max(residuals) <= 1e-12
-        assert residuals == (dense_marginal_residual(sol), dense_slackness_residual(sol))
+        assert residuals == (flow_marginal_residual(sol), dense_slackness_residual(sol))
+
+
+def test_a_transport_solution_keeps_no_dense_block():
+    # A 100 x 100 LP's dense flow would hold 80 000 B; its basic plan has at
+    # most 199 nonzero entries, kept as int32 positions and their floats.
+    rng = np.random.default_rng(3)
+    mu, nu, cost = random_instance(rng, 100, d=2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sol = transport_cost(mu, nu, cost)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 8000  # 3 839 B on numpy 2.4 and python 3.11
+    assert sol.flow.shape == (100, 100)
+    assert sol._flow_at.dtype == np.int32 and sol._flow_of.size <= 199
+
+
+def test_a_one_column_marginal_residual_reads_the_flow_sums():
+    # The 10 000-point one-column LP towards a point mass. Summed in the order
+    # of the n x n plan's column, the residual read 9.4e-14; numpy's pairwise
+    # sum of the flow's one column reads 4.4e-16.
+    mu, nu, cost = make_grid_pair(10000, 10.0)
+    sol = transport_cost(nu, mu, cost)
+    assert sol.flow.shape == (10000, 1)
+    assert sol.marginal_residual() <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,14 @@ def test_kernel_validation():
     with pytest.raises(ValidationError, match=r"shape \(1, 2\) != \(2, 2\)"):
         FiniteKernel(ps, np.array([[0.5, 0.5]]), cost)
     other = metric_cost(PointSet((0.0, 1.0, 2.0)), "euclidean", 1.0)
-    with pytest.raises(ValidationError, match="state set"):
+    with pytest.raises(ValidationError, match="does not match the point set of size 2"):
         FiniteKernel(ps, np.eye(2), other)
+    # A metric cost on other points of the same size was accepted.
+    moved = metric_cost(PointSet((0.0, 5.0)), "euclidean", 1.0)
+    with pytest.raises(ValidationError, match="other points"):
+        FiniteKernel(ps, np.eye(2), moved)
+    equal = metric_cost(PointSet((0.0, 1.0)), "euclidean", 1.0)
+    assert FiniteKernel(ps, np.eye(2), equal).cost is equal
 
 
 def test_kernel_builds_its_log_on_first_use(rng):
@@ -490,6 +496,12 @@ def test_ar1_zero_potential_passes_through():
     out, ok = ar1_risk_quadratic(GaussianAR1(0.3, 2.0), QuadraticFunction(0.0, 0.0), 1.1)
     assert ok
     assert out.quadratic == 0.0 and out.linear == 0.0 and out.constant == 1.1
+
+
+def test_quadratic_function_evaluates_its_coefficients():
+    q = QuadraticFunction(2.0, -1.0, 0.5)
+    assert q(3.0) == 15.5
+    assert q(np.array([0.0, -1.0])).tolist() == [0.5, 3.5]
 
 
 def test_ar1_coefficients_direct_value():

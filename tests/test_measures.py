@@ -272,6 +272,13 @@ def test_squared_euclidean_rejected():
     entries = (x[:, None] - x[None, :]) ** 2
     violations = cost_violations(entries)
     assert any(v.kind == "triangle" for v in violations)
+    # On 10 points the triangles run past the report limit, which stops the
+    # scan: the first MAX_REPORTS witnesses, middle point by middle point.
+    x = np.arange(10.0)
+    violations = cost_violations((x[:, None] - x[None, :]) ** 2)
+    assert len(violations) == measures.MAX_REPORTS
+    assert {v.kind for v in violations} == {"triangle"}
+    assert [v.indices[1] for v in violations] == sorted(v.indices[1] for v in violations)
 
 
 @pytest.mark.parametrize(
@@ -457,6 +464,9 @@ def test_point_sets_and_costs_survive_pickling():
     line = PointSet((0.0, 0.3, 1.0))
     for ps, cost in ((line, metric_cost(line, "manhattan", 2.5)),
                      (PointSet(("a", "b", "c")), CostMatrix(np.array(BASE_COST), 2.0))):
+        for obj, name in ((ps, "n"), (cost, "scale_b")):
+            with pytest.raises(AttributeError, match=f"is immutable; cannot set '{name}'"):
+                setattr(obj, name, 1)
         for clone in (pickle.loads(pickle.dumps((ps, cost))), copy.deepcopy((ps, cost))):
             assert clone[0] == ps and clone[0].points == ps.points
             assert clone[1].scale_b == cost.scale_b
@@ -956,6 +966,25 @@ def test_load_measure_from_a_json_string_longer_than_a_file_name():
     m = load_measure(text)
     assert m.point_set.points == tuple((float(i),) for i in range(40))
     assert m.weights.tobytes() == np.full(40, 1 / 40).tobytes()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PointSet(()), "point set must be nonempty"),
+    (lambda: PointSet(("a", "b")).dimension, "point set has non-numeric labels"),
+    (lambda: DiscreteMeasure(PointSet((0.0, 1.0)), [1.0]), "weights has 1 entries, expected 2"),
+    (lambda: DiscreteMeasure.from_points([0.0, 1.0], [1.0]),
+     "points and weights must have equal length"),
+    (lambda: load_measure({"points": [[0.0]]}), 'measure file must contain "points" and "weights"'),
+    (lambda: load_cost("[[0.0]]", PointSet((0.0,))), "cost specification must be a JSON object"),
+    (lambda: load_cost({"scale_b": 2.0}, PointSet((0.0,))),
+     'cost specification needs "metric" or "matrix"'),
+    (lambda: measures._load_json(3), "cannot load JSON from 3"),
+], ids=["empty-points", "label-dimension", "weights-length", "from-points-lengths",
+        "measure-without-weights", "cost-not-an-object", "cost-without-source", "json-from-int"])
+def test_invalid_inputs_are_diagnosed(make, message):
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert str(err.value) == message
 
 
 def test_load_cost_metric_and_matrix(tmp_path):
