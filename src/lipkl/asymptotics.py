@@ -20,10 +20,14 @@ Each bracket is valid at every larger scale, since the true curve is
 nondecreasing, so the running maximum alone makes the monotonicity
 invariant exact rather than tolerance-padded. Consecutive scales also
 warm-start from the previous optimal potential, which is feasible for every
-larger scale (nested Lipschitz classes). What the warm start buys is exact
-zeros: when mu = nu, the exact 0 certified at the first scale carries up
-the ladder, where a cold solve can certify a bracket a rounding error
+larger scale (nested Lipschitz classes). The warm start buys two things.
+Exact zeros: when mu = nu, the exact 0 certified at the first scale carries
+up the ladder, where a cold solve can certify a bracket a rounding error
 above 0 (4.4e-17 for weights (0.4, 0.6) on the points 0 and 1 at b = 10).
+And the previous scale's optimal plan, which the warm candidate's transport
+LP recovers, seeds the next solve's mirror iterate: on the benchmark's
+entropy sweeps (2-D, n = 12 and 14, seven scales) that halved the mirror
+iterations, 12 124 to 6 520 over 280 solves.
 """
 
 from __future__ import annotations

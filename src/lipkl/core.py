@@ -34,8 +34,12 @@ residual *is* the duality gap, and the Gibbs relation holds by construction,
 so a certified solve automatically satisfies the first-order optimality
 conditions to the same tolerance. The zero potential is a candidate too,
 but only its dual side is computed: its dual is a lower bracket and its
-tilt (nu on the columns) seeds the iterate, and nothing would read its
-transport LP.
+tilt (nu on the columns) seeds a cold iterate, and nothing would read its
+transport LP. A warm start is priced in full, and its optimal plan seeds
+the iterate instead, mixed with a small share of the product of mu and its
+tilt (see :meth:`_Workspace.warm_seed`): mirror descent's bound scales with
+the divergence from the seed to the optimal coupling, and along a scale
+ladder the previous optimum's plan lies near the next one.
 
 Mirror descent alone closes the gap at an O(1/t) crawl, so certificate
 rounds also *close the first-order conditions over a guessed support
@@ -117,6 +121,14 @@ __all__ = [
 
 _TINY = 1e-300          # floor before taking logs of the running marginal
 _MAX_STEP = 4.0
+# Share of the product coupling mu x gamma mixed into a warm start's plan
+# when it seeds the mirror iterate. Mirror descent's bound scales with
+# KL(pi* || pi_0), and pi_0 >= eps mu x gamma caps that at the product
+# seed's own KL plus log(1/eps): a poor plan costs at most log(1/eps), 4.6
+# here, while a plan with no product share leaves the KL infinite wherever
+# pi* has support the plan lacks. On the benchmark's sweeps 0.01 took fewer
+# iterations than 0.1, 1e-4 or 1e-8.
+_WARM_PRODUCT = 0.01
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -144,6 +156,9 @@ class DivergenceSolution(_SupportPlan):
     dict per solution.
     """
 
+    mu: DiscreteMeasure = field(repr=False)
+    _flow_at: np.ndarray = field(repr=False)
+    _flow_of: np.ndarray = field(repr=False)
     value: float
     dual_value: float
     duality_gap: float
@@ -198,6 +213,7 @@ class _Workspace:
         self.cols = nu.support
         self.C_rc = cost.block(self.rows, self.cols)
         self.a = mu.weights[self.rows]
+        self.log_a = np.log(self.a)[:, None]
         self.logw = np.log(nu.weights[self.cols])
         self._masks: set[bytes] = set()
         self._walks: set[bytes] = set()
@@ -261,6 +277,15 @@ class _Workspace:
             flow = np.zeros_like(self.C_rc)
             flow[:, pos] = f_sub
         return flow, wass
+
+    def warm_seed(self, cand: _Candidate) -> np.ndarray:
+        """The mirror iterate, in log space, that a warm candidate seeds: its
+        optimal plan with a share ``_WARM_PRODUCT`` of the product of mu and
+        its tilt, floored where the tilt underflows to zero, and each row
+        renormalized to its mu mass as the descent step does."""
+        pi0 = (1.0 - _WARM_PRODUCT) * cand.flow + _WARM_PRODUCT * (self.a[:, None] * cand.gamma)
+        log_pi = np.log(np.maximum(pi0, _TINY))
+        return log_pi - (np.logaddexp.reduce(log_pi, axis=1, keepdims=True) - self.log_a)
 
     def untried_guesses(self, flow: np.ndarray):
         """The support guesses of ``flow`` (:func:`_support_guesses`) that no
@@ -378,13 +403,16 @@ def divergence(
         Warm-start potential (array over the point set or a
         LipschitzFunction) with finite values; any feasible guess can only
         improve the dual bracket, which is what makes scale sweeps exactly
-        monotone.
+        monotone. Its candidate's optimal transport plan, with a share
+        ``_WARM_PRODUCT`` of the product of mu and its tilt, seeds the
+        mirror iterate, so a start near the optimum also takes fewer
+        iterations.
 
     Every candidate's dual value is computed, but the transport LP that
     prices its primal runs only on the warm start, each certificate round's
     mirror iterate, and those structure-closure candidates whose dual lies
     within the best gap of the best dual. The zero start contributes its
-    dual and the mirror seed (the warm start's tilt seeds instead when
+    dual and the mirror seed (the warm start's plan seeds instead when
     given), and no LP. The only work skipped is a support mask tried before
     and a forest walk balanced before (see the module docstring for why no
     other repeat needs a skip).
@@ -438,17 +466,17 @@ def divergence(
         closure_ladder(best.flow)
 
     # The zero potential's dual is a lower bracket, and its tilt (nu on the
-    # columns) seeds the iterate; its primal would be read by nothing.
+    # columns) seeds a cold iterate; its primal would be read by nothing.
     best_dual, _, _, seed = ws.tilt(np.zeros(ws.cols.size))
-    if initial_potential is not None:
+    # Primal state in log space, each row on its own scaled simplex.
+    log_a = ws.log_a
+    if initial_potential is None:
+        log_pi = log_a + np.log(np.maximum(seed, _TINY))[None, :]
+    else:
         g0 = _values_on(initial_potential, cost.n)
         if not np.isfinite(g0).all():
             raise ValidationError("initial potential must be finite")
-        seed = consider(g0[ws.cols]).gamma
-
-    # Primal state in log space, seeded from a tilt.
-    log_a = np.log(ws.a)[:, None]
-    log_pi = log_a + np.log(np.maximum(seed, _TINY))[None, :]
+        log_pi = ws.warm_seed(consider(g0[ws.cols]))
     eta = 1.0
     iterations = 0
 

@@ -64,7 +64,6 @@ def relative_entropy(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return float(np.sum(p * np.log(p / q)))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class _SupportPlan:
     """An optimal transport plan from ``mu``, kept as its nonzero bits.
 
@@ -74,13 +73,17 @@ class _SupportPlan:
     entries, at most |rows| + |cols| - 1 in an LP's basic plan, which are
     all a solution keeps of its plan; a write to a returned array reaches
     neither the next read nor a residual.
+
+    A subclass is a frozen slotted dataclass that declares ``mu``,
+    ``_flow_at`` (the flat int32 positions of flow's nonzero bits; a flow of
+    2^31 cells would take 16 GiB) and ``_flow_of`` (flow's entries there),
+    both arrays frozen. The base holds no field and no slot: Python 3.10's
+    ``dataclass(slots=True)`` redeclares every inherited field as a slot of
+    the subclass, where 3.11 and later skip them, so only a base without
+    fields gives each subclass its own slots alone on every version.
     """
 
-    mu: DiscreteMeasure = field(repr=False)
-    # Flat int32 positions of flow's nonzero bits (a flow of 2^31 cells would
-    # take 16 GiB), and flow's entries there; both frozen.
-    _flow_at: np.ndarray = field(repr=False)
-    _flow_of: np.ndarray = field(repr=False)
+    __slots__ = ()
 
     @property
     def rows(self) -> np.ndarray:
@@ -125,6 +128,9 @@ class TransportSolution(_SupportPlan):
     and cost. Solutions compare by identity.
     """
 
+    mu: DiscreteMeasure = field(repr=False)
+    _flow_at: np.ndarray = field(repr=False)
+    _flow_of: np.ndarray = field(repr=False)
     value: float
     gamma: DiscreteMeasure = field(repr=False)
     cost: CostMatrix = field(repr=False)

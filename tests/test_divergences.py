@@ -19,7 +19,15 @@ from lipkl import (
     transport_cost,
     ValidationError,
 )
-from lipkl.divergences import _least_cost, _northwest_corner, _rooted_walk, transport_simplex
+from lipkl.core import DivergenceSolution
+from lipkl.divergences import (
+    TransportSolution,
+    _SupportPlan,
+    _least_cost,
+    _northwest_corner,
+    _rooted_walk,
+    transport_simplex,
+)
 
 from conftest import dense, random_instance, random_measure, random_point_set
 
@@ -334,6 +342,17 @@ def test_a_transport_solution_keeps_no_dense_block():
     assert held < 8000  # 3 839 B on numpy 2.4 and python 3.11
     assert sol.flow.shape == (100, 100)
     assert sol._flow_at.dtype == np.int32 and sol._flow_of.size <= 199
+
+
+@pytest.mark.parametrize("cls", [DivergenceSolution, TransportSolution])
+def test_each_solution_slot_is_declared_once(cls):
+    # Python 3.10's dataclass(slots=True) redeclared the fields of a slotted
+    # dataclass base as slots of the subclass (3.11 skips them), so each
+    # solution carried three shadowed slots there.
+    declared = [name for klass in cls.__mro__ for name in vars(klass).get("__slots__", ())]
+    assert not set(cls.__slots__) & set(_SupportPlan.__slots__)
+    assert len(declared) == len(set(declared)), declared
+    assert {"mu", "_flow_at", "_flow_of"} <= set(declared)
 
 
 def test_a_one_column_marginal_residual_reads_the_flow_sums():
