@@ -6,17 +6,19 @@ priced first: it sets its dual potentials as it goes, so an LP that is
 optimal there returns after one reduced-cost check, with no basis tree and
 no tree walk. That is every LP on sorted points with an |x - y| cost, a
 Monge matrix (Hoffman, "On simple linear programming problems", 1963). An
-LP with one row or one column, such as one from a point mass, has the
-staircase as its only feasible plan: one numpy pass lays it and sets the
-potentials the start would, bit for bit, with no Python loop over its
-cells. Otherwise the staircase gives way to the least-cost basis (the
-matrix-minimum rule): cells in ascending cost, ties in row-major order,
-each closing one line, m + n - 1 of them. On a metric cost its first cells
-are the zero ones, each a point that both marginals charge, so it keeps
-min(mu, gamma) in place before anything moves. One walk roots that basis at row 0 (parent pointers, depths and
-potentials). The entering cell is Dantzig's (the most negative reduced
-cost), with a fall-back to Bland's rule in long degenerate runs, and the
-lowest-index tie break for the leaving cell. Each pivot reads its cycle
+LP with one row or one column, such as one from or to a point mass, has the
+staircase as its only feasible plan. With one row, one numpy pass lays it
+and sets the potentials the start would, bit for bit, with no Python loop
+over its cells; with one column the start's loop lays it, and its check
+finds no entering cell. Otherwise the staircase gives way to the
+least-cost basis (the matrix-minimum rule): cells in ascending cost, ties
+in row-major order, each closing one line, m + n - 1 of them. On a metric
+cost its first cells are the zero ones, each a point that both marginals
+charge, so it keeps min(mu, gamma) in place before anything moves. One
+walk roots that basis at row 0 (parent pointers, depths and potentials).
+The entering cell is Dantzig's (the most negative reduced cost), with a
+fall-back to Bland's rule in long degenerate runs, and the lowest-index
+tie break for the leaving cell. Each pivot reads its cycle
 off the parent pointers, then re-hangs only the subtree that the leaving
 cell cuts off from the entering cell's other end, setting that subtree's
 parents, depths and potentials (Ahuja, Magnanti & Orlin, *Network Flows*,
@@ -197,10 +199,11 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     ``b`` (up to the rounding of each sum), so the side with the larger
     total falls short by the gap.
 
-    With one row or one column the staircase is the only feasible plan, and
-    it is returned from one numpy pass: each cell carries the smaller of
-    its line entry and the mass still ahead of it, with the potentials that
-    the north-west start sets (u_0 = 0).
+    With one row or one column the staircase is the only feasible plan. A
+    row is returned from one numpy pass: each cell carries the smaller of
+    its entry and the mass still ahead of it, with the potentials that the
+    north-west start sets (u_0 = 0). A column is laid by the start itself,
+    which prices it optimal.
 
     Otherwise the north-west staircase is laid and priced first, with the
     potentials it sets as it goes, and returned if no reduced cost is
@@ -241,13 +244,9 @@ def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     total = float(a.sum())
     if abs(total - float(b.sum())) > 1e-9 * (1.0 + total):
         raise ValidationError("marginals must have equal total mass")
-    # v_j = C_0j - u_0 and u_i = C_i0 - v_0, as the start sets them, in copies.
+    # v_j = C_0j - u_0, as the start sets it, in a copy.
     if m == 1:
         return _staircase(a[0], b)[None, :], np.zeros(1), C[0] - 0.0
-    if n == 1:
-        u = C[:, 0] - C[0, 0]
-        u[0] = 0.0
-        return _staircase(b[0], a)[:, None], u, C[0] - 0.0
 
     cost = C.tolist()
     X, pot = _northwest_corner(a.tolist(), b.tolist(), cost)

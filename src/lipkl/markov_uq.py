@@ -19,7 +19,14 @@ The inverse map (recovering g and a from f) is solved by damped Newton with
 g pinned at the first state. Its Jacobian at zero, [(P - I)[:, 1:], 1], has
 rank n + 1 - #classes (its left null space is spanned by differences of the
 classes' stationary measures), so the solve needs one recurrent class; the
-classes come from one reachability closure of P > 0.
+classes come from one reachability closure of P > 0. The tolerance and the
+budget are fixed: the solve has converged once max |f - risk_map(g, a)| is
+at most 1e-10, and reports no convergence after 200 steps.
+
+Every transition matrix is checked where it enters, by :class:`FiniteKernel`,
+:func:`recurrent_classes` and :func:`stationary_distribution` alike: it must
+be square, finite and non-negative, each row summing to 1 within
+``ROW_ATOL`` = 1e-12; anything else is a ValidationError.
 
 Stationary measures are exact: each recurrent class is solved by GTH
 elimination (Grassmann, Taksar & Heyman 1985), which censors one state at a
@@ -37,8 +44,7 @@ maximum (1 - alpha)^2 / (2 sigma^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +57,7 @@ from .measures import (
     ValidationError,
     lipschitz_violation,
     load_cost,
+    _Immutable,
     _as_float,
     _cost_on,
     _finite_vector,
@@ -85,40 +92,59 @@ __all__ = [
 ]
 
 ROW_ATOL = 1e-12
+_NEWTON_TOL = 1e-10    # max |risk_map(g, a) - f| at which the inverse has converged
+_NEWTON_STEPS = 200    # Newton steps before the inverse reports no convergence
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteKernel:
-    """Row-stochastic transition matrix over a state point set with a cost."""
+def _transition_matrix(matrix) -> np.ndarray:
+    """``matrix`` as a frozen float copy when it is a transition matrix:
+    square, finite and non-negative, each row summing to 1 within
+    ``ROW_ATOL``; anything else is a ValidationError."""
+    p = _as_float(matrix, "transition matrix", 2)
+    if p.shape[0] != p.shape[1] or p.size == 0:
+        raise ValidationError(f"transition matrix shape {p.shape} is not square and non-empty")
+    if not np.all(np.isfinite(p)):
+        raise ValidationError("transition matrix has non-finite entries")
+    if np.any(p < 0):
+        i, j = np.unravel_index(int(np.argmin(p)), p.shape)
+        raise ValidationError(f"negative transition probability at ({i}, {j})")
+    rows = p.sum(axis=1)
+    if np.abs(rows - 1.0).max() > ROW_ATOL:
+        i = int(np.abs(rows - 1.0).argmax())
+        raise ValidationError(f"row {i} sums to {float(rows[i])!r}, not 1")
+    return _freeze(p.copy())
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class FiniteKernel(_Immutable):
+    """Row-stochastic transition matrix over a state point set with a cost.
+
+    The class is slotted, and its log p is built on first use into a slot:
+    the risk map and the Newton inverse read it, the alternative kernel of
+    a bound never does."""
 
     states: PointSet
     matrix: np.ndarray
     cost: CostMatrix
+    _log_p_cache: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        p = np.asarray(self.matrix, dtype=float)
+        p = _as_float(self.matrix, "transition matrix", 2)
         n = self.states.n
         if p.shape != (n, n):
             raise ValidationError(f"transition matrix shape {p.shape} != ({n}, {n})")
-        if not np.all(np.isfinite(p)):
-            raise ValidationError("transition matrix has non-finite entries")
-        if np.any(p < 0):
-            i, j = np.unravel_index(int(np.argmin(p)), p.shape)
-            raise ValidationError(f"negative transition probability at ({i}, {j})")
-        rows = p.sum(axis=1)
-        if np.abs(rows - 1.0).max() > ROW_ATOL:
-            i = int(np.abs(rows - 1.0).argmax())
-            raise ValidationError(f"row {i} sums to {rows[i]!r}, not 1")
+        p = _transition_matrix(p)
         _cost_on(self.cost, self.states)
-        object.__setattr__(self, "matrix", _freeze(p.copy()))
+        object.__setattr__(self, "matrix", p)
 
-    @cached_property
+    @property
     def _log_p(self) -> np.ndarray:
-        """log p, with -inf exactly on the forbidden transitions; built on
-        first use (the risk map and the Newton inverse read it, the
-        alternative kernel of a bound never does)."""
-        p = self.matrix
-        return _freeze(np.where(p > 0, np.log(np.maximum(p, 1e-300)), -np.inf))
+        """log p, with -inf exactly on the forbidden transitions."""
+        if self._log_p_cache is None:
+            p = self.matrix
+            log_p = np.where(p > 0, np.log(np.maximum(p, 1e-300)), -np.inf)
+            object.__setattr__(self, "_log_p_cache", _freeze(log_p))
+        return self._log_p_cache
 
     @property
     def n(self) -> int:
@@ -198,10 +224,15 @@ def performance_bound(g, mu: DiscreteMeasure, nu: DiscreteMeasure,
 
 
 def risk_map(kernel: FiniteKernel, g, a: float) -> np.ndarray:
-    """Risk-sensitive image f(x) = -log sum_y e^{-g(y)} p(x, y) - g(x) + a."""
+    """Risk-sensitive image f(x) = -log sum_y e^{-g(y)} p(x, y) - g(x) + a.
+
+    A potential or growth rate that is not finite is a ValidationError."""
     g = _values_on(g, kernel.n)
+    a = float(a)
+    if not (np.all(np.isfinite(g)) and math.isfinite(a)):
+        raise ValidationError("potential and growth rate must be finite")
     inner = np.logaddexp.reduce(kernel._log_p - g[None, :], axis=1)
-    return -inner - g + float(a)
+    return -inner - g + a
 
 
 def _tilted_kernel(kernel: FiniteKernel, g: np.ndarray) -> np.ndarray:
@@ -235,19 +266,21 @@ class RiskInverse:
         return self.converged and self.lipschitz_feasible
 
 
-def invert_risk_map(kernel: FiniteKernel, f, tol: float = 1e-10,
-                    max_iter: int = 200) -> RiskInverse:
+def invert_risk_map(kernel: FiniteKernel, f) -> RiskInverse:
     """Damped Newton solve of the risk-sensitive Poisson equation.
 
     The constant direction (g, a) -> (g + s, a) is removed by pinning
     g[0] = 0; the remaining Jacobian [(P~ - I)[:, 1:], 1] is invertible
     precisely when the chain has one recurrent class. Rank deficiency is
     reported with the recurrent-class diagnosis instead of a solution.
+    The solve has converged once the residual max |risk_map(g, a) - f| is
+    at most 1e-10, and stops unconverged after 200 steps or when no step
+    length lowers the residual.
     """
     n = kernel.n
     f = _finite_vector(f, n, "cost vector")
 
-    classes = recurrent_classes(kernel.matrix)
+    classes = _closed_classes(kernel.matrix)
     rank = n + 1 - len(classes)
     g = np.zeros(n)
     a = float(f.mean())
@@ -259,14 +292,16 @@ def invert_risk_map(kernel: FiniteKernel, f, tol: float = 1e-10,
     else:
         residual = risk_map(kernel, g, a) - f
         norm = float(np.abs(residual).max())
-    while diagnosis is None and norm > tol and iterations < max_iter:
+    while diagnosis is None and norm > _NEWTON_TOL and iterations < _NEWTON_STEPS:
         tilted = _tilted_kernel(kernel, g)
         jac = np.empty((n, n))
         jac[:, : n - 1] = (tilted - np.eye(n))[:, 1:]
         jac[:, n - 1] = 1.0
         try:
             step = np.linalg.solve(jac, -residual)
-        except np.linalg.LinAlgError:
+        except np.linalg.LinAlgError:  # singular
+            step = None
+        if step is None or not np.all(np.isfinite(step)):  # or singular in floating point
             diagnosis = "Newton linearization became singular"
             break
         lam = 1.0
@@ -289,9 +324,10 @@ def invert_risk_map(kernel: FiniteKernel, f, tol: float = 1e-10,
         excess, _ = lipschitz_violation(g, kernel.cost)
         feasible = bool(excess <= _lipschitz_tol(g))
         excess = max(excess, 0.0)
-        if norm > tol:
+        if norm > _NEWTON_TOL:
             diagnosis = "Newton did not reach tolerance"
-    return RiskInverse(g=g, a=a, residual=norm, converged=norm <= tol, iterations=iterations,
+    return RiskInverse(g=g, a=a, residual=norm, converged=norm <= _NEWTON_TOL,
+                       iterations=iterations,
                        lipschitz_excess=excess, lipschitz_feasible=feasible,
                        jacobian_rank=rank, diagnosis=diagnosis)
 
@@ -300,14 +336,19 @@ def invert_risk_map(kernel: FiniteKernel, f, tol: float = 1e-10,
 # Stationary structure
 
 
-def recurrent_classes(matrix: np.ndarray) -> list[np.ndarray]:
+def recurrent_classes(matrix) -> list[np.ndarray]:
     """Recurrent classes, as sorted index arrays ordered by first index.
 
     Squares the reachability matrix of P > 0 (reflexive) to a fixed point. A
     state is recurrent when all it reaches reaches it back; its class is
-    the set it reaches.
+    the set it reaches. A matrix that is not a transition matrix is a
+    ValidationError.
     """
-    p = np.asarray(matrix, dtype=float)
+    return _closed_classes(_transition_matrix(matrix))
+
+
+def _closed_classes(p: np.ndarray) -> list[np.ndarray]:
+    """:func:`recurrent_classes` of an accepted transition matrix."""
     reach, last = (p > 0) | np.eye(len(p), dtype=bool), None
     while not np.array_equal(reach, last):
         last, reach = reach, reach.astype(float) @ reach > 0
@@ -316,18 +357,19 @@ def recurrent_classes(matrix: np.ndarray) -> list[np.ndarray]:
             if recurrent[i] and row.argmax() == i]
 
 
-def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
+def stationary_distribution(matrix) -> np.ndarray:
     """The stationary row vector of a chain with one recurrent class.
 
     GTH elimination on the recurrent block: state k is censored out by
     folding its paths into the states before it, with the exit mass
     sum_{j<k} a_kj in place of 1 - a_kk, so no subtraction can cancel and
     no diagonal entry is read. Back substitution then gives pi up to scale.
-    Transient states get zero mass. Raises ValidationError unless there is
-    exactly one recurrent class, since otherwise pi is not unique.
+    Transient states get zero mass. Raises ValidationError unless ``matrix``
+    is a transition matrix with exactly one recurrent class, since
+    otherwise pi is not unique.
     """
-    p = np.asarray(matrix, dtype=float)
-    classes = recurrent_classes(p)
+    p = _transition_matrix(matrix)
+    classes = _closed_classes(p)
     if len(classes) != 1:
         raise ValidationError(
             f"the chain has {len(classes)} recurrent classes; a unique "
@@ -396,10 +438,15 @@ def ergodic_bound(p_kernel: FiniteKernel, q_kernel: FiniteKernel, f,
     no row-wise absolute continuity w.r.t. ``p_kernel``; rows of q with
     shifted support simply pick up transport cost instead of an infinite
     entropy term. With multiple recurrent classes in q, every class is
-    checked.
+    checked. The kernels must share one state set and one cost: q's cost
+    is ``p_kernel.cost`` itself, or one of equal scale and entries.
     """
     if p_kernel.states != q_kernel.states:  # identity first, then the coordinate arrays
         raise ValidationError("kernels must share the same state set")
+    cost = p_kernel.cost
+    if q_kernel.cost is not cost and not (q_kernel.cost.scale_b == cost.scale_b and
+                                          np.array_equal(q_kernel.cost.entries, cost.entries)):
+        raise ValidationError("kernels must share the same cost")
     inverse = invert_risk_map(p_kernel, f)
     if not inverse.representable:
         raise ValidationError(
@@ -410,12 +457,12 @@ def ergodic_bound(p_kernel: FiniteKernel, q_kernel: FiniteKernel, f,
     f = np.asarray(f, dtype=float)
     q = q_kernel.matrix
     bounds = []
-    for states in recurrent_classes(q):
+    for states in _closed_classes(q):
         pi = np.zeros(p_kernel.n)
         pi[states] = stationary_distribution(q[np.ix_(states, states)])
         values = np.zeros(p_kernel.n)
         for x in states:
-            values[x] = divergence(q_kernel.row(x), p_kernel.row(x), p_kernel.cost,
+            values[x] = divergence(q_kernel.row(x), p_kernel.row(x), cost,
                                    tol=divergence_tol).value
         bounds.append(ClassBound(
             states=tuple(int(x) for x in states),

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from lipkl import (
+    CostMatrix,
     DiscreteMeasure,
     FiniteKernel,
     GaussianAR1,
@@ -87,7 +90,7 @@ def feasible_potential(rng, kernel, amplitude=0.5):
 def test_kernel_validation():
     ps = PointSet((0.0, 1.0))
     cost = metric_cost(ps, "euclidean", 1.0)
-    with pytest.raises(ValidationError, match="row"):
+    with pytest.raises(ValidationError, match=r"row 0 sums to 0\.9, not 1"):
         FiniteKernel(ps, np.array([[0.5, 0.4], [0.5, 0.5]]), cost)
     with pytest.raises(ValidationError, match="negative"):
         FiniteKernel(ps, np.array([[1.5, -0.5], [0.5, 0.5]]), cost)
@@ -112,11 +115,11 @@ def test_kernel_builds_its_log_on_first_use(rng):
     # n^2 floats that no step of the bound uses.
     p, q = make_kernel(rng, 5), make_kernel(rng, 5)
     q = FiniteKernel(p.states, q.matrix, p.cost)
-    assert "_log_p" not in vars(p) and "_log_p" not in vars(q)
+    assert p._log_p_cache is None and q._log_p_cache is None
     g = feasible_potential(rng, p)
     f = risk_map(p, g, 0.1)
     assert ergodic_bound(p, q, f).holds
-    assert "_log_p" in vars(p) and "_log_p" not in vars(q)
+    assert p._log_p_cache is p._log_p and q._log_p_cache is None
     # The risk map reads the same bits as the eager formula it replaced.
     m = p.matrix
     log_p = np.where(m > 0, np.log(np.maximum(m, 1e-300)), -np.inf)
@@ -128,6 +131,22 @@ def test_kernel_builds_its_log_on_first_use(rng):
     ps = PointSet((0.0, 1.0))
     k = FiniteKernel(ps, np.array([[1.0, 0.0], [0.5, 0.5]]), metric_cost(ps, "euclidean", 1.0))
     assert k._log_p[0, 1] == -np.inf and k._log_p[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda k: pickle.loads(pickle.dumps(k))],
+                         ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("built", [False, True], ids=["log-unbuilt", "log-built"])
+def test_kernel_clones_stay_read_only(rng, clone, built):
+    # A clone of the dict-backed kernel held a writeable matrix and log p.
+    k = make_kernel(rng, 4)
+    if built:
+        k._log_p
+    c = clone(k)
+    assert not hasattr(c, "__dict__") and not hasattr(k, "__dict__")
+    assert c.matrix.tobytes() == k.matrix.tobytes() and not c.matrix.flags.writeable
+    assert (c._log_p_cache is None) == (not built)
+    assert c._log_p.tobytes() == k._log_p.tobytes() and not c._log_p.flags.writeable
+    assert c.states == k.states and c.cost.entries.tobytes() == k.cost.entries.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +164,17 @@ def test_risk_map_identity_kernel_kills_any_potential(rng):
     k = FiniteKernel(ps, np.eye(3), metric_cost(ps, "euclidean", 1.0))
     g = rng.normal(0, 1, 3)
     np.testing.assert_allclose(risk_map(k, g, 0.7), np.full(3, 0.7), atol=1e-12)
+
+
+@pytest.mark.parametrize("g, a", [
+    ([np.nan, 0.0, 0.0], 0.0),  # returned all NaN with a RuntimeWarning
+    ([np.inf, 0.0, 0.0], 0.0),  # returned -inf
+    ([0.0, 0.0, 0.0], np.nan),
+    ([0.0, 0.0, 0.0], -np.inf),
+], ids=["nan-potential", "inf-potential", "nan-rate", "inf-rate"])
+def test_risk_map_rejects_non_finite_input(rng, g, a):
+    with pytest.raises(ValidationError, match="finite"):
+        risk_map(make_kernel(rng, 3), g, a)
 
 
 def test_risk_map_hand_value():
@@ -209,8 +239,8 @@ def test_oversized_cost_is_not_representable(rng):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_inverse_rejects_non_finite_cost(rng, bad):
-    # A NaN cost used to run Newton to max_iter and report "did not reach
-    # tolerance".
+    # A NaN cost used to run Newton to its step budget and report "did not
+    # reach tolerance".
     k = make_kernel(rng, 3)
     with pytest.raises(ValidationError, match="finite"):
         invert_risk_map(k, [bad, 0.0, 0.0])
@@ -240,6 +270,14 @@ def test_rank_deficiency_detected_for_two_recurrent_classes():
     # inside the 200-step budget.
     ([[0.25, 0.0, 0.75], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]], [7.0, -15.0, -5.0],
      "Newton did not reach tolerance", 11),
+    # The second step overflows to -inf: the tilted Jacobian has a column of
+    # subnormals, singular in floating point though LAPACK finds a pivot.
+    # The solve used to take the infinite step into the risk map.
+    ([[0.9982980581256378, 0.0, 0.0017019418743622306],
+      [0.3909110449296995, 0.6083695677570825, 0.0007193873132179086],
+      [0.0, 0.9918498077480492, 0.008150192251950737]],
+     [209.05900419185292, -489.4117507964442, 568.1181705483874],
+     "Newton linearization became singular", 1),
 ])
 def test_inverse_reports_a_newton_solve_that_stops_early(p, f, diagnosis, iterations):
     ps = PointSet((0.0, 1.0, 2.0))
@@ -332,6 +370,20 @@ def test_stationary_leading_transient_state():
     assert pi.tolist() == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("fn", [recurrent_classes, stationary_distribution])
+@pytest.mark.parametrize("p, message", [
+    pytest.param([[0.9, 0.3], [0.5, 0.5]], r"row 0 sums to 1\.2, not 1", id="row-sum"),
+    pytest.param([[np.nan, 1.0], [0.5, 0.5]], "non-finite", id="nan"),
+    pytest.param([[1.25, -0.25], [0.5, 0.5]], r"negative transition probability at \(0, 1\)",
+                 id="negative"),
+    pytest.param([[0.5, 0.5]], r"shape \(1, 2\) is not square", id="not-square"),
+])
+def test_chain_functions_reject_a_matrix_that_is_not_a_chain(fn, p, message):
+    # These returned a distribution or classes, or raised numpy's matmul error.
+    with pytest.raises(ValidationError, match=message):
+        fn(np.array(p))
+
+
 def test_recurrent_classes_identity():
     classes = recurrent_classes(np.eye(3))
     assert len(classes) == 3
@@ -420,6 +472,22 @@ def test_bound_rejects_kernels_over_different_state_sets(rng):
     q = FiniteKernel(ps, p.matrix, metric_cost(ps, "euclidean", 1.0))
     with pytest.raises(ValidationError, match="same state set"):
         ergodic_bound(p, q, np.zeros(3))
+
+
+def test_bound_rejects_a_second_cost():
+    # q's cost was never read: a q at scale 5 returned the same bound as one
+    # at p's scale 1, rhs 0.2835541902790123.
+    ps = PointSet((0.0, 1.0, 2.0))
+    p = FiniteKernel(ps, np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.4, 0.5]]),
+                     metric_cost(ps, "euclidean", 1.0))
+    q = np.array([[0.0, 0.9, 0.1], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]])
+    f = risk_map(p, [0.0, 0.3, -0.2], 0.15)
+    with pytest.raises(ValidationError, match="same cost"):
+        ergodic_bound(p, FiniteKernel(ps, q, metric_cost(ps, "euclidean", 5.0)), f)
+    # An equal cost built apart, or given as its explicit matrix, is the same cost.
+    rhs = [ergodic_bound(p, FiniteKernel(ps, q, cost), f).class_bounds[0].rhs
+           for cost in (p.cost, metric_cost(ps, "euclidean", 1.0), CostMatrix(dense(p.cost)))]
+    assert rhs == [0.2835541902790123] * 3
 
 
 def test_bound_rejects_unrepresentable_cost(rng):
