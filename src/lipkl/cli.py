@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -370,7 +371,10 @@ def cmd_benchmark(args):
     return report, True
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole argument tree, built once per process: every ``main`` call
+    parses with it, and ``parse_args`` returns a fresh namespace each time."""
     parser = argparse.ArgumentParser(
         prog="lipkl",
         description="Transport-smoothed relative entropy: values, optimizers, "

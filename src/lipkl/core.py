@@ -23,7 +23,12 @@ convex program over semi-couplings pi >= 0 with row sums fixed to mu:
 Each row lives on its own scaled simplex, so the iteration is a per-row
 exponentiated gradient (entropic mirror descent) with backtracking line
 search; gradient entry b c_ij + log(gamma_j / nu_j) + 1. Multiplicative
-updates keep the iterate positive, matching the entropy geometry.
+updates keep the iterate positive, matching the entropy geometry. Each trial
+iterate is put back on its rows' simplices in one max-shifted pass (row max,
+exp, row sum), the log-sum-exp of log-domain scaling solvers (Schmitzer,
+*SIAM J. Sci. Comput.* 41, 2019): the pass yields both the log iterate,
+shifted so that each row peaks at 0, and the coupling that the objective
+reads, and its shift keeps every exponent at or below 0.
 
 Certificates pair every primal iterate with a feasible dual candidate: from
 gamma form g_j = log(gamma_j / nu_j) on the support of nu, tighten it into
@@ -58,14 +63,15 @@ component of the row that prices it, and every component's constant comes
 from a bincount pass over the labels: one pass, or two when a column was
 loose.
 
-Certificate rounds run at mirror iterations 1, 2, 4, 8, ... and once on the
-last iterate: early rounds catch solves whose structure is visible at once,
-and doubling keeps the pricing cost within a constant factor of the descent
-steps on slow solves. A closure output gets its transport LP only when
-weak duality leaves it a chance: every primal value lies at or above every
-feasible dual value, so a candidate whose dual falls more than the best gap
-below the best dual can neither become the best candidate nor raise the
-best dual.
+Certificate rounds run at mirror iteration 1, then at the powers of two from
+``_FIRST_DOUBLING`` (8, 16, 32, ...), and once on the last iterate: the round
+at 1 catches solves whose structure is visible at once, a round costs
+several descent steps, and doubling keeps the pricing cost within a constant
+factor of the descent steps on slow solves. A closure output gets its
+transport LP only when weak duality leaves it a chance: every primal value
+lies at or above every feasible dual value, so a candidate whose dual falls
+more than the best gap below the best dual can neither become the best
+candidate nor raise the best dual.
 
 The workspace skips two kinds of repeated work, each keyed on the bytes of
 its input: a support mask already tried (the closure depends on the mask
@@ -77,6 +83,10 @@ so a closure output refused its LP is refused again, and one priced prices
 again to the same candidate, which moves neither. And the simplex is
 deterministic, so a tilt priced again gets the same plan. A skip on any of
 these three would change no bit of a result.
+
+Equal measures need no solve: when mu and nu have the same weights, bit for
+bit, the zero potential and the diagonal plan are the exact optimum (W = 0
+and R = 0), and the solve returns them with both brackets at 0.
 """
 
 from __future__ import annotations
@@ -129,6 +139,17 @@ _MAX_STEP = 4.0
 # pi* has support the plan lacks. On the benchmark's sweeps 0.01 took fewer
 # iterations than 0.1, 1e-4 or 1e-8.
 _WARM_PRODUCT = 0.01
+# Certificate rounds run at mirror iteration 1 and then at the powers of two
+# from this one on. On the benchmark at seed 0, a round (the iterate's LP
+# plus up to 15 closures) costs about as much as 5 mirror steps in a
+# markov-12 row solve and 15-20 in a solve-2d solve. The round at 1 is where
+# every grid-1d solve certifies (without it each takes 4 steps), and four of
+# the six pinned solves in the tests. In one markov-12 round of 96 row
+# solves, rounds at 1, 2, 4, 8, ... certified 2 at iteration 1, 34 at 2, 27
+# at 4 and 25 at 8: the rounds at 2 and 4 cost 154 rounds to catch 61
+# solves. Starting at 16 instead took markov-12 from 2 678 to 4 742 mirror
+# iterations in three rounds.
+_FIRST_DOUBLING = 8
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -213,7 +234,7 @@ class _Workspace:
         self.cols = nu.support
         self.C_rc = cost.block(self.rows, self.cols)
         self.a = mu.weights[self.rows]
-        self.log_a = np.log(self.a)[:, None]
+        self.a_col = self.a[:, None]
         self.logw = np.log(nu.weights[self.cols])
         self._masks: set[bytes] = set()
         self._walks: set[bytes] = set()
@@ -233,10 +254,12 @@ class _Workspace:
         """
         g_full = _c_transform(g_cols, self.cost, self.cols)
         z = g_full[self.cols] + self.logw
-        lse = float(np.logaddexp.reduce(z))
+        peak = z.max()
+        gamma = np.exp(z - peak)
+        mass = gamma.sum()
+        gamma /= mass
+        lse = float(peak + math.log(mass))
         dual = float(self.mu.weights @ g_full) - lse
-        gamma = np.exp(z - lse)
-        gamma /= gamma.sum()
         return dual, lse, g_full, gamma
 
     def evaluate(self, g_cols: np.ndarray, floor: float = -math.inf) -> _Candidate | None:
@@ -281,11 +304,37 @@ class _Workspace:
     def warm_seed(self, cand: _Candidate) -> np.ndarray:
         """The mirror iterate, in log space, that a warm candidate seeds: its
         optimal plan with a share ``_WARM_PRODUCT`` of the product of mu and
-        its tilt, floored where the tilt underflows to zero, and each row
-        renormalized to its mu mass as the descent step does."""
-        pi0 = (1.0 - _WARM_PRODUCT) * cand.flow + _WARM_PRODUCT * (self.a[:, None] * cand.gamma)
-        log_pi = np.log(np.maximum(pi0, _TINY))
-        return log_pi - (np.logaddexp.reduce(log_pi, axis=1, keepdims=True) - self.log_a)
+        its tilt, floored where the tilt underflows to zero. The plan's rows
+        and the product's rows both sum to mu's row masses, so the seed
+        needs no renormalization."""
+        pi0 = (1.0 - _WARM_PRODUCT) * cand.flow + _WARM_PRODUCT * (self.a_col * cand.gamma)
+        return np.log(np.maximum(pi0, _TINY))
+
+    def step(self, log_pi: np.ndarray, grad: np.ndarray,
+             eta: float) -> tuple[np.ndarray, np.ndarray]:
+        """One mirror step from the log iterate ``log_pi`` (the iterate up to
+        a constant per row) along ``grad`` with step ``eta``: the new log
+        iterate, shifted so that each row peaks at 0, and the coupling it
+        stands for, each row scaled to its mu mass. One max-shifted pass
+        (row max, exp, row sum) gives both: every exponent is at most 0 and
+        each row's sum at least 1, so nothing overflows and no row sum
+        underflows."""
+        trial = grad * -eta
+        trial += log_pi
+        trial -= trial.max(axis=1, keepdims=True)
+        pi = np.exp(trial)
+        pi *= self.a_col / pi.sum(axis=1, keepdims=True)
+        return trial, pi
+
+    def identity(self) -> _Candidate:
+        """The exact optimum of an equal pair: the zero potential, tightened
+        (0 on the support), whose tilt is nu itself, and the diagonal plan.
+        Its transport cost and relative entropy are exactly 0, and so is the
+        dual of a potential that is 0 on every atom of a probability
+        measure."""
+        g_full = _c_transform(np.zeros(self.cols.size), self.cost, self.cols)
+        return _Candidate(gap=0.0, dual=0.0, primal=0.0, lse=0.0, g_full=g_full,
+                          gamma=self.a, flow=np.diag(self.a))
 
     def untried_guesses(self, flow: np.ndarray):
         """The support guesses of ``flow`` (:func:`_support_guesses`) that no
@@ -408,6 +457,16 @@ def divergence(
         mirror iterate, so a start near the optimum also takes fewer
         iterations.
 
+    ``iterations`` counts the mirror steps taken. A solve stops at a
+    certificate round, so a certified solve reads 1, a power of two from 8
+    on, or the last iterate's count (the budget, or the step after which the
+    objective stopped falling); it reads 0 when equal measures or a warm
+    start certify before the first step.
+
+    When mu and nu have bitwise-equal weights the solve returns the exact
+    optimum at once: the zero potential, nu as the intermediate measure, the
+    diagonal plan, and ``value`` and ``dual_value`` both 0.0.
+
     Every candidate's dual value is computed, but the transport LP that
     prices its primal runs only on the warm start, each certificate round's
     mirror iterate, and those structure-closure candidates whose dual lies
@@ -420,6 +479,12 @@ def divergence(
     if not (tol > 0):
         raise ValidationError("tol must be positive")
     ws = _Workspace(mu, nu, cost)
+    if initial_potential is not None:
+        g0 = _values_on(initial_potential, cost.n)
+        if not np.isfinite(g0).all():
+            raise ValidationError("initial potential must be finite")
+    if np.array_equal(mu.weights, nu.weights):
+        return _assemble(ws, ws.identity(), 0.0, 0, tol)
 
     best: _Candidate | None = None
     best_dual = -math.inf
@@ -468,48 +533,46 @@ def divergence(
     # The zero potential's dual is a lower bracket, and its tilt (nu on the
     # columns) seeds a cold iterate; its primal would be read by nothing.
     best_dual, _, _, seed = ws.tilt(np.zeros(ws.cols.size))
-    # Primal state in log space, each row on its own scaled simplex.
-    log_a = ws.log_a
+    # Primal state in log space, each row on its own scaled simplex, and the
+    # coupling it stands for.
     if initial_potential is None:
-        log_pi = log_a + np.log(np.maximum(seed, _TINY))[None, :]
+        pi_cur = ws.a_col * seed
+        log_pi = np.log(pi_cur)
     else:
-        g0 = _values_on(initial_potential, cost.n)
-        if not np.isfinite(g0).all():
-            raise ValidationError("initial potential must be finite")
         log_pi = ws.warm_seed(consider(g0[ws.cols]))
+        pi_cur = np.exp(log_pi)
     eta = 1.0
     iterations = 0
 
-    def objective(log_p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """The objective at the coupling e^log_p, that coupling, and
-        log(gamma / nu) of its column sums gamma, which both the descent
-        step and the iterate's candidate read."""
-        p = np.exp(log_p)
-        gamma = p.sum(axis=0)
+    def objective(pi: np.ndarray) -> tuple[float, np.ndarray]:
+        """The objective at the coupling ``pi``, and log(gamma / nu) of its
+        column sums gamma, which both the descent step and the iterate's
+        candidate read."""
+        gamma = pi.sum(axis=0)
         ratio = np.log(np.maximum(gamma, _TINY)) - ws.logw
-        return float((ws.C_rc * p).sum() + gamma @ ratio), p, ratio
+        return float((ws.C_rc * pi).sum() + gamma @ ratio), ratio
 
-    f_cur, pi_cur, ratio_cur = objective(log_pi)
+    f_cur, ratio_cur = objective(pi_cur)
     last = False
     while (best is None or best.gap > tol) and not last:
         grad = ws.C_rc + (ratio_cur + 1.0)[None, :]
-        grad -= grad.min(axis=1, keepdims=True)
         accepted = False
         trial_eta = min(eta * 2.0, _MAX_STEP)
         while trial_eta > 1e-12 and iterations < max_iter:
-            trial = log_pi - trial_eta * grad
-            trial -= np.logaddexp.reduce(trial, axis=1, keepdims=True) - log_a
-            f_new, pi_new, ratio_new = objective(trial)
+            trial, pi_new = ws.step(log_pi, grad, trial_eta)
+            f_new, ratio_new = objective(pi_new)
             if f_new <= f_cur + 1e-12 * (1.0 + abs(f_cur)):
                 log_pi, f_cur, pi_cur, ratio_cur, eta = trial, f_new, pi_new, ratio_new, trial_eta
                 iterations += 1
                 accepted = True
                 break
             trial_eta *= 0.5
-        # Rounds run at iterations 1, 2, 4, ... and on the last iterate, when
-        # the budget is spent or the objective is flat to machine precision.
+        # Rounds run at iteration 1, at 8, 16, 32, ... (_FIRST_DOUBLING) and
+        # on the last iterate, when the budget is spent or the objective is
+        # flat to machine precision.
         last = not accepted or iterations >= max_iter
-        if last or iterations.bit_count() == 1:
+        doubling = iterations >= _FIRST_DOUBLING and iterations.bit_count() == 1
+        if last or iterations == 1 or doubling:
             certificate_round(ratio_cur, pi_cur)
 
     return _assemble(ws, best, best_dual, iterations, tol)

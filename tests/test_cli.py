@@ -115,17 +115,17 @@ def test_compute_all_inequality(fixtures):
 
 
 def test_compute_uncertified_exit_code(fixtures, tmp_path):
-    # Frozen 6-point instance whose optimal pair leaves a ~3e-17 residue, so
-    # a 1e-300 gap target cannot be certified.
-    points = [[0.542771], [0.252986], [0.280932], [0.275002], [0.803443], [0.859417]]
-    w1 = [0.080835, 0.059864, 0.618318, 0.131561, 0.082693, 0.026729]
-    w2 = [0.077227, 0.262654, 0.007008, 0.458888, 0.115541, 0.078682]
-    mu6 = tmp_path / "mu6.json"
-    nu6 = tmp_path / "nu6.json"
-    mu6.write_text(json.dumps({"points": points, "weights": w1}))
-    nu6.write_text(json.dumps({"points": points, "weights": w2}))
-    args = ["compute", "--mu", str(mu6), "--nu", str(nu6),
-            "--cost", "euclidean", "--what", "gamma",
+    # Frozen 2-point instance whose gap at b = 10 stays at 2.2e-16, so a
+    # 1e-300 gap target cannot be certified.
+    points = [[0.641], [0.129]]
+    mu2 = tmp_path / "mu2.json"
+    nu2 = tmp_path / "nu2.json"
+    mu2.write_text(json.dumps({"points": points,
+                               "weights": [0.2572696155722992, 0.7427303844277007]}))
+    nu2.write_text(json.dumps({"points": points,
+                               "weights": [0.8998138964965713, 0.10018610350342855]}))
+    args = ["compute", "--mu", str(mu2), "--nu", str(nu2),
+            "--cost", "euclidean", "--scale-b", "10", "--what", "gamma",
             "--tol", "1e-300", "--max-iter", "4"]
     code, out = run_cli(args)
     assert code == EXIT_UNCERTIFIED
@@ -478,6 +478,28 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv, flag):
     with pytest.raises(SystemExit) as exc:
         parser.parse_args(argv + flag)
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_parses_into_fresh_namespaces():
+    # main used to rebuild the whole argparse tree on every call.
+    assert build_parser() is build_parser()
+    compute = build_parser().parse_args(
+        ["compute", "--mu", "mu.json", "--nu", "nu.json", "--cost", "euclidean", "--tol", "1e-3"])
+    bench = build_parser().parse_args(["benchmark", "--grid", "20"])
+    assert compute is not bench
+    assert (compute.command, compute.tol, compute.mu) == ("compute", 1e-3, "mu.json")
+    assert (bench.command, bench.tol, bench.grid) == ("benchmark", 1e-8, 20)
+    assert not hasattr(bench, "mu") and not hasattr(compute, "grid")
+
+
+def test_rejected_flag_leaves_the_next_call_unaffected(fixtures):
+    args = ["compute", "--mu", fixtures["mu.json"], "--nu", fixtures["nu.json"],
+            "--cost", "euclidean", "--scale-b", "10"]
+    code, first = run_cli(args)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--epsilon", "0.1"])
+    assert exc.value.code == 2
+    assert run_cli(args) == (code, first) and code == EXIT_OK
 
 
 def test_missing_file_exits_2(fixtures):
