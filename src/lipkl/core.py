@@ -84,9 +84,17 @@ again to the same candidate, which moves neither. And the simplex is
 deterministic, so a tilt priced again gets the same plan. A skip on any of
 these three would change no bit of a result.
 
-Equal measures need no solve: when mu and nu have the same weights, bit for
-bit, the zero potential and the diagonal plan are the exact optimum (W = 0
-and R = 0), and the solve returns them with both brackets at 0.
+A pair whose log density is b-Lipschitz needs no solve. The divergence is
+the Donsker-Varadhan supremum (Donsker & Varadhan, *Comm. Pure Appl. Math.*
+28, 1975) over the b-Lipschitz class alone, so D(mu || nu) <= R(mu || nu),
+with equality exactly when the entropy's optimizer h = log(dmu / dnu) lies in
+the class. When mu and nu share a support and the c-transform of h lowers
+none of its values, h is b-Lipschitz: mu is its own intermediate measure,
+the plan is diagonal (W = 0, no LP), and the solve returns R(mu || nu) with
+a gap of rounding only, or runs as usual when that gap exceeds ``tol``.
+Equal measures are the case h = 0: when mu and nu have the same weights, bit
+for bit, the zero potential and the diagonal plan are the exact optimum, and
+the solve returns them with both brackets at exactly 0.
 """
 
 from __future__ import annotations
@@ -336,6 +344,28 @@ class _Workspace:
         return _Candidate(gap=0.0, dual=0.0, primal=0.0, lse=0.0, g_full=g_full,
                           gamma=self.a, flow=np.diag(self.a))
 
+    def entropy(self) -> _Candidate | None:
+        """The closed-form candidate of a pair whose log density is
+        b-Lipschitz, or None when mu and nu differ in support or it is not.
+
+        On a shared support h = log(d mu / d nu) is the Donsker-Varadhan
+        optimizer, and when h lies in the Lipschitz class the divergence is
+        R(mu || nu): mu is its own intermediate measure, the plan is
+        diagonal (W = 0, no LP) and h is the potential. The c-transform
+        lowers no column exactly when h is b-Lipschitz, and its output is
+        feasible by construction. The brackets are :meth:`tilt`'s dual and
+        :meth:`evaluate`'s primal with mu as the tilt, so the gap holds
+        only their rounding."""
+        if not np.array_equal(self.rows, self.cols):
+            return None
+        h = np.log(self.a) - self.logw
+        dual, lse, g_full, _ = self.tilt(h)
+        if not np.array_equal(g_full[self.cols], h):
+            return None
+        primal = max(float(self.a @ (h - lse)), 0.0)
+        return _Candidate(gap=primal - dual, dual=dual, primal=primal, lse=lse,
+                          g_full=g_full, gamma=self.a, flow=np.diag(self.a))
+
     def untried_guesses(self, flow: np.ndarray):
         """The support guesses of ``flow`` (:func:`_support_guesses`) that no
         earlier ladder of this solve has tried. A closure depends on its mask
@@ -460,12 +490,16 @@ def divergence(
     ``iterations`` counts the mirror steps taken. A solve stops at a
     certificate round, so a certified solve reads 1, a power of two from 8
     on, or the last iterate's count (the budget, or the step after which the
-    objective stopped falling); it reads 0 when equal measures or a warm
-    start certify before the first step.
+    objective stopped falling); it reads 0 when equal measures, a b-Lipschitz
+    log density or a warm start certify before the first step.
 
     When mu and nu have bitwise-equal weights the solve returns the exact
     optimum at once: the zero potential, nu as the intermediate measure, the
-    diagonal plan, and ``value`` and ``dual_value`` both 0.0.
+    diagonal plan, and ``value`` and ``dual_value`` both 0.0. When they share
+    a support and h = log(dmu / dnu) is b-Lipschitz, it returns R(mu || nu)
+    with mu as the intermediate measure, the diagonal plan and h as the
+    potential, once that pair's gap is within ``tol``; this exit runs no LP
+    and no mirror step, and ignores ``initial_potential``.
 
     Every candidate's dual value is computed, but the transport LP that
     prices its primal runs only on the warm start, each certificate round's
@@ -485,6 +519,9 @@ def divergence(
             raise ValidationError("initial potential must be finite")
     if np.array_equal(mu.weights, nu.weights):
         return _assemble(ws, ws.identity(), 0.0, 0, tol)
+    exact = ws.entropy()
+    if exact is not None and exact.gap <= tol:
+        return _assemble(ws, exact, exact.dual, 0, tol)
 
     best: _Candidate | None = None
     best_dual = -math.inf

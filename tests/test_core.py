@@ -484,6 +484,100 @@ def test_equal_measures_return_exact_zeros(case):
     assert (sol.value, sol.dual_value, sol.iterations, sol.certified) == (0.0, 0.0, 0, True)
 
 
+@pytest.fixture
+def lp_calls(monkeypatch) -> list:
+    """Counts the solver's transport LPs: one entry per call."""
+    import lipkl.core
+
+    calls = []
+    simplex = lipkl.core.transport_simplex
+
+    def counting(a, b, C):
+        calls.append(C.shape)
+        return simplex(a, b, C)
+
+    monkeypatch.setattr(lipkl.core, "transport_simplex", counting)
+    return calls
+
+
+def test_lipschitz_log_density_returns_relative_entropy_without_a_solve(lp_calls):
+    # On {0, 1} with mu = (0.4, 0.6) and nu = (0.5, 0.5), h = log(dmu/dnu)
+    # moves by log 1.5 = 0.405 between the points. At b = 1 it lies in the
+    # Lipschitz class, so D = R(mu || nu) with mu as its own intermediate
+    # measure and the diagonal plan; at b = 0.3 it does not, and D < R.
+    ps = PointSet((0.0, 1.0))
+    mu = DiscreteMeasure(ps, [0.4, 0.6])
+    nu = DiscreteMeasure(ps, [0.5, 0.5])
+    entropy = relative_entropy(mu, nu)
+    sol = divergence(mu, nu, metric_cost(ps, "euclidean", 1.0))
+    assert sol.certified and sol.iterations == 0
+    assert lp_calls == []
+    assert np.array_equal(sol.measure.weights, mu.weights)
+    assert np.array_equal(sol.flow, np.diag(sol.flow.diagonal()))
+    assert abs(sol.value - entropy) <= 1e-15
+    sol = divergence(mu, nu, metric_cost(ps, "euclidean", 0.3))
+    assert sol.certified and sol.iterations > 0 and lp_calls
+    assert sol.value < entropy - 1e-6
+
+
+def test_lipschitz_log_density_exits_exactly_when_it_is_b_lipschitz(lp_calls):
+    # b* = max |h_j - h_k| / c_jk is the least scale at which h = log(dmu/dnu)
+    # is b-Lipschitz: at 2 b* every solve returns R(mu || nu) with no LP and
+    # no mirror step, and its pair passes the first-order check; at b* / 2
+    # every solve runs the loop and still certifies. D <= R at every scale.
+    gen = np.random.default_rng(36)
+    for _ in range(200):
+        n, d = int(gen.integers(2, 13)), int(gen.integers(1, 3))
+        ps = PointSet(gen.random((n, d)))
+        mu = DiscreteMeasure(ps, gen.dirichlet(np.full(n, 5.0)))
+        nu = DiscreteMeasure(ps, gen.dirichlet(np.full(n, 5.0)))
+        h = np.log(mu.weights) - np.log(nu.weights)
+        c = metric_cost(ps, "euclidean", 1.0).block(slice(None), slice(None))
+        off = ~np.eye(n, dtype=bool)
+        b_star = float((np.abs(h[:, None] - h[None, :])[off] / c[off]).max())
+        entropy = relative_entropy(mu, nu)
+        for b, exits in ((2.0 * b_star, True), (b_star / 2.0, False)):
+            cost = metric_cost(ps, "euclidean", b)
+            lp_calls.clear()
+            sol = divergence(mu, nu, cost)
+            assert sol.certified
+            assert (sol.iterations == 0 and not lp_calls) is exits
+            assert sol.value <= entropy + sol.tol
+            if exits:
+                assert verify_optimizers(sol.measure, sol.potential, mu, nu, cost).optimal
+
+
+@pytest.mark.parametrize("case", ["mu << nu", "nu << mu"])
+def test_unequal_supports_take_the_loop(case, lp_calls):
+    # The closed-form exit needs mu and nu on one support: here h would be
+    # b-Lipschitz on the shared atoms, but one measure has a zero weight
+    # that the other lacks, so h is log 0 there. Both solves run the mirror
+    # loop, with no warning, and repeat the results they had before the exit
+    # existed bit for bit (value, dual_value, iterations and the flow, as
+    # float.hex). At b = 2 000 the step also underflows 15 or 16 coupling
+    # entries to exact zero.
+    partial, full = [0.1, 0.2, 0.3, 0.4, 0.0], [0.3, 0.1, 0.2, 0.2, 0.2]
+    pinned = {
+        "mu << nu": (partial, full, "0x1.b5ee3c7ed58dep-2", "0x1.b5ee3c7ed5862p-2", (4, 5), {
+            0: "0x1.999999999999ap-4", 5: "0x1.0000000000000p-56", 6: "0x1.999999999999ap-3",
+            12: "0x1.3333333333332p-2", 18: "0x1.999999999999ap-2"}),
+        "nu << mu": (full, partial, "0x1.90b779e6410dap+6", "0x1.90b779e6410dap+6", (5, 4), {
+            0: "0x1.3333333333332p-2", 5: "0x1.999999999999ap-4", 9: "0x1.0000000000000p-56",
+            10: "0x1.999999999999ap-3", 15: "0x1.999999999999ap-3", 19: "0x1.999999999999ap-3"}),
+    }
+    mu_w, nu_w, value, dual, shape, entries = pinned[case]
+    ps = PointSet((0.0, 0.25, 0.5, 0.75, 1.0))
+    mu, nu = DiscreteMeasure(ps, mu_w), DiscreteMeasure(ps, nu_w)
+    with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        sol = divergence(mu, nu, metric_cost(ps, "euclidean", 2000.0))
+    assert sol.certified and lp_calls
+    assert (sol.value.hex(), sol.dual_value.hex(), sol.iterations) == (value, dual, 1)
+    assert sol.flow.shape == shape
+    flow = [float(x).hex() for x in sol.flow.ravel()]
+    assert flow == [entries.get(k, "0x0.0p+0") for k in range(len(flow))]
+
+
 def test_solutions_compare_by_identity():
     # Two solves of the same inputs are two solutions. The generated __eq__
     # compared their array fields, so `==` raised ValueError instead.
