@@ -73,16 +73,17 @@ lies at or above every feasible dual value, so a candidate whose dual falls
 more than the best gap below the best dual can neither become the best
 candidate nor raise the best dual.
 
-The workspace skips two kinds of repeated work, each keyed on the bytes of
-its input: a support mask already tried (the closure depends on the mask
-alone) and a forest walk already balanced (its potentials and labels fix
-the closure's output). Nothing else needs a skip. A flow that comes back
-gives the same masks, all of them tried. The weak-duality floor never falls
-within a solve, since the best dual only rises and the best gap only falls,
-so a closure output refused its LP is refused again, and one priced prices
-again to the same candidate, which moves neither. And the simplex is
+The workspace skips one kind of repeated work: a support mask already tried,
+keyed on the mask's bytes (the closure depends on the mask alone). Nothing
+else needs a skip. A flow that comes back gives the same masks, all of them
+tried. The weak-duality floor never falls within a solve, since the best
+dual only rises and the best gap only falls, so a closure output refused
+its LP is refused again, and one priced prices again to the same candidate,
+which moves neither. That covers a repeated forest walk too: a different
+mask with the same walk gives the same closure output, which the floor
+refuses again or prices again to no effect. And the simplex is
 deterministic, so a tilt priced again gets the same plan. A skip on any of
-these three would change no bit of a result.
+these would change no bit of a result.
 
 A pair whose log density is b-Lipschitz needs no solve. The divergence is
 the Donsker-Varadhan supremum (Donsker & Varadhan, *Comm. Pure Appl. Math.*
@@ -149,14 +150,15 @@ _MAX_STEP = 4.0
 _WARM_PRODUCT = 0.01
 # Certificate rounds run at mirror iteration 1 and then at the powers of two
 # from this one on. On the benchmark at seed 0, a round (the iterate's LP
-# plus up to 15 closures) costs about as much as 5 mirror steps in a
-# markov-12 row solve and 15-20 in a solve-2d solve. The round at 1 is where
-# every grid-1d solve certifies (without it each takes 4 steps), and four of
-# the six pinned solves in the tests. In one markov-12 round of 96 row
-# solves, rounds at 1, 2, 4, 8, ... certified 2 at iteration 1, 34 at 2, 27
-# at 4 and 25 at 8: the rounds at 2 and 4 cost 154 rounds to catch 61
-# solves. Starting at 16 instead took markov-12 from 2 678 to 4 742 mirror
-# iterations in three rounds.
+# plus up to 6 closures; up to 15 when this was measured, with five
+# thresholds) costs about as much as 5 mirror steps in a markov-12 row solve
+# and 15-20 in a solve-2d solve. The round at 1 is where every grid-1d solve
+# certifies (without it each takes 4 steps), and four of the six pinned
+# solves in the tests. In one markov-12 round of 96 row solves, rounds at 1,
+# 2, 4, 8, ... certified 2 at iteration 1, 34 at 2, 27 at 4 and 25 at 8: the
+# rounds at 2 and 4 cost 154 rounds to catch 61 solves. Starting at 16
+# instead took markov-12 from 2 678 to 4 742 mirror iterations in three
+# rounds.
 _FIRST_DOUBLING = 8
 
 
@@ -217,8 +219,11 @@ class _Candidate:
 # Relative flow cutoffs for support identification. A plan entry below the
 # cutoff is treated as a vanishing (non-tight) edge when closing the
 # first-order conditions; the ladder brackets the separation between true
-# support flows and the noise of a not-yet-converged iterate.
-_STRUCT_THRESHOLDS = np.array((1e-12, 1e-9, 1e-7, 1e-5, 1e-3))[:, None, None]
+# support flows and the noise of a not-yet-converged iterate. Each rung is
+# needed: 1e-3 alone leaves some solves uncertified at the budget, 1e-5
+# alone takes more iterations on most random pairs, and the looser rungs
+# 1e-12, 1e-9 and 1e-7 changed no result on the benchmark.
+_STRUCT_THRESHOLDS = np.array((1e-5, 1e-3))[:, None, None]
 
 
 def _support_guesses(flow: np.ndarray) -> np.ndarray:
@@ -231,7 +236,7 @@ def _support_guesses(flow: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """Shared arrays, and the structure closure's two skips, for one solve."""
+    """Shared arrays, and the support masks tried so far, for one solve."""
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostMatrix):
         _shared_point_set(mu, nu, cost=cost)
@@ -245,7 +250,6 @@ class _Workspace:
         self.a_col = self.a[:, None]
         self.logw = np.log(nu.weights[self.cols])
         self._masks: set[bytes] = set()
-        self._walks: set[bytes] = set()
 
     @cached_property
     def _cost_lists(self) -> list:
@@ -293,21 +297,11 @@ class _Workspace:
 
     def _transport(self, gamma: np.ndarray) -> tuple[np.ndarray, float]:
         """The optimal plan from the mu rows to ``gamma`` and its cost. The
-        simplex is deterministic, so a tilt priced again gets the same plan."""
-        # Columns can underflow to exact zero at extreme scales; price the
-        # transport on the positive block only. Most tilts are positive
-        # throughout, and then the block is C_rc itself.
-        if gamma.min() > 0:
-            flow, _, _ = transport_simplex(self.a, gamma, self.C_rc)
-            wass = float((self.C_rc * flow).sum())
-        else:
-            pos = gamma > 0
-            sub = self.C_rc[:, pos]
-            f_sub, _, _ = transport_simplex(self.a, gamma[pos], sub)
-            wass = float((sub * f_sub).sum())
-            flow = np.zeros_like(self.C_rc)
-            flow[:, pos] = f_sub
-        return flow, wass
+        simplex is deterministic, so a tilt priced again gets the same plan.
+        A column that underflows to exact zero at an extreme scale carries
+        exactly 0 (see :func:`transport_simplex`)."""
+        flow, _, _ = transport_simplex(self.a, gamma, self.C_rc)
+        return flow, float((self.C_rc * flow).sum())
 
     def warm_seed(self, cand: _Candidate) -> np.ndarray:
         """The mirror iterate, in log space, that a warm candidate seeds: its
@@ -376,7 +370,7 @@ class _Workspace:
                 self._masks.add(key)
                 yield keep
 
-    def structure_closure(self, keep: np.ndarray) -> np.ndarray | None:
+    def structure_closure(self, keep: np.ndarray) -> np.ndarray:
         """Close the first-order conditions over a guessed support structure.
 
         ``keep`` is a boolean rows x columns mask, the guessed support of the
@@ -389,13 +383,11 @@ class _Workspace:
         guessed support matches an optimal structure this lands the exact
         optimizer regardless of how converged the guess was.
 
-        The closure has two skips, both held by the workspace. The output
-        depends on the mask alone, so a solve closes only the masks that
-        :meth:`untried_guesses` hands out. It depends on the mask only
-        through the walk's potentials and labels (which also tell the
-        attached columns: a loose column is a component of its own, labelled
-        after every row's), so a mask whose walk this workspace has balanced
-        before returns None: its output would repeat one already returned.
+        The output is a pure function of the mask, so a solve closes only
+        the masks that :meth:`untried_guesses` hands out. A new mask whose
+        walk repeats an earlier one gives that walk's output again, which
+        the weak-duality floor treats as it did the first time (see the
+        module docstring), so no walk needs a skip.
         """
         m, k = keep.shape
         # Edges come row-major: every node lists its neighbours ascending.
@@ -407,13 +399,7 @@ class _Workspace:
         # rooted at one (potential 0) and labelled before the rest, which are
         # single loose columns.
         pot, comp = _rooted_walk(forest, self._cost_lists, m)
-        pot = np.array(pot)
-        comp = np.array(comp)
-        key = pot.tobytes() + comp.tobytes()
-        if key in self._walks:
-            return None
-        self._walks.add(key)
-        return self._balance(pot, comp, keep.any(axis=0))
+        return self._balance(np.array(pot), np.array(comp), keep.any(axis=0))
 
     def _balance(self, pot: np.ndarray, comp: np.ndarray, attached: np.ndarray) -> np.ndarray:
         """The closure's potential on the columns, from the walk's potentials
@@ -507,8 +493,7 @@ def divergence(
     within the best gap of the best dual. The zero start contributes its
     dual and the mirror seed (the warm start's plan seeds instead when
     given), and no LP. The only work skipped is a support mask tried before
-    and a forest walk balanced before (see the module docstring for why no
-    other repeat needs a skip).
+    (see the module docstring for why no other repeat needs a skip).
     """
     if not (tol > 0):
         raise ValidationError("tol must be positive")
@@ -547,12 +532,10 @@ def divergence(
         for keep in ws.untried_guesses(flow):
             if best.gap <= tol:
                 return
-            g = ws.structure_closure(keep)
-            if g is None:
-                continue
             # The weak-duality floor, less a relative 1e-12 for rounding in
             # the computed brackets.
-            consider(g, best_dual - best.gap - 1e-12 * (1.0 + abs(best_dual)))
+            consider(ws.structure_closure(keep),
+                     best_dual - best.gap - 1e-12 * (1.0 + abs(best_dual)))
 
     def certificate_round(ratio_iterate: np.ndarray, pi_iterate: np.ndarray) -> None:
         """Price the current iterate plus the structure-closure candidates.

@@ -191,9 +191,14 @@ def transport_cost(mu: DiscreteMeasure, gamma: DiscreteMeasure, cost: CostMatrix
 def transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     """Solve min <C, X> over X >= 0 with row sums a and column sums b.
 
-    ``a`` and ``b`` must be strictly positive with equal totals. Returns
+    ``a`` and ``b`` must be nonnegative with equal totals. Returns
     ``(X, u, v)`` where (u, v) are optimal dual potentials with
     u_i + v_j <= C_ij everywhere and equality on the spanning-tree basis.
+    A line of zero mass needs no special case: both starts lay 0 on each
+    of its cells, and a pivot's cycle through that line uses two of its
+    cells with opposite signs, so the one that loses flow carries 0 and the
+    step theta is 0. Such a line carries exactly 0 throughout and adds only
+    degenerate pivots, which the Bland fall-back below bounds.
     Totals that differ by less than the 1e-9 tolerance give a plan that
     carries the smaller one: row sums at most ``a`` and column sums at most
     ``b`` (up to the rounding of each sum), so the side with the larger

@@ -80,10 +80,9 @@ def grid_divergence(
     best_gamma = None
     logw = np.log(w)
     for gamma in grid:
+        flow, _, _ = transport_simplex(a, gamma, C)
+        wass = float((C * flow).sum())
         pos = gamma > 0
-        sub = C[:, pos]
-        flow, _, _ = transport_simplex(a, gamma[pos], sub)
-        wass = float((sub * flow).sum())
         g = gamma[pos]
         rel_ent = float(g @ (np.log(g) - logw[pos]))
         val = wass + rel_ent

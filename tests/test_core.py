@@ -295,27 +295,37 @@ def test_warm_solves_certify_and_meet_the_cold_bracket(rng):
             warm = sol.potential
 
 
-def test_warm_seed_survives_a_tilt_that_underflows():
-    # At b * span = 2 000 the warm potential -b x tilts nu to exact zeros on
-    # three of five columns; their plan and product entries are zero too.
-    from lipkl.core import _Workspace
-
+def underflow_pair():
+    """A pair on five points of a line whose supports differ (mu on the
+    first three, nu on the last four), at b * span = 2 000: no closed-form
+    exit applies, so every solve runs the mirror loop."""
     x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     ps = PointSet(tuple(x.tolist()))
-    mu = DiscreteMeasure(ps, [0.1, 0.2, 0.3, 0.2, 0.2])
-    nu = DiscreteMeasure(ps, [0.3, 0.1, 0.2, 0.2, 0.2])
-    cost = metric_cost(ps, "euclidean", 2000.0)
+    mu = DiscreteMeasure(ps, [0.3, 0.4, 0.3, 0.0, 0.0])
+    nu = DiscreteMeasure(ps, [0.0, 0.1, 0.2, 0.3, 0.4])
+    return x, mu, nu, metric_cost(ps, "euclidean", 2000.0)
+
+
+def test_warm_seed_survives_a_tilt_that_underflows():
+    # The warm potential -b x tilts nu to exact zeros on two of its four
+    # columns; the tilt's LP carries exactly 0.0 there, so its plan and
+    # product entries are zero too.
+    from lipkl.core import _Workspace
+
+    x, mu, nu, cost = underflow_pair()
     warm = -2000.0 * x
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ws = _Workspace(mu, nu, cost)
         cand = ws.evaluate(warm[ws.cols])
-        assert (cand.gamma == 0.0).sum() == 3
+        zero = cand.gamma == 0.0
+        assert zero.sum() == 2
+        assert cand.flow[:, zero].tolist() == [[0.0, 0.0]] * 3
         seed = ws.warm_seed(cand)
         sol = divergence(mu, nu, cost, initial_potential=warm)
     assert np.isfinite(seed).all()
     np.testing.assert_allclose(np.logaddexp.reduce(seed, axis=1), np.log(ws.a), rtol=0, atol=1e-12)
-    assert sol.certified
+    assert sol.certified and sol.iterations >= 1
     cold = divergence(mu, nu, cost)
     assert sol.dual_value <= cold.value + sol.tol and cold.dual_value <= sol.value + sol.tol
 
@@ -351,17 +361,14 @@ def test_step_raises_no_warning_where_the_iterate_underflows():
     # step sends most of the coupling's entries below the smallest double;
     # the max shift keeps every exponent at or below 0 and every row sum at
     # or above 1, so no overflow, divide or invalid value can arise.
-    x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    ps = PointSet(tuple(x.tolist()))
-    mu = DiscreteMeasure(ps, [0.1, 0.2, 0.3, 0.2, 0.2])
-    nu = DiscreteMeasure(ps, [0.3, 0.1, 0.2, 0.2, 0.2])
-    cost = metric_cost(ps, "euclidean", 2000.0)
+    x, mu, nu, cost = underflow_pair()
     with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
         warnings.simplefilter("error")
         for max_iter in (1, 2, 100_000):
             for warm in (None, -2000.0 * x):
                 sol = divergence(mu, nu, cost, tol=1e-300, max_iter=max_iter,
                                  initial_potential=warm)
+                assert sol.iterations >= 1
                 assert math.isfinite(sol.value) and math.isfinite(sol.dual_value)
 
 
@@ -663,6 +670,26 @@ def test_solve_never_closes_a_support_mask_twice(rng, monkeypatch):
     assert walked
 
 
+@pytest.mark.parametrize("rung, seed", [(1e-3, 4), (1e-5, 28)])
+def test_each_support_guess_threshold_is_needed(rung, seed, monkeypatch):
+    # With both thresholds each of these 18-point line pairs at b = 90
+    # certifies at the round of iteration 8. With one rung alone, 1e-3 leaves
+    # seed 4 uncertified at the budget, and 1e-5 takes seed 28 to it.
+    import lipkl.core
+
+    g = np.random.default_rng(seed)
+    ps = PointSet(g.random((18, 1)))
+    mu = DiscreteMeasure(ps, g.dirichlet(np.ones(18)))
+    nu = DiscreteMeasure(ps, g.dirichlet(np.ones(18)))
+    cost = metric_cost(ps, "euclidean", 90.0)
+    sol = divergence(mu, nu, cost, tol=1e-10, max_iter=512)
+    assert sol.certified and sol.iterations == 8
+    monkeypatch.setattr(lipkl.core, "_STRUCT_THRESHOLDS", np.array((rung,))[:, None, None])
+    sol = divergence(mu, nu, cost, tol=1e-10, max_iter=512)
+    assert sol.iterations == 512
+    assert sol.certified == (rung == 1e-5)
+
+
 def test_budget_stop_prices_the_last_iterate_once(monkeypatch):
     # A budget of 8 or 16 is also a doubling round, so the round on the last
     # iterate used to run twice. Rounds run at iteration 1 and at 8 (and 16),
@@ -877,9 +904,9 @@ PINNED = {
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_solves_repeat_bit_for_bit(name):
-    # The solver skips work whose result it already has (masks closed,
-    # walks balanced); none of the skips may change a bit of what it
-    # returns.
+    # The solver skips a support mask it has closed before, and nothing
+    # else; neither that skip nor the support guesses it leaves may change
+    # a bit of what it returns.
     value, dual, iterations, shape, flow = PINNED[name]
     mu, nu, cost = pinned_instances()[name]
     sol = divergence(mu, nu, cost, tol=1e-10)
@@ -887,34 +914,6 @@ def test_pinned_solves_repeat_bit_for_bit(name):
     assert (sol.value.hex(), sol.dual_value.hex(), sol.iterations) == (value, dual, iterations)
     assert sol.flow.shape == shape
     assert [float(x).hex() for x in sol.flow.ravel()] == flow
-
-
-def test_solve_never_balances_a_walk_twice(monkeypatch):
-    # A closure's output depends on its mask only through the walk, so a
-    # walk that a new mask repeats is not balanced or priced again.
-    from lipkl.core import _Workspace
-
-    walks, skipped = [], []
-    balance, closure = _Workspace._balance, _Workspace.structure_closure
-
-    def recording_balance(self, pot, comp, attached):
-        walks.append(pot.tobytes() + comp.tobytes())
-        return balance(self, pot, comp, attached)
-
-    def recording_closure(self, keep):
-        g = closure(self, keep)
-        skipped.append(g is None)
-        return g
-
-    monkeypatch.setattr(_Workspace, "_balance", recording_balance)
-    monkeypatch.setattr(_Workspace, "structure_closure", recording_closure)
-    # Each solve repeats a walk, so the skip is exercised in both.
-    for name, count in (("markov row 2", 1), ("2-D n=8 b=10", 4)):
-        walks.clear()
-        skipped.clear()
-        assert divergence(*pinned_instances()[name], tol=1e-10).certified
-        assert len(walks) == len(set(walks)) == skipped.count(False)
-        assert skipped.count(True) == count
 
 
 def test_structure_closure_over_two_components_and_a_loose_column():

@@ -435,8 +435,10 @@ def test_simplex_returns_an_optimal_start_without_a_tree_walk(rng, monkeypatch):
     import lipkl.divergences
 
     walks = []
-    walk = lipkl.divergences._rooted_walk
-    monkeypatch.setattr(lipkl.divergences, "_rooted_walk", lambda *a: walks.append(a) or walk(*a))
+    for name in ("_rooted_walk", "_hang"):
+        walk = getattr(lipkl.divergences, name)
+        monkeypatch.setattr(lipkl.divergences, name,
+                            lambda *a, name=name, walk=walk: walks.append(name) or walk(*a))
     # A sorted |x - y| cost is a Monge matrix, so the north-west start is
     # optimal; an LP with one row or one column has no other feasible plan.
     for m, n in ((12, 12), (5, 9), (1, 3000), (40, 1)):
@@ -446,13 +448,78 @@ def test_simplex_returns_an_optimal_start_without_a_tree_walk(rng, monkeypatch):
     assert_simplex_certificate(np.ones(1), rng.dirichlet(np.ones(50)), rng.uniform(0, 3, (1, 50)))
     assert walks == []
     # A staircase that is not optimal gives way to the least-cost start,
-    # which the simplex roots by its own walk, as each pivot re-hangs only
-    # the subtree it cuts off: no whole-forest walk. Here the staircase is
-    # the diagonal and the least-cost start the optimal anti-diagonal.
+    # which the simplex roots by hanging its tree, as each pivot re-hangs
+    # only the subtree it cuts off: no whole-forest walk. Here the staircase
+    # is the diagonal and the least-cost start the optimal anti-diagonal.
     a, C = np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 1.0]])
     assert_simplex_certificate(a, a, C)
     assert (transport_simplex(a, a, C)[0] == np.array([[0.0, 0.5], [0.5, 0.0]])).all()
-    assert walks == []
+    assert walks and set(walks) == {"_hang"}
+
+
+# Found by a seeded search over LPs with zero-mass lines and 0/1 costs, then
+# pruned of every zero line it could lose: five rows of mass 0.2 and two
+# columns of 0.5 among two zero rows and nine zero columns. Pivots through
+# the zero lines move no mass, and here they run past m + n in a row, so
+# Bland's rule enters.
+ZERO_LINE_BLAND = (
+    np.array([0.2, 0.0, 0.2, 0.2, 0.2, 0.0, 0.2]),
+    np.array([0.5] + [0.0] * 9 + [0.5]),
+    np.array([
+        [1, 1, 0, 1, 0, 1, 1, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1],
+        [0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1], [1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0],
+        [0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 1], [0, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0],
+        [0, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1],
+    ], dtype=float),
+)
+
+
+def test_zero_mass_lines_carry_exact_zeros_at_the_positive_block_value(rng, monkeypatch):
+    # A row or column of zero mass needs no sub-blocking by the caller: the
+    # LP with it has the value of the LP on the positive block, carries
+    # exactly 0.0 on each of its cells, and keeps the dual certificate on
+    # every cell, those of the zero lines included.
+    import lipkl.divergences
+
+    fell_back = []
+    entering = lipkl.divergences._entering
+
+    def recording(C, pot, m, eps, bland):
+        found = entering(C, pot, m, eps, bland)
+        if bland and found[2] >= 0:
+            fell_back.append(found[2])
+        return found
+
+    monkeypatch.setattr(lipkl.divergences, "_entering", recording)
+    cases = [ZERO_LINE_BLAND]
+    for k in range(300):
+        m, n = (int(x) for x in rng.integers(1, 12, size=2))
+        a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+        for w, share in ((a, 0.2), (b, 0.3)):
+            zero = rng.random(w.size) < share
+            zero[rng.integers(w.size)] = False
+            w[zero] = 0.0
+            w /= w.sum()
+        if k % 2:
+            C = rng.uniform(0.0, 3.0, (m, n))
+        else:
+            x, y = rng.random((m, 2)), rng.random((n, 2))
+            C = np.sqrt(((x[:, None] - y[None]) ** 2).sum(axis=2))
+        cases.append((a, b, C))
+    zero_lines = 0
+    for k, (a, b, C) in enumerate(cases):
+        fell_back.clear()
+        assert_simplex_certificate(a, b, C)
+        assert bool(fell_back) == (k == 0)
+        X = transport_simplex(a, b, C)[0]
+        ra, cb = a > 0, b > 0
+        zero_lines += (~ra).sum() + (~cb).sum()
+        assert set(X[~ra].ravel().tolist()) <= {0.0}
+        assert set(X[:, ~cb].ravel().tolist()) <= {0.0}
+        block = C[np.ix_(ra, cb)]
+        positive = float((block * transport_simplex(a[ra], b[cb], block)[0]).sum())
+        assert float((C * X).sum()) == pytest.approx(positive, abs=1e-12)
+    assert zero_lines >= 300
 
 
 def test_monge_lps_never_build_the_least_cost_basis(rng, monkeypatch):
